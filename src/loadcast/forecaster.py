@@ -9,7 +9,7 @@ checkpoint trained either way is interchangeable at inference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -217,27 +217,11 @@ def train_with_guidance(
 
 
 def save_forecaster(model, path: str | Path) -> None:
-    c = model.config
-    config = {
-        "kind": c.kind,
-        "lookback": c.lookback,
-        "horizon": c.horizon,
-        "n_variables": c.n_variables,
-        "hidden": c.hidden,
-        "per_variable": c.per_variable,
-        "seed": c.seed,
-    }
+    config = asdict(model.config)
     checkpoint.save_container(path, "forecaster", config, model.param_names(), model.params())
 
 
 def load_forecaster(path: str | Path):
-    kind, config, arrays = checkpoint.load_container(path)
-    if kind != "forecaster":
-        raise ConfigError(f"checkpoint kind {kind!r} is not a forecaster")
-    model = make_forecaster(ForecasterConfig(**config))
-    for name, param in zip(model.param_names(), model.params()):
-        stored = arrays.get(name)
-        if stored is None or stored.shape != param.shape:
-            raise ConfigError(f"checkpoint block {name!r} missing or mis-shaped")
-        param[...] = stored
-    return model
+    return checkpoint.load_model(
+        path, "forecaster", lambda config: make_forecaster(ForecasterConfig(**config))
+    )

@@ -286,7 +286,12 @@ def load_states_csv(path: str | Path) -> tuple[StateProfile, np.ndarray, list[st
     sidecar = path.with_suffix(path.suffix + ".meta.json")
     if not sidecar.exists():
         raise DataError(f"missing sidecar metadata: {sidecar}")
-    meta = json.loads(sidecar.read_text(encoding="utf-8"))
+    try:
+        meta = json.loads(sidecar.read_text(encoding="utf-8"))
+        meta_names = [m["name"] for m in meta]
+        counts = np.asarray([m["states"] for m in meta], dtype=np.int64)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # ValueError covers JSONDecodeError
+        raise DataError(f"{sidecar}: malformed state metadata: {exc!r}") from None
     with path.open(newline="", encoding="utf-8") as f:
         header = f.readline().rstrip("\n").split(",")
         if header[:1] != ["timestamp"]:
@@ -295,9 +300,7 @@ def load_states_csv(path: str | Path) -> tuple[StateProfile, np.ndarray, list[st
         body = np.loadtxt(f, delimiter=",", dtype=np.int64, ndmin=2)
     if body.size == 0:
         raise DataError(f"{path}: no data rows")
-    meta_names = [m["name"] for m in meta]
     if meta_names != names:
         raise DataError(f"{path}: sidecar names {meta_names} do not match header {names}")
-    counts = np.asarray([m["states"] for m in meta], dtype=np.int64)
     profile = StateProfile(body[:, 1:], counts)
     return profile, body[:, 0], names

@@ -12,7 +12,7 @@ forecaster's training loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -130,10 +130,11 @@ class MspModel:
         c0 = np.ascontiguousarray(x.transpose(0, 2, 1))  # (B, D, L)
         t1 = nn.conv1d_forward(self.trunk, c0)
         a1 = nn.relu(t1)
+        cols = nn.im2col(a1, c.kernel_width)  # shared by every extractor conv
         group_logits = []
         cache_heads = []
         for conv, lin, n in zip(self.extractor_convs, self.extractor_linears, c.class_counts):
-            u = nn.conv1d_forward(conv, a1)
+            u = nn.conv1d_forward(conv, a1, cols=cols)
             r = nn.relu(u)
             f = r.reshape(b, -1)
             g = nn.linear_forward(lin, f)
@@ -157,6 +158,7 @@ class MspModel:
         )
         dzu = dzf.reshape(b, c.horizon, c.total_classes)
         da1 = np.zeros_like(a1)
+        cols_t = nn.im2col(a1, c.kernel_width, transpose=True)
         head_grads = []
         start = 0
         for conv, lin, n, (u, f) in zip(
@@ -167,11 +169,11 @@ class MspModel:
             (dwl, dbl), df = nn.linear_backward(lin, f, dg)
             dr = df.reshape(u.shape)
             du = nn.relu_backward(u, dr)
-            (dwc, dbc), da1_i = nn.conv1d_backward(conv, a1, du)
+            (dwc, dbc), da1_i = nn.conv1d_backward(conv, a1, du, cols_t=cols_t)
             da1 += da1_i
             head_grads += [dwc, dbc, dwl, dbl]
         dt1 = nn.relu_backward(t1, da1)
-        (dwt, dbt), _ = nn.conv1d_backward(self.trunk, c0, dt1)
+        (dwt, dbt), _ = nn.conv1d_backward(self.trunk, c0, dt1, input_grad=False)
         return [dwt, dbt] + head_grads + [dwf, dbf]
 
 
@@ -204,7 +206,8 @@ def msp_loss(grouped: GroupedLogits, targets: np.ndarray) -> tuple[float, np.nda
     """Multitask cross-entropy over per-variable softmax groups.
 
     targets is (H, D) integer states. Returns the scalar loss and its
-    gradient w.r.t. the logits (same shape as grouped.logits).
+    gradient w.r.t. the logits (same shape as grouped.logits). The loss
+    goes through log-softmax, so it is finite for any finite logits.
     """
     z = grouped.logits
     counts = grouped.class_counts
@@ -220,19 +223,13 @@ def msp_loss(grouped: GroupedLogits, targets: np.ndarray) -> tuple[float, np.nda
             raise ShapeError(
                 f"state target {targets[tau, i]} out of range [0, {n}) at step {tau}, variable {i}"
             )
-    probs = _grouped_softmax(z, counts)
-    loss = 0.0
-    grad = probs.copy()
-    start = 0
-    rows = np.arange(h)
-    for i, n in enumerate(counts):
-        p = probs[:, start : start + n]
-        loss += -np.log(p[rows, targets[:, i]]).sum()
-        grad[rows, start + targets[:, i]] -= 1.0
-        start += n
-    loss /= h * d
-    grad /= h * d
-    return float(loss), grad
+    log_probs = np.concatenate([nn.log_softmax_rows(g) for g in grouped.groups()], axis=-1)
+    cols = np.cumsum([0, *counts[:-1]]) + targets  # (H, D): logit column of each target
+    rows = np.arange(h)[:, None]
+    loss = -log_probs[rows, cols].sum() / (h * d)
+    grad = np.exp(log_probs)
+    grad[rows, cols] -= 1.0
+    return float(loss), grad / (h * d)
 
 
 def _batch_loss_grad(z: np.ndarray, targets: np.ndarray, counts: Sequence[int]):
@@ -326,31 +323,12 @@ def train_msp(
 
 
 def save_msp(model: MspModel, path: str | Path) -> None:
-    c = model.config
-    config = {
-        "lookback": c.lookback,
-        "horizon": c.horizon,
-        "n_variables": c.n_variables,
-        "class_counts": list(c.class_counts),
-        "trunk_channels": c.trunk_channels,
-        "ue_channels": c.ue_channels,
-        "kernel_width": c.kernel_width,
-        "seed": c.seed,
-    }
+    config = asdict(model.config)
     checkpoint.save_container(path, "msp", config, model.param_names(), model.params())
 
 
 def load_msp(path: str | Path) -> MspModel:
-    kind, config, arrays = checkpoint.load_container(path)
-    if kind != "msp":
-        raise ConfigError(f"checkpoint kind {kind!r} is not an msp model")
-    model = MspModel(MspConfig(**config))
-    for name, param in zip(model.param_names(), model.params()):
-        stored = arrays.get(name)
-        if stored is None or stored.shape != param.shape:
-            raise ConfigError(f"checkpoint block {name!r} missing or mis-shaped")
-        param[...] = stored
-    return model
+    return checkpoint.load_model(path, "msp", lambda config: MspModel(MspConfig(**config)))
 
 
 def param_checksum(model) -> float:

@@ -101,25 +101,47 @@ def linear_backward(params: LayerParams, x: Array, grad_out: Array) -> tuple[tup
     return (dw, db), dx
 
 
-def _conv_windows(x: Array, k: int) -> Array:
-    """Sliding width-k views over zero-padded time axis; keeps length T.
+def im2col(x: Array, k: int, pad: tuple[int, int] | None = None, transpose: bool = False) -> Array:
+    """Row-major patch matrix of x (batch, channels, T) for a width-k
+    convolution, the operand of the matrix products in conv1d_forward and
+    conv1d_backward.
 
-    x is (..., C, T); result is (..., C, T, k) with window t covering
-    padded positions [t, t+k).
+    With pad = (left, right) zero steps around the series (default: the
+    same-length padding of conv1d_forward) there are P = T + left + right
+    - k + 1 windows per sample; row b*P + p, column c*k + j holds
+    x[b, c, p + j - left], or 0 in the padding. transpose=True builds the
+    (channels*k, batch*P) transpose directly. Several convolutions of one
+    input can share one matrix.
     """
-    t = x.shape[-1]
-    c = (k - 1) // 2
-    pad = [(0, 0)] * (x.ndim - 1) + [(k - 1 - c, c)]
-    xp = np.pad(x, pad)
-    return np.lib.stride_tricks.sliding_window_view(xp, k, axis=-1)
+    b, ch, t = x.shape
+    if pad is None:
+        pad = (k - 1 - (k - 1) // 2, (k - 1) // 2)
+    left, right = pad
+    p = t + left + right - k + 1
+    if transpose:
+        out = np.zeros((ch, k, b, p))
+        src = x.transpose(1, 0, 2)
+    else:
+        out = np.zeros((b, p, ch, k))
+        src = x.transpose(0, 2, 1)
+    for j in range(k):
+        shift = j - left
+        lo, hi = max(0, -shift), min(p, t - shift)
+        if transpose:
+            out[:, j, :, lo:hi] = src[:, :, lo + shift : hi + shift]
+        else:
+            out[:, lo:hi, :, j] = src[:, lo + shift : hi + shift]
+    return out.reshape(ch * k, b * p) if transpose else out.reshape(b * p, ch * k)
 
 
-def conv1d_forward(params: LayerParams, x: Array) -> Array:
+def conv1d_forward(params: LayerParams, x: Array, cols: Array | None = None) -> Array:
     """True 1-D convolution, stride 1, output length equals input length.
 
     x is (in_channels, T) for one sample or (batch, in_channels, T);
     the output swaps in_channels for out_channels. Single-channel
-    output agrees with np.convolve(x, kernel, mode="same").
+    output agrees with np.convolve(x, kernel, mode="same"). cols may
+    carry im2col(x, kernel_width) of a batched x to share it between
+    convolutions of the same input.
     """
     if params.kind != "conv1d":
         raise ShapeError(f"expected conv1d params, got kind={params.kind!r}")
@@ -132,44 +154,56 @@ def conv1d_forward(params: LayerParams, x: Array) -> Array:
     if k > 2 * t + 1:
         raise ShapeError(f"kernel width {k} exceeds 2*time+1 = {2 * t + 1}")
     _require_finite(x, "conv1d input")
-    win = _conv_windows(x, k)
-    wflip = params.weights[:, :, ::-1]
-    if x.ndim == 2:
-        out = np.einsum("oik,itk->ot", wflip, win, optimize=True)
-        return out + params.bias[:, None]
-    out = np.einsum("oik,bitk->bot", wflip, win, optimize=True)
-    return out + params.bias[None, :, None]
+    xb = x[None] if x.ndim == 2 else x
+    b = xb.shape[0]
+    if cols is None:
+        cols = im2col(xb, k)
+    elif cols.shape != (b * t, params.in_channels * k):
+        raise ShapeError(f"patch matrix shape {cols.shape} does not match input {x.shape}")
+    # flipped kernel as an (in_channels*k, out_channels) matrix
+    w = params.weights[:, :, ::-1].transpose(1, 2, 0).reshape(-1, params.out_channels)
+    out = (cols @ w).reshape(b, t, params.out_channels).transpose(0, 2, 1)
+    out = out + params.bias[None, :, None]
+    return out[0] if x.ndim == 2 else out
 
 
-def conv1d_backward(params: LayerParams, x: Array, grad_out: Array) -> tuple[tuple[Array, Array], Array]:
-    """Analytic gradients of conv1d_forward for 2-D or batched 3-D input."""
+def conv1d_backward(
+    params: LayerParams,
+    x: Array,
+    grad_out: Array,
+    cols_t: Array | None = None,
+    input_grad: bool = True,
+) -> tuple[tuple[Array, Array], Array | None]:
+    """Analytic gradients of conv1d_forward for 2-D or batched 3-D input.
+
+    cols_t may carry im2col(x, kernel_width, transpose=True) of a batched
+    x to share it between convolutions of the same input. input_grad=False
+    skips the input gradient and returns None in its place.
+    """
     t = x.shape[-1]
     k = params.kernel_width
-    expected = x.shape[:-2] + (params.out_channels, t)
+    o, i = params.out_channels, params.in_channels
+    expected = x.shape[:-2] + (o, t)
     if grad_out.shape != expected:
         raise ShapeError(f"upstream grad shape {grad_out.shape} does not match output {expected}")
-    win = _conv_windows(x, k)
-    if x.ndim == 2:
-        dwflip = np.einsum("ot,itk->oik", grad_out, win, optimize=True)
-        db = grad_out.sum(axis=-1)
-    else:
-        dwflip = np.einsum("bot,bitk->oik", grad_out, win, optimize=True)
-        db = grad_out.sum(axis=(0, 2))
+    xb, gb = (x[None], grad_out[None]) if x.ndim == 2 else (x, grad_out)
+    b = xb.shape[0]
+    if cols_t is None:
+        cols_t = im2col(xb, k, transpose=True)
+    dwflip = (cols_t @ gb.transpose(0, 2, 1).reshape(b * t, o)).reshape(i, k, o).transpose(2, 0, 1)
     dw = dwflip[:, :, ::-1].copy()
+    db = gb.sum(axis=(0, 2))
+    if not input_grad:
+        return (dw, db), None
 
     # dx is the correlation of grad_out with the un-flipped kernel: pad the
-    # upstream grad on both sides, window it, contract out_channels and taps.
+    # upstream grad by k-1 on both sides, window it, contract out_channels and taps.
     c = (k - 1) // 2
-    pad = [(0, 0)] * (x.ndim - 1) + [(k - 1, k - 1)]
-    gp = np.pad(grad_out, pad)
-    gwin = np.lib.stride_tricks.sliding_window_view(gp, k, axis=-1)
-    if x.ndim == 2:
-        dxp = np.einsum("oik,opk->ip", params.weights, gwin, optimize=True)
-        dx = dxp[:, k - 1 - c : k - 1 - c + t]
-    else:
-        dxp = np.einsum("oik,bopk->bip", params.weights, gwin, optimize=True)
-        dx = dxp[:, :, k - 1 - c : k - 1 - c + t]
-    return (dw, db), np.ascontiguousarray(dx)
+    gcols = im2col(gb, k, pad=(k - 1, k - 1))
+    wm = params.weights.transpose(0, 2, 1).reshape(o * k, i)
+    dxp = (gcols @ wm).reshape(b, t + k - 1, i).transpose(0, 2, 1)
+    dx = np.ascontiguousarray(dxp[:, :, k - 1 - c : k - 1 - c + t])
+    return (dw, db), dx[0] if x.ndim == 2 else dx
 
 
 def layer_backward(params: LayerParams, x: Array, grad_out: Array) -> tuple[tuple[Array, Array], Array]:
@@ -198,23 +232,31 @@ def softmax_rows(logits: Array) -> Array:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(probabilities: Array, targets: Array) -> tuple[float, Array]:
-    """Mean negative log-likelihood and its gradient w.r.t. the logits.
+def log_softmax_rows(logits: Array) -> Array:
+    """Row-wise log-softmax; finite wherever the logits are."""
+    _require_finite(logits, "softmax logits")
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
-    probabilities are softmax outputs (rows sum to 1); targets is one
-    class index per row. The logit gradient is (p - onehot) / rows,
-    valid whenever the probabilities came from softmax_rows.
+
+def cross_entropy(logits: Array, targets: Array) -> tuple[float, Array]:
+    """Mean negative log-likelihood of softmax(logits) and its gradient
+    w.r.t. the logits, (softmax - onehot) / rows.
+
+    targets is one class index per row. The loss goes through
+    log-softmax, so a confidently wrong row costs its logit gap instead
+    of the log of an underflowed probability.
     """
-    n, m = probabilities.shape
+    n, m = logits.shape
     targets = np.asarray(targets)
     if targets.shape != (n,):
         raise ShapeError(f"targets shape {targets.shape} does not match {n} rows")
     if targets.min() < 0 or targets.max() >= m:
         bad = int(np.argmax((targets < 0) | (targets >= m)))
         raise ShapeError(f"target class {targets[bad]} out of range [0, {m}) at row {bad}")
-    picked = probabilities[np.arange(n), targets]
-    loss = float(-np.log(picked).mean())
-    grad = probabilities.copy()
+    log_probs = log_softmax_rows(logits)
+    loss = float(-log_probs[np.arange(n), targets].mean())
+    grad = np.exp(log_probs)
     grad[np.arange(n), targets] -= 1.0
     return loss, grad / n
 

@@ -8,7 +8,7 @@ import pytest
 
 from loadcast import labeling
 from loadcast.data import SeriesFrame
-from loadcast.errors import ConfigError
+from loadcast.errors import ConfigError, DataError
 
 
 def one_var_frame(series):
@@ -228,3 +228,16 @@ def test_states_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.counts, profile.counts)
     np.testing.assert_array_equal(ts, frame.timestamps)
     assert names == frame.variable_names
+
+
+@pytest.mark.parametrize(
+    "meta", ["{bad", '[{"states": 2}]', '[{"name": "x"}]', '{"name": "x", "states": 2}']
+)
+def test_malformed_sidecar_is_data_error_naming_it(tmp_path, meta):
+    frame = one_var_frame([0.0, 1.0, 0.0, 1.0])
+    path = tmp_path / "states.csv"
+    labeling.save_states_csv(labeling.StateProfile(np.array([[0], [1], [0], [1]]), [2]), frame, path)
+    sidecar = tmp_path / "states.csv.meta.json"
+    sidecar.write_text(meta, encoding="utf-8")
+    with pytest.raises(DataError, match="states.csv.meta.json"):
+        labeling.load_states_csv(path)

@@ -103,6 +103,11 @@ def test_loss_hand_case():
     assert loss == pytest.approx(-np.log(2.0 / 3.0), abs=1e-12)
 
 
+def test_loss_finite_for_large_logit_gap():
+    loss, _ = msp_loss(GroupedLogits(np.array([[800.0, 0.0]]), [2]), np.array([[1]]))
+    assert np.isfinite(loss) and loss == pytest.approx(800.0)
+
+
 def test_loss_out_of_range_target_names_position():
     z = np.zeros((2, 5))
     bad = np.array([[0, 0], [0, 3]])

@@ -123,6 +123,40 @@ def test_conv_batched_matches_per_sample():
     np.testing.assert_array_equal(batched, per)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_im2col_rows_are_padded_windows(k):
+    rng = np.random.default_rng(k)
+    x = rng.normal(size=(2, 3, 5))
+    left = k - 1 - (k - 1) // 2
+    xp = np.pad(x, [(0, 0), (0, 0), (left, (k - 1) // 2)])
+    cols = nn.im2col(x, k)
+    for b in range(2):
+        for t in range(5):
+            np.testing.assert_array_equal(cols[b * 5 + t], xp[b, :, t : t + k].reshape(-1))
+    np.testing.assert_array_equal(nn.im2col(x, k, transpose=True), cols.T)
+    full = nn.im2col(x, k, pad=(k - 1, k - 1))
+    assert full.shape == (2 * (5 + k - 1), 3 * k)
+
+
+def test_conv_shared_patches_match_own():
+    rng = np.random.default_rng(6)
+    conv = nn.init_conv1d(rng, 3, 4, 3)
+    x = rng.normal(size=(5, 3, 8))
+    g = rng.normal(size=(5, 4, 8))
+    np.testing.assert_array_equal(
+        nn.conv1d_forward(conv, x, cols=nn.im2col(x, 3)), nn.conv1d_forward(conv, x)
+    )
+    (dw, db), dx = nn.conv1d_backward(conv, x, g)
+    (dw2, db2), none = nn.conv1d_backward(
+        conv, x, g, cols_t=nn.im2col(x, 3, transpose=True), input_grad=False
+    )
+    np.testing.assert_array_equal(dw2, dw)
+    np.testing.assert_array_equal(db2, db)
+    assert none is None and dx.shape == x.shape
+    with pytest.raises(ShapeError, match="patch matrix"):
+        nn.conv1d_forward(conv, x, cols=nn.im2col(x[:2], 3))
+
+
 def test_softmax_uniform_and_hand_case():
     np.testing.assert_allclose(nn.softmax_rows(np.zeros((1, 3))), [[1 / 3] * 3])
     out = nn.softmax_rows(np.array([[np.log(2.0), 0.0]]))
@@ -143,15 +177,15 @@ def test_softmax_shift_invariance_and_row_sums(row, shift):
 
 
 def test_cross_entropy_perfect_prediction():
-    probs = np.array([[1.0, 0.0, 0.0]])
-    loss, _ = nn.cross_entropy(probs, np.array([0]))
+    logits = np.array([[800.0, 0.0, 0.0]])
+    loss, _ = nn.cross_entropy(logits, np.array([0]))
     assert loss == 0.0
 
 
 def test_cross_entropy_uniform_is_log_n():
     for n in (2, 3, 5):
-        probs = np.full((4, n), 1.0 / n)
-        loss, _ = nn.cross_entropy(probs, np.zeros(4, dtype=int))
+        logits = np.zeros((4, n))
+        loss, _ = nn.cross_entropy(logits, np.zeros(4, dtype=int))
         assert abs(loss - np.log(n)) < 1e-12
 
 
@@ -159,19 +193,25 @@ def test_cross_entropy_gradient_matches_finite_differences():
     rng = np.random.default_rng(9)
     logits = rng.normal(size=(5, 4))
     targets = rng.integers(0, 4, size=5)
-    _, grad = nn.cross_entropy(nn.softmax_rows(logits), targets)
+    _, grad = nn.cross_entropy(logits, targets)
     report = nn.grad_check(
-        lambda: nn.cross_entropy(nn.softmax_rows(logits), targets)[0],
+        lambda: nn.cross_entropy(logits, targets)[0],
         [logits],
         [grad],
     )
     assert report.max_rel_error < 1e-6
 
 
+def test_cross_entropy_finite_for_large_logit_gap():
+    loss, grad = nn.cross_entropy(np.array([[800.0, 0.0]]), np.array([1]))
+    assert np.isfinite(loss) and loss == pytest.approx(800.0)
+    np.testing.assert_allclose(grad, [[1.0, -1.0]])
+
+
 def test_cross_entropy_target_out_of_range():
-    probs = np.full((2, 3), 1.0 / 3)
+    logits = np.zeros((2, 3))
     with pytest.raises(ShapeError, match="out of range"):
-        nn.cross_entropy(probs, np.array([0, 3]))
+        nn.cross_entropy(logits, np.array([0, 3]))
 
 
 def test_adam_zero_gradient_is_identity():
