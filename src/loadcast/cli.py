@@ -38,8 +38,14 @@ def _load_config_file(path: str) -> dict[str, str]:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"no such config file: {path}")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from None
     values: dict[str, str] = {}
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -53,7 +59,7 @@ def _load_config_file(path: str) -> dict[str, str]:
 _BOOL_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _coerce(key: str, value: str, target_type) -> object:
+def _coerce(key: str, value: str, target_type, source: str) -> object:
     try:
         if target_type is bool:
             lowered = value.lower()
@@ -67,8 +73,8 @@ def _coerce(key: str, value: str, target_type) -> object:
         if target_type is list:
             return _parse_horizons(value)
         return value
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: cannot parse {value!r}") from None
+    except (ValueError, ConfigError):  # _parse_horizons raises ConfigError
+        raise ConfigError(f"{source}: config key {key!r}: cannot parse {value!r}") from None
 
 
 def merge_run_config(args: argparse.Namespace) -> RunConfig:
@@ -80,10 +86,10 @@ def merge_run_config(args: argparse.Namespace) -> RunConfig:
         if getattr(args, f.name, None) is not None:
             kwargs[f.name] = getattr(args, f.name)
         elif f.name in file_values:
-            kwargs[f.name] = _coerce(f.name, file_values[f.name], target_type)
+            kwargs[f.name] = _coerce(f.name, file_values[f.name], target_type, args.config)
     unknown = set(file_values) - {f.name for f in fields(RunConfig)}
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"{args.config}: unknown config keys: {sorted(unknown)}")
     return RunConfig(**kwargs)
 
 

@@ -93,6 +93,29 @@ def load_csv(path: str | Path) -> SeriesFrame:
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
+    try:
+        timestamps, rows, names = _read_rows(path)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from None
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror}") from None
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    ts_arr = np.asarray(timestamps, dtype=np.int64)
+    val_arr = np.asarray(rows, dtype=np.float64)
+    order = np.argsort(ts_arr, kind="stable")
+    ts_arr = ts_arr[order]
+    val_arr = val_arr[order]
+    dupes = np.nonzero(np.diff(ts_arr) == 0)[0]
+    if dupes.size:
+        raise DataError(f"{path}: duplicate timestamp {ts_arr[dupes[0]]}")
+    return SeriesFrame(ts_arr, val_arr, list(names))
+
+
+def _read_rows(path: Path) -> tuple[list[int], list[list[float]], list[str]]:
+    """Timestamps, value rows and variable names of a CSV, checked cell by cell."""
     with path.open(newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         try:
@@ -117,6 +140,8 @@ def load_csv(path: str | Path) -> SeriesFrame:
                 raise DataError(
                     f"{path}:{lineno}: column 'timestamp': not an integer: {row[0]!r}"
                 ) from None
+            if not -(2**63) <= ts < 2**63:
+                raise DataError(f"{path}:{lineno}: column 'timestamp': out of range: {row[0]!r}")
             vals = []
             for name, cell in zip(names, row[1:]):
                 if cell == "":
@@ -132,17 +157,7 @@ def load_csv(path: str | Path) -> SeriesFrame:
                 vals.append(v)
             timestamps.append(ts)
             rows.append(vals)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    ts_arr = np.asarray(timestamps, dtype=np.int64)
-    val_arr = np.asarray(rows, dtype=np.float64)
-    order = np.argsort(ts_arr, kind="stable")
-    ts_arr = ts_arr[order]
-    val_arr = val_arr[order]
-    dupes = np.nonzero(np.diff(ts_arr) == 0)[0]
-    if dupes.size:
-        raise DataError(f"{path}: duplicate timestamp {ts_arr[dupes[0]]}")
-    return SeriesFrame(ts_arr, val_arr, list(names))
+    return timestamps, rows, names
 
 
 def save_csv(frame: SeriesFrame, path: str | Path) -> None:

@@ -25,6 +25,8 @@ DEFAULT_MAX_STATES = 5
 
 # Silhouette is O(n^2); k selection above this many windows runs on a
 # seeded subsample instead (labels themselves always cover every row).
+# The n x n distance matrix is built once per row selection: once per
+# variable under the cap, once per candidate k above it.
 SILHOUETTE_CAP = 2048
 
 
@@ -165,23 +167,32 @@ def kmeans(embedding: np.ndarray, k: int, seed: int, max_iter: int = 100) -> KMe
     return KMeansResult(assignments, centroids, history[-1], history, n_iter)
 
 
-def silhouette(embedding: np.ndarray, assignments: np.ndarray) -> float:
+def silhouette(
+    embedding: np.ndarray, assignments: np.ndarray, dist: np.ndarray | None = None
+) -> float:
     """Mean silhouette value (b-a)/max(a,b) over all points.
 
     a is the mean distance to the point's own cluster (excluding
     itself), b the smallest mean distance to another cluster. Points in
     singleton clusters, and points with max(a,b)=0, contribute 0.
+
+    dist, when given, must be ``_exact_dists(embedding)``, so that one
+    matrix serves every clustering of the same rows; its diagonal is
+    zeroed in place. Without it the matrix is built here.
     """
     rows = np.asarray(embedding, dtype=np.float64)
     assignments = np.asarray(assignments)
-    if assignments.shape != (rows.shape[0],):
-        raise ShapeError(f"{assignments.shape} assignments for {rows.shape[0]} rows")
+    n = rows.shape[0]
+    if assignments.shape != (n,):
+        raise ShapeError(f"{assignments.shape} assignments for {n} rows")
     labels, counts = np.unique(assignments, return_counts=True)
     if labels.size < 2:
         raise ConfigError(f"silhouette needs >= 2 clusters, got {labels.size}")
-    dist = _exact_dists(rows)
+    if dist is None:
+        dist = _exact_dists(rows)
+    elif dist.shape != (n, n):
+        raise ShapeError(f"distance matrix {dist.shape} for {n} rows")
     np.fill_diagonal(dist, 0.0)
-    n = rows.shape[0]
     # per-point summed distance to each cluster
     sums = np.zeros((n, labels.size))
     for j, lab in enumerate(labels):
@@ -228,6 +239,9 @@ def identify_states(
     Ties keep the smallest k. Labels are canonicalized so centroid
     means are non-decreasing in label id. Deterministic for a given
     seed; k-means and subsample seeds are derived per (variable, k).
+    The silhouette distance matrix is built once per row selection and
+    shared by every k scored on it: once per variable when l is within
+    silhouette_cap, once per k when each k draws its own subsample.
     """
     if min_s < 2:
         raise ConfigError(f"min_s must be >= 2, got {min_s}")
@@ -241,12 +255,16 @@ def identify_states(
         best_score = -np.inf
         best: KMeansResult | None = None
         best_k = 0
+        dist = dist_idx = None
         for k in range(min_s, max_s + 1):
             child = np.random.SeedSequence(entropy=(seed, i, k)).generate_state(1)[0]
             result = kmeans(embedding, k, seed=int(child))
             sub_rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, i, k, 1)))
             idx = _selection_indices(l, silhouette_cap, sub_rng, result.assignments)
-            score = silhouette(embedding[idx], result.assignments[idx])
+            if dist_idx is None or not np.array_equal(idx, dist_idx):
+                dist = None  # release the old matrix before building the next
+                dist, dist_idx = _exact_dists(embedding[idx]), idx
+            score = silhouette(embedding[idx], result.assignments[idx], dist=dist)
             if score > best_score:
                 best_score, best, best_k = score, result, k
         assert best is not None
@@ -286,21 +304,27 @@ def load_states_csv(path: str | Path) -> tuple[StateProfile, np.ndarray, list[st
     sidecar = path.with_suffix(path.suffix + ".meta.json")
     if not sidecar.exists():
         raise DataError(f"missing sidecar metadata: {sidecar}")
-    try:
+    try:  # ValueError covers bad JSON and bad UTF-8
         meta = json.loads(sidecar.read_text(encoding="utf-8"))
         meta_names = [m["name"] for m in meta]
         counts = np.asarray([m["states"] for m in meta], dtype=np.int64)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # ValueError covers JSONDecodeError
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{sidecar}: malformed state metadata: {exc!r}") from None
-    with path.open(newline="", encoding="utf-8") as f:
-        header = f.readline().rstrip("\n").split(",")
-        if header[:1] != ["timestamp"]:
-            raise DataError(f"{path}: header must start with 'timestamp'")
-        names = header[1:]
-        body = np.loadtxt(f, delimiter=",", dtype=np.int64, ndmin=2)
+    try:  # ValueError covers bad UTF-8, unparsable cells and ragged rows
+        with path.open(newline="", encoding="utf-8") as f:
+            header = f.readline().rstrip("\n").split(",")
+            if header[:1] != ["timestamp"]:
+                raise DataError(f"{path}: header must start with 'timestamp'")
+            names = header[1:]
+            body = np.loadtxt(f, delimiter=",", dtype=np.int64, ndmin=2)
+    except (OSError, ValueError, OverflowError) as exc:
+        raise DataError(f"{path}: malformed state labels: {exc}") from None
     if body.size == 0:
         raise DataError(f"{path}: no data rows")
     if meta_names != names:
         raise DataError(f"{path}: sidecar names {meta_names} do not match header {names}")
-    profile = StateProfile(body[:, 1:], counts)
+    try:
+        profile = StateProfile(body[:, 1:], counts)
+    except ShapeError as exc:  # label columns or values that disagree with the sidecar
+        raise DataError(f"{path}: {exc}") from None
     return profile, body[:, 0], names

@@ -233,19 +233,22 @@ def msp_loss(grouped: GroupedLogits, targets: np.ndarray) -> tuple[float, np.nda
 
 
 def _batch_loss_grad(z: np.ndarray, targets: np.ndarray, counts: Sequence[int]):
-    """Batched version of msp_loss; z is (B, H, sumN), targets (B, H, D)."""
+    """Batched version of msp_loss; z is (B, H, sumN), targets (B, H, D).
+
+    The loss goes through log-softmax, so it is finite for any finite
+    logits; the gradient is softmax - onehot.
+    """
     b, h, _ = z.shape
     d = len(counts)
-    probs = _grouped_softmax(z, counts)
-    grad = probs.copy()
+    grad = _grouped_softmax(z, counts)
     loss = 0.0
     start = 0
     bidx = np.arange(b)[:, None]
     hidx = np.arange(h)[None, :]
     for i, n in enumerate(counts):
         t = targets[:, :, i]
-        p = probs[:, :, start : start + n]
-        loss += -np.log(p[bidx, hidx, t]).sum()
+        log_p = nn.log_softmax_rows(z[:, :, start : start + n])
+        loss += -log_p[bidx, hidx, t].sum()
         grad[bidx, hidx, start + t] -= 1.0
         start += n
     scale = b * h * d

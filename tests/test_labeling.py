@@ -8,7 +8,7 @@ import pytest
 
 from loadcast import labeling
 from loadcast.data import SeriesFrame
-from loadcast.errors import ConfigError, DataError
+from loadcast.errors import ConfigError, DataError, ShapeError
 
 
 def one_var_frame(series):
@@ -142,6 +142,21 @@ def test_silhouette_equals_brute_force_oracle(seed):
     assert abs(ours - ref) < 1e-12
 
 
+def test_silhouette_with_precomputed_dists_is_bit_identical():
+    rng = np.random.default_rng(21)
+    rows = rng.normal(scale=7.0, size=(90, 4))
+    for k in range(2, 6):
+        assignments = rng.integers(0, k, size=90)
+        ours = labeling.silhouette(rows, assignments, dist=labeling._exact_dists(rows))
+        assert ours == labeling.silhouette(rows, assignments)
+
+
+def test_silhouette_rejects_mis_shaped_dists():
+    rows = np.arange(8.0).reshape(4, 2)
+    with pytest.raises(ShapeError, match="distance matrix"):
+        labeling.silhouette(rows, np.array([0, 0, 1, 1]), dist=np.zeros((3, 3)))
+
+
 def align_labels(pred, true, k):
     """Best label permutation agreement (k <= 5 so brute force is fine)."""
     from itertools import permutations
@@ -210,9 +225,64 @@ def test_identify_states_with_silhouette_subsample_cap():
     assert align_labels(profile.labels[:, 0], states, 3) >= 0.95
 
 
-def test_state_profile_rejects_out_of_range_labels():
-    from loadcast.errors import ShapeError
+def three_var_frame(length, seed):
+    specs = [([0.0, 5.0, 10.0], 30), ([0.0, 4.0], 25), ([1.0, 3.0, 6.0, 9.0], 20)]
+    columns = []
+    for j, (levels, dwell) in enumerate(specs):
+        reps = length // (dwell * len(levels)) + 1
+        series, _ = planted_square_wave(levels, dwell=dwell, reps=reps, sigma=0.4, seed=seed + j)
+        columns.append(series[:length])
+    return SeriesFrame(3600 * np.arange(length), np.stack(columns, axis=1), ["a", "b", "c"])
 
+
+def test_identify_states_builds_one_distance_matrix_per_variable(monkeypatch):
+    frame = three_var_frame(300, seed=30)
+    calls = []
+    exact = labeling._exact_dists
+
+    def counting(rows):
+        calls.append(len(rows))
+        return exact(rows)
+
+    monkeypatch.setattr(labeling, "_exact_dists", counting)
+    labeling.identify_states(frame, w=4, seed=30)
+    assert calls == [300] * frame.n_variables
+
+
+def per_k_identify_states(frame, w, seed, silhouette_cap, min_s=2, max_s=5):
+    """Per-k oracle: every candidate k scores its own freshly built matrix."""
+    l, d = frame.values.shape
+    labels = np.zeros((l, d), dtype=np.int64)
+    counts = np.zeros(d, dtype=np.int64)
+    for i in range(d):
+        embedding = labeling.embed_windows(frame.values[:, i], w)
+        best_score, best, best_k = -np.inf, None, 0
+        for k in range(min_s, max_s + 1):
+            child = np.random.SeedSequence(entropy=(seed, i, k)).generate_state(1)[0]
+            result = labeling.kmeans(embedding, k, seed=int(child))
+            sub_rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, i, k, 1)))
+            idx = labeling._selection_indices(l, silhouette_cap, sub_rng, result.assignments)
+            score = labeling.silhouette(embedding[idx], result.assignments[idx])
+            if score > best_score:
+                best_score, best, best_k = score, result, k
+        order = np.argsort(best.centroids.mean(axis=1), kind="stable")
+        remap = np.empty(best_k, dtype=np.int64)
+        remap[order] = np.arange(best_k)
+        labels[:, i] = remap[best.assignments]
+        counts[i] = best_k
+    return labels, counts
+
+
+@pytest.mark.parametrize("length, cap", [(700, 256), (200, 256)])
+def test_identify_states_matches_per_k_oracle(length, cap):
+    frame = three_var_frame(length, seed=40)
+    profile = labeling.identify_states(frame, w=4, seed=40, silhouette_cap=cap)
+    labels, counts = per_k_identify_states(frame, w=4, seed=40, silhouette_cap=cap)
+    np.testing.assert_array_equal(profile.labels, labels)
+    np.testing.assert_array_equal(profile.counts, counts)
+
+
+def test_state_profile_rejects_out_of_range_labels():
     with pytest.raises(ShapeError, match="out of range"):
         labeling.StateProfile(np.array([[0, 2]]), np.array([2, 2]))
 
@@ -240,4 +310,27 @@ def test_malformed_sidecar_is_data_error_naming_it(tmp_path, meta):
     sidecar = tmp_path / "states.csv.meta.json"
     sidecar.write_text(meta, encoding="utf-8")
     with pytest.raises(DataError, match="states.csv.meta.json"):
+        labeling.load_states_csv(path)
+
+
+@pytest.mark.parametrize(
+    "body", [b"0,0\n3600,x\n", b"0,0\n3600,\xff\n", b"0,0\n3600,1,0\n", b"0,0\n3600,2\n"]
+)
+def test_malformed_state_csv_is_data_error_naming_it(tmp_path, body):
+    frame = one_var_frame([0.0, 1.0])
+    path = tmp_path / "states.csv"
+    labeling.save_states_csv(labeling.StateProfile(np.array([[0], [1]]), [2]), frame, path)
+    path.write_bytes(b"timestamp,x\n" + body)
+    with pytest.raises(DataError, match="states.csv: "):
+        labeling.load_states_csv(path)
+
+
+@pytest.mark.parametrize("directory", ["states.csv", "states.csv.meta.json"])
+def test_state_file_that_is_a_directory_is_data_error_naming_it(tmp_path, directory):
+    frame = one_var_frame([0.0, 1.0])
+    path = tmp_path / "states.csv"
+    labeling.save_states_csv(labeling.StateProfile(np.array([[0], [1]]), [2]), frame, path)
+    (tmp_path / directory).unlink()
+    (tmp_path / directory).mkdir()
+    with pytest.raises(DataError, match=f"{directory}: "):
         labeling.load_states_csv(path)

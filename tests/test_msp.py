@@ -108,6 +108,25 @@ def test_loss_finite_for_large_logit_gap():
     assert np.isfinite(loss) and loss == pytest.approx(800.0)
 
 
+def test_batched_loss_finite_for_large_logit_gap():
+    from loadcast.msp import _batch_loss_grad, _grouped_softmax
+
+    b, h, counts = 2, 3, [2, 3]
+    z = np.zeros((b, h, 5))
+    z[..., 0] = 800.0  # every cell confidently predicts state 0 of variable 0
+    z[..., 2] = 800.0  # ... and state 0 of variable 1
+    targets = np.zeros((b, h, 2), dtype=np.int64)
+    targets[1, 2, 0] = 1  # one confidently wrong cell
+    with np.errstate(divide="raise", invalid="raise"):
+        loss, grad = _batch_loss_grad(z, targets, counts)
+    assert np.isfinite(loss) and loss == pytest.approx(800.0 / (b * h * len(counts)))
+    onehot = np.zeros_like(z)
+    onehot[..., 0] = onehot[..., 2] = 1.0
+    onehot[1, 2, :2] = [0.0, 1.0]
+    expected = (_grouped_softmax(z, counts) - onehot) / (b * h * len(counts))
+    np.testing.assert_array_equal(grad, expected)
+
+
 def test_loss_out_of_range_target_names_position():
     z = np.zeros((2, 5))
     bad = np.array([[0, 0], [0, 3]])
