@@ -90,7 +90,17 @@ def merge_run_config(args: argparse.Namespace) -> RunConfig:
     unknown = set(file_values) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"{args.config}: unknown config keys: {sorted(unknown)}")
-    return RunConfig(**kwargs)
+    try:
+        return RunConfig(**kwargs)
+    except ConfigError as exc:
+        from_file = {k for k in kwargs if k in file_values and getattr(args, k, None) is None}
+        if not from_file:
+            raise
+        try:  # without the file's values, is the rest of the configuration valid?
+            RunConfig(**{k: v for k, v in kwargs.items() if k not in from_file})
+        except ConfigError:
+            raise exc from None
+        raise ConfigError(f"{args.config}: {exc}") from None
 
 
 def _add_run_flags(p: argparse.ArgumentParser, include_horizon_sweep: bool = True) -> None:

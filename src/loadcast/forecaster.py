@@ -93,7 +93,9 @@ class LinearForecaster:
             dw = np.einsum("bli,bhi->ilh", x, dy, optimize=True)
             db = dy.sum(axis=0).T
             return [dw, db]
-        (dw, db), _ = nn.linear_backward(self.flat, cache, dy.reshape(dy.shape[0], -1))
+        (dw, db), _ = nn.linear_backward(
+            self.flat, cache, dy.reshape(dy.shape[0], -1), input_grad=False
+        )
         return [dw, db]
 
 
@@ -130,7 +132,7 @@ class MlpForecaster:
         xf, pre, act = cache
         (dw2, db2), dact = nn.linear_backward(self.lin2, act, dy.reshape(dy.shape[0], -1))
         dpre = nn.relu_backward(pre, dact)
-        (dw1, db1), _ = nn.linear_backward(self.lin1, xf, dpre)
+        (dw1, db1), _ = nn.linear_backward(self.lin1, xf, dpre, input_grad=False)
         return [dw1, db1, dw2, db2]
 
 

@@ -8,6 +8,13 @@ concatenated per-variable logits at each future step. Trained with
 multitask cross-entropy against cluster-derived state labels, it
 becomes the frozen teacher whose class probabilities weight the
 forecaster's training loss.
+
+The D extractor convs run as one fused conv from trunk_channels to
+D*ue_channels channels, on channels-last activations (one row of
+channels per time step), so each pass is one matrix product instead of
+D. The parameter blocks stay per head: names, shapes and checkpoints
+are those of D separate convs, whose weights are concatenated at call
+time and whose gradient is split back per head.
 """
 
 from __future__ import annotations
@@ -82,7 +89,11 @@ class GroupedLogits:
 
 
 class MspModel:
-    """Shared trunk, per-variable extractors, per-step fusion layer."""
+    """Shared trunk, per-variable extractors, per-step fusion layer.
+
+    The extractor convs are stored per head (extractor{i}.conv.*) and run
+    as one fused channels-last conv; see the module docstring.
+    """
 
     def __init__(self, config: MspConfig):
         self.config = config
@@ -119,6 +130,16 @@ class MspModel:
         names += ["fusion.weights", "fusion.bias"]
         return names
 
+    def _fused_conv(self) -> nn.LayerParams:
+        """The extractor convs as one trunk_channels -> D*ue_channels conv;
+        head i owns output channels [i*ue_channels, (i+1)*ue_channels)."""
+        convs = self.extractor_convs
+        return nn.LayerParams(
+            "conv1d",
+            np.concatenate([conv.weights for conv in convs]),
+            np.concatenate([conv.bias for conv in convs]),
+        )
+
     def forward_batch(self, x: np.ndarray, want_cache: bool = False):
         """Logits for a batch of windows; x is (B, L, D) -> (B, H, sumN)."""
         c = self.config
@@ -127,54 +148,63 @@ class MspModel:
                 f"input shape {x.shape} does not match (batch, {c.lookback}, {c.n_variables})"
             )
         b = x.shape[0]
-        c0 = np.ascontiguousarray(x.transpose(0, 2, 1))  # (B, D, L)
-        t1 = nn.conv1d_forward(self.trunk, c0)
-        a1 = nn.relu(t1)
-        cols = nn.im2col(a1, c.kernel_width)  # shared by every extractor conv
+        ue = c.ue_channels
+        xc = x.transpose(0, 2, 1)  # (B, D, L) view of the channels-last input
+        a1 = nn.conv1d_forward(self.trunk, xc)
+        np.maximum(a1, 0.0, out=a1)  # ReLU in place
+        # (B, D*ue, L) view of the channels-last (B*L, D*ue) activation matrix
+        r = nn.conv1d_forward(self._fused_conv(), a1)
+        np.maximum(r, 0.0, out=r)
         group_logits = []
-        cache_heads = []
-        for conv, lin, n in zip(self.extractor_convs, self.extractor_linears, c.class_counts):
-            u = nn.conv1d_forward(conv, a1, cols=cols)
-            r = nn.relu(u)
-            f = r.reshape(b, -1)
-            g = nn.linear_forward(lin, f)
-            group_logits.append(g.reshape(b, c.horizon, n))
+        heads = []
+        for i, (lin, n) in enumerate(zip(self.extractor_linears, c.class_counts)):
+            f = r[:, i * ue : (i + 1) * ue].reshape(b, -1)  # (channel, time) order
+            group_logits.append(nn.linear_forward(lin, f).reshape(b, c.horizon, n))
             if want_cache:
-                cache_heads.append((u, f))
+                heads.append(f)
         zu = np.concatenate(group_logits, axis=2)
         zf = zu.reshape(b * c.horizon, c.total_classes)
         z = nn.linear_forward(self.fusion, zf).reshape(b, c.horizon, c.total_classes)
         if want_cache:
-            return z, (c0, t1, a1, cache_heads, zf)
+            return z, (xc, a1, heads, zf)
         return z
 
     def backward_batch(self, cache, dz: np.ndarray) -> list[np.ndarray]:
-        """Gradients for every parameter block, in params() order."""
+        """Gradients for every parameter block, in params() order.
+
+        Consumes the cache: each head's input is dropped once its gradient
+        is taken. The ReLU masks are read off the cached activations,
+        which are positive exactly where their pre-activations were.
+        """
         c = self.config
-        c0, t1, a1, cache_heads, zf = cache
+        xc, a1, heads, zf = cache
         b = dz.shape[0]
+        ue = c.ue_channels
         (dwf, dbf), dzf = nn.linear_backward(
             self.fusion, zf, dz.reshape(b * c.horizon, c.total_classes)
         )
         dzu = dzf.reshape(b, c.horizon, c.total_classes)
-        da1 = np.zeros_like(a1)
-        cols_t = nn.im2col(a1, c.kernel_width, transpose=True)
-        head_grads = []
+        du = np.empty((b, c.lookback, c.n_variables * ue))  # channels-last
+        linear_grads = []
         start = 0
-        for conv, lin, n, (u, f) in zip(
-            self.extractor_convs, self.extractor_linears, c.class_counts, cache_heads
-        ):
+        for i, (lin, n) in enumerate(zip(self.extractor_linears, c.class_counts)):
             dg = np.ascontiguousarray(dzu[:, :, start : start + n]).reshape(b, -1)
             start += n
-            (dwl, dbl), df = nn.linear_backward(lin, f, dg)
-            dr = df.reshape(u.shape)
-            du = nn.relu_backward(u, dr)
-            (dwc, dbc), da1_i = nn.conv1d_backward(conv, a1, du, cols_t=cols_t)
-            da1 += da1_i
-            head_grads += [dwc, dbc, dwl, dbl]
-        dt1 = nn.relu_backward(t1, da1)
-        (dwt, dbt), _ = nn.conv1d_backward(self.trunk, c0, dt1, input_grad=False)
-        return [dwt, dbt] + head_grads + [dwf, dbf]
+            f, heads[i] = heads[i], None
+            dlin, df = nn.linear_backward(lin, f, dg)
+            linear_grads.append(dlin)
+            df *= f > 0
+            del f
+            du[:, :, i * ue : (i + 1) * ue] = df.reshape(b, ue, c.lookback).transpose(0, 2, 1)
+        (dwc, dbc), da1 = nn.conv1d_backward(self._fused_conv(), a1, du.transpose(0, 2, 1))
+        del du
+        da1 *= a1 > 0
+        (dwt, dbt), _ = nn.conv1d_backward(self.trunk, xc, da1, input_grad=False)
+        grads = [dwt, dbt]
+        for i, (dwl, dbl) in enumerate(linear_grads):
+            head = slice(i * ue, (i + 1) * ue)
+            grads += [dwc[head], dbc[head], dwl, dbl]
+        return grads + [dwf, dbf]
 
 
 def msp_forward(model: MspModel, x: np.ndarray) -> GroupedLogits:
@@ -255,7 +285,9 @@ def _batch_loss_grad(z: np.ndarray, targets: np.ndarray, counts: Sequence[int]):
     return loss / scale, grad / scale
 
 
-def state_accuracy(model: MspModel, samples: Sequence[WindowSample], batch_size: int = 256) -> float:
+def state_accuracy(
+    model: MspModel, samples: Sequence[WindowSample], batch_size: int = DEFAULT_BATCH
+) -> float:
     """Fraction of (step, variable) cells whose decoded state matches."""
     if not samples:
         raise ConfigError("no samples to score")

@@ -84,11 +84,14 @@ def linear_forward(params: LayerParams, x: Array) -> Array:
     return x @ params.weights + params.bias
 
 
-def linear_backward(params: LayerParams, x: Array, grad_out: Array) -> tuple[tuple[Array, Array], Array]:
+def linear_backward(
+    params: LayerParams, x: Array, grad_out: Array, input_grad: bool = True
+) -> tuple[tuple[Array, Array], Array | None]:
     """Analytic gradients of linear_forward.
 
     Returns ((dweights, dbias), dinput) for upstream gradient grad_out
-    shaped like the forward output.
+    shaped like the forward output. input_grad=False skips the input
+    gradient and returns None in its place.
     """
     if grad_out.shape != (x.shape[0], params.weights.shape[1]):
         raise ShapeError(
@@ -97,51 +100,47 @@ def linear_backward(params: LayerParams, x: Array, grad_out: Array) -> tuple[tup
         )
     dw = x.T @ grad_out
     db = grad_out.sum(axis=0)
-    dx = grad_out @ params.weights.T
-    return (dw, db), dx
+    if not input_grad:
+        return (dw, db), None
+    return (dw, db), grad_out @ params.weights.T
 
 
-def im2col(x: Array, k: int, pad: tuple[int, int] | None = None, transpose: bool = False) -> Array:
+def _left_pad(k: int) -> int:
+    """Zero steps before the series in the same-length padding of a width-k conv."""
+    return k - 1 - (k - 1) // 2
+
+
+def im2col(x: Array, k: int) -> Array:
     """Row-major patch matrix of x (batch, channels, T) for a width-k
     convolution, the operand of the matrix products in conv1d_forward and
     conv1d_backward.
 
-    With pad = (left, right) zero steps around the series (default: the
-    same-length padding of conv1d_forward) there are P = T + left + right
-    - k + 1 windows per sample; row b*P + p, column c*k + j holds
-    x[b, c, p + j - left], or 0 in the padding. transpose=True builds the
-    (channels*k, batch*P) transpose directly. Several convolutions of one
-    input can share one matrix.
+    Row b*T + t, column c*k + j holds x[b, c, t + j - left], or 0 in the
+    same-length zero padding (left = k - 1 - (k - 1) // 2 steps before the
+    series, (k - 1) // 2 after). x may be any strided view; a channels-last
+    one, (batch, T, channels) in memory, is copied the fastest.
     """
     b, ch, t = x.shape
-    if pad is None:
-        pad = (k - 1 - (k - 1) // 2, (k - 1) // 2)
-    left, right = pad
-    p = t + left + right - k + 1
-    if transpose:
-        out = np.zeros((ch, k, b, p))
-        src = x.transpose(1, 0, 2)
-    else:
-        out = np.zeros((b, p, ch, k))
-        src = x.transpose(0, 2, 1)
+    left = _left_pad(k)
+    out = np.zeros((b, t, ch, k))
+    src = x.transpose(0, 2, 1)
     for j in range(k):
         shift = j - left
-        lo, hi = max(0, -shift), min(p, t - shift)
-        if transpose:
-            out[:, j, :, lo:hi] = src[:, :, lo + shift : hi + shift]
-        else:
-            out[:, lo:hi, :, j] = src[:, lo + shift : hi + shift]
-    return out.reshape(ch * k, b * p) if transpose else out.reshape(b * p, ch * k)
+        lo, hi = max(0, -shift), min(t, t - shift)
+        out[:, lo:hi, :, j] = src[:, lo + shift : hi + shift]
+    return out.reshape(b * t, ch * k)
 
 
-def conv1d_forward(params: LayerParams, x: Array, cols: Array | None = None) -> Array:
+def conv1d_forward(params: LayerParams, x: Array) -> Array:
     """True 1-D convolution, stride 1, output length equals input length.
 
     x is (in_channels, T) for one sample or (batch, in_channels, T);
     the output swaps in_channels for out_channels. Single-channel
-    output agrees with np.convolve(x, kernel, mode="same"). cols may
-    carry im2col(x, kernel_width) of a batched x to share it between
-    convolutions of the same input.
+    output agrees with np.convolve(x, kernel, mode="same").
+
+    The output is a (.., out_channels, T) view of a channels-last buffer,
+    one row of out_channels values per time step, and x may be such a view
+    itself: chained convolutions then never transpose their activations.
     """
     if params.kind != "conv1d":
         raise ShapeError(f"expected conv1d params, got kind={params.kind!r}")
@@ -156,29 +155,22 @@ def conv1d_forward(params: LayerParams, x: Array, cols: Array | None = None) -> 
     _require_finite(x, "conv1d input")
     xb = x[None] if x.ndim == 2 else x
     b = xb.shape[0]
-    if cols is None:
-        cols = im2col(xb, k)
-    elif cols.shape != (b * t, params.in_channels * k):
-        raise ShapeError(f"patch matrix shape {cols.shape} does not match input {x.shape}")
     # flipped kernel as an (in_channels*k, out_channels) matrix
     w = params.weights[:, :, ::-1].transpose(1, 2, 0).reshape(-1, params.out_channels)
-    out = (cols @ w).reshape(b, t, params.out_channels).transpose(0, 2, 1)
-    out = out + params.bias[None, :, None]
+    out = im2col(xb, k) @ w
+    out += params.bias
+    out = out.reshape(b, t, params.out_channels).transpose(0, 2, 1)
     return out[0] if x.ndim == 2 else out
 
 
 def conv1d_backward(
-    params: LayerParams,
-    x: Array,
-    grad_out: Array,
-    cols_t: Array | None = None,
-    input_grad: bool = True,
+    params: LayerParams, x: Array, grad_out: Array, input_grad: bool = True
 ) -> tuple[tuple[Array, Array], Array | None]:
     """Analytic gradients of conv1d_forward for 2-D or batched 3-D input.
 
-    cols_t may carry im2col(x, kernel_width, transpose=True) of a batched
-    x to share it between convolutions of the same input. input_grad=False
-    skips the input gradient and returns None in its place.
+    grad_out is read fastest as a channels-last view, like the output of
+    conv1d_forward, and the input gradient is returned as one.
+    input_grad=False skips the input gradient and returns None in its place.
     """
     t = x.shape[-1]
     k = params.kernel_width
@@ -188,31 +180,27 @@ def conv1d_backward(
         raise ShapeError(f"upstream grad shape {grad_out.shape} does not match output {expected}")
     xb, gb = (x[None], grad_out[None]) if x.ndim == 2 else (x, grad_out)
     b = xb.shape[0]
-    if cols_t is None:
-        cols_t = im2col(xb, k, transpose=True)
-    dwflip = (cols_t @ gb.transpose(0, 2, 1).reshape(b * t, o)).reshape(i, k, o).transpose(2, 0, 1)
+    g = gb.transpose(0, 2, 1).reshape(b * t, o)  # (batch*T, out_channels)
+    dwflip = (im2col(xb, k).T @ g).reshape(i, k, o).transpose(2, 0, 1)
     dw = dwflip[:, :, ::-1].copy()
-    db = gb.sum(axis=(0, 2))
+    db = g.sum(axis=0)
     if not input_grad:
         return (dw, db), None
 
-    # dx is the correlation of grad_out with the un-flipped kernel: pad the
-    # upstream grad by k-1 on both sides, window it, contract out_channels and taps.
-    c = (k - 1) // 2
-    gcols = im2col(gb, k, pad=(k - 1, k - 1))
-    wm = params.weights.transpose(0, 2, 1).reshape(o * k, i)
-    dxp = (gcols @ wm).reshape(b, t + k - 1, i).transpose(0, 2, 1)
-    dx = np.ascontiguousarray(dxp[:, :, k - 1 - c : k - 1 - c + t])
+    # Tap j carries x[t + j - left] to output step t through kernel column
+    # k-1-j, so the input gradient at step s collects g[s - shift] @ that
+    # column, shift = j - left: one matrix product per tap, added in place.
+    left = _left_pad(k)
+    dx = (g @ params.weights[:, :, k - 1 - left]).reshape(b, t, i)
+    for j in range(k):
+        shift = j - left
+        lo, hi = max(0, shift), min(t, t + shift)
+        if shift == 0 or lo >= hi:
+            continue
+        tap = (g @ params.weights[:, :, k - 1 - j]).reshape(b, t, i)
+        dx[:, lo:hi] += tap[:, lo - shift : hi - shift]
+    dx = dx.transpose(0, 2, 1)
     return (dw, db), dx[0] if x.ndim == 2 else dx
-
-
-def layer_backward(params: LayerParams, x: Array, grad_out: Array) -> tuple[tuple[Array, Array], Array]:
-    """Dispatch to the analytic backward of the layer kind."""
-    if params.kind == "linear":
-        return linear_backward(params, x, grad_out)
-    if params.kind == "conv1d":
-        return conv1d_backward(params, x, grad_out)
-    raise ShapeError(f"unknown layer kind {params.kind!r}")
 
 
 def relu(x: Array) -> Array:
@@ -300,12 +288,25 @@ def adam_step(
     state.t += 1
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    # Same operations in the same order as
+    #   m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g*g
+    #   p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
+    # but written into m, v, p and two scratch blocks.
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        tmp = np.multiply(g, 1.0 - state.beta1)
+        m *= state.beta1
+        m += tmp
+        np.multiply(g, 1.0 - state.beta2, out=tmp)
+        tmp *= g
+        v *= state.beta2
+        v += tmp
+        np.divide(m, bc1, out=tmp)
+        tmp *= state.lr
+        denom = np.divide(v, bc2)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        tmp /= denom
+        p -= tmp
     return params, state
 
 

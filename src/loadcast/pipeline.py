@@ -10,6 +10,7 @@ the z-scored scale (raw-scale columns are carried alongside).
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -65,6 +66,11 @@ class RunConfig:
     kernel_width: int = 3
 
     def __post_init__(self) -> None:
+        for name in ("batch", "max_epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if any(h < 1 for h in self.horizons):
             raise ConfigError(f"horizons must be positive, got {self.horizons}")
         if list(self.horizons) != sorted(self.horizons):

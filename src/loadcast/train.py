@@ -61,6 +61,10 @@ def train_loop(
     """
     if n_train < 1:
         raise ConfigError("training set is empty")
+    limits = {"batch_size": batch_size, "max_epochs": max_epochs, "patience": patience}
+    for name, value in limits.items():
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
     params = model.params()
     names = model.param_names()
     state = nn.init_adam(params, lr=lr)

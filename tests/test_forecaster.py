@@ -111,6 +111,27 @@ def test_forecaster_gradients_match_finite_differences(kind, per_variable):
     assert report.max_rel_error < 1e-5
 
 
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_first_layer_skips_input_gradient_bit_identically(kind):
+    """The first layer's input gradient has no consumer; skipping it leaves
+    every parameter gradient bit for bit as before."""
+    rng = np.random.default_rng(11)
+    model = make_forecaster(ForecasterConfig(kind, 6, 3, 2, hidden=5, per_variable=False, seed=3))
+    yhat, cache = model.forward_batch(rng.normal(size=(4, 6, 2)), want_cache=True)
+    dy = rng.normal(size=yhat.shape)
+    grads = model.backward_batch(cache, dy)
+    if kind == "linear":
+        (dw, db), _ = nn.linear_backward(model.flat, cache, dy.reshape(4, -1))
+        expected = [dw, db]
+    else:
+        xf, pre, act = cache
+        (dw2, db2), dact = nn.linear_backward(model.lin2, act, dy.reshape(4, -1))
+        (dw1, db1), _ = nn.linear_backward(model.lin1, xf, nn.relu_backward(pre, dact))
+        expected = [dw1, db1, dw2, db2]
+    for g, e in zip(grads, expected, strict=True):
+        np.testing.assert_array_equal(g, e)
+
+
 def test_plug_in_property_same_shapes_and_forward():
     train_w, val_w, _ = wave_splits(l=200)
     fc_config = ForecasterConfig("linear", 8, 4, 1, seed=6)

@@ -158,3 +158,56 @@ def test_corrupted_config_never_escapes_as_traceback(inputs, data):
     code, err = show_config(bad)
     assert code in (cli.EXIT_CONFIG, cli.EXIT_DATA)
     assert str(bad) in err
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["batch=0", "batch=-3", "max_epochs=0", "patience=0", "lr=0", "lr=-0.1", "lr=nan", "lr=inf",
+     "horizons=0"],
+)
+def test_invalid_config_value_exits_2_naming_file(tmp_path, line):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(CONFIG + line + "\n", encoding="utf-8")
+    code, err = show_config(bad)
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith(f"configuration error: {bad}: "), err
+    assert line.partition("=")[0] in err
+
+
+@pytest.mark.parametrize(
+    "flag", [["--batch", 0], ["--max-epochs", 0], ["--lr", "nan"], ["--horizons", 0]]
+)
+def test_invalid_flag_value_exits_2_without_naming_file(inputs, flag):
+    code, err = run(["config", "--config", inputs / "run.cfg", *flag])
+    assert code == cli.EXIT_CONFIG and err.startswith("configuration error: ")
+    assert str(inputs / "run.cfg") not in err
+
+
+def test_flag_overriding_a_bad_file_value_is_accepted(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG + "patience=0\n", encoding="utf-8")
+    assert run(["config", "--config", cfg, "--patience", 3]) == (0, "")
+
+
+def test_batch_zero_ends_in_exit_2_not_a_traceback(inputs, tmp_path):
+    code, err = train_msp(inputs, inputs / "states.csv")
+    assert code == 0, err
+    args = ["train-msp", "--data", inputs / "data.csv", "--states", inputs / "states.csv"]
+    args += ["--lookback", 8, "--horizon", 2, "--out", tmp_path / "m.json"]
+    code, err = run([*args, "--batch", 0])
+    assert code == cli.EXIT_CONFIG and "batch must be >= 1" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("batch=0\n", encoding="utf-8")
+    code, err = run([*args, "--config", cfg])
+    assert code == cli.EXIT_CONFIG and str(cfg) in err
+
+
+def test_train_loop_rejects_empty_batches():
+    from loadcast.errors import ConfigError
+    from loadcast.forecaster import ForecasterConfig, make_forecaster
+    from loadcast.train import train_loop
+
+    model = make_forecaster(ForecasterConfig("linear", 4, 2, 1))
+    for bad in ({"batch_size": 0}, {"max_epochs": 0}, {"patience": 0}):
+        with pytest.raises(ConfigError, match=f"{next(iter(bad))} must be >= 1"):
+            train_loop(model, 8, lambda idx: (0.0, []), lambda: 0.0, **bad)

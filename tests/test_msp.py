@@ -2,8 +2,12 @@
 integrity through the full model, and learnability on a task whose
 future states are an exact function of the input window."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from loadcast import nn
 from loadcast.data import SeriesFrame, sliding_windows, split_60_20_20, zscore_apply, zscore_fit
@@ -221,3 +225,120 @@ def test_checkpoint_round_trip(tmp_path):
     assert param_checksum(back) == param_checksum(model)
     x = np.random.default_rng(6).normal(size=(8, 2))
     np.testing.assert_array_equal(msp_forward(back, x).logits, msp_forward(model, x).logits)
+
+
+def test_forward_with_and_without_cache_bit_equal():
+    model = tiny_model(seed=3)
+    x = np.random.default_rng(7).normal(size=(5, 8, 2))
+    z, _ = model.forward_batch(x, want_cache=True)
+    np.testing.assert_array_equal(z, model.forward_batch(x))
+
+
+# -- oracle: the extractor heads one conv at a time ---------------------------
+
+
+def _ref_conv(weights, bias, x):
+    """Same-length true convolution by einsum over padded windows."""
+    k = weights.shape[2]
+    left = k - 1 - (k - 1) // 2
+    windows = sliding_window_view(np.pad(x, [(0, 0), (0, 0), (left, (k - 1) // 2)]), k, axis=2)
+    return np.einsum("bctj,ocj->bot", windows, weights[:, :, ::-1]) + bias[None, :, None]
+
+
+def _ref_conv_backward(weights, x, g):
+    k = weights.shape[2]
+    left = k - 1 - (k - 1) // 2
+    t = x.shape[2]
+    windows = sliding_window_view(np.pad(x, [(0, 0), (0, 0), (left, (k - 1) // 2)]), k, axis=2)
+    dw = np.einsum("bctj,bot->ocj", windows, g)[:, :, ::-1]
+    dxp = np.zeros((x.shape[0], x.shape[1], t + k - 1))
+    for j in range(k):
+        dxp[:, :, j : j + t] += np.einsum("bot,oc->bct", g, weights[:, :, k - 1 - j])
+    return dw, g.sum(axis=(0, 2)), dxp[:, :, left : left + t]
+
+
+def _per_head_forward_backward(model, x, dz):
+    """Logits and gradients with one conv per extractor head, as the model
+    computed them before its heads were fused into one conv."""
+    c = model.config
+    b = x.shape[0]
+    c0 = x.transpose(0, 2, 1)
+    t1 = _ref_conv(model.trunk.weights, model.trunk.bias, c0)
+    a1 = np.maximum(t1, 0.0)
+    heads, logits = [], []
+    for conv, lin, n in zip(model.extractor_convs, model.extractor_linears, c.class_counts):
+        u = _ref_conv(conv.weights, conv.bias, a1)
+        f = np.maximum(u, 0.0).reshape(b, -1)
+        logits.append((f @ lin.weights + lin.bias).reshape(b, c.horizon, n))
+        heads.append((u, f))
+    zf = np.concatenate(logits, axis=2).reshape(b * c.horizon, c.total_classes)
+    z = (zf @ model.fusion.weights + model.fusion.bias).reshape(b, c.horizon, -1)
+
+    dzf = dz.reshape(b * c.horizon, c.total_classes)
+    dzu = (dzf @ model.fusion.weights.T).reshape(b, c.horizon, c.total_classes)
+    da1 = np.zeros_like(a1)
+    head_grads = []
+    start = 0
+    for conv, lin, n, (u, f) in zip(
+        model.extractor_convs, model.extractor_linears, c.class_counts, heads
+    ):
+        dg = dzu[:, :, start : start + n].reshape(b, -1)
+        start += n
+        du = (dg @ lin.weights.T).reshape(u.shape) * (u > 0)
+        dwc, dbc, da1_i = _ref_conv_backward(conv.weights, a1, du)
+        da1 += da1_i
+        head_grads += [dwc, dbc, f.T @ dg, dg.sum(axis=0)]
+    dwt, dbt, _ = _ref_conv_backward(model.trunk.weights, c0, da1 * (t1 > 0))
+    return z, [dwt, dbt] + head_grads + [zf.T @ dzf, dzf.sum(axis=0)]
+
+
+def _check_against_per_head(model, x, seed):
+    c = model.config
+    dz = np.random.default_rng(seed).normal(size=(x.shape[0], c.horizon, c.total_classes))
+    z_ref, grads_ref = _per_head_forward_backward(model, x, dz)
+    z, cache = model.forward_batch(x, want_cache=True)
+    grads = model.backward_batch(cache, dz)
+
+    def close(a, ref, what):
+        # relative to the block's largest entry too: sums of hundreds of terms
+        # can cancel to near zero, where a summation-order change is visible
+        np.testing.assert_allclose(a, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max(), err_msg=what)
+
+    close(z, z_ref, "logits")
+    assert len(grads) == len(grads_ref) == len(model.param_names())
+    for name, p, g, g_ref in zip(model.param_names(), model.params(), grads, grads_ref):
+        assert g.shape == p.shape, name
+        close(g, g_ref, name)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_fused_heads_match_per_head_oracle_small(k):
+    config = MspConfig(
+        lookback=9, horizon=3, n_variables=3, class_counts=[2, 3, 5],
+        trunk_channels=4, ue_channels=3, kernel_width=k, seed=k,
+    )
+    x = np.random.default_rng(k).normal(size=(4, 9, 3))
+    _check_against_per_head(MspModel(config), x, seed=k)
+
+
+def test_fused_heads_match_per_head_oracle_benchmark_geometry():
+    counts = [2, 2, 2, 2, 3, 3, 3, 3, 4]  # sum 24
+    config = MspConfig(lookback=96, horizon=24, n_variables=9, class_counts=counts, seed=1)
+    assert (config.trunk_channels, config.ue_channels) == (32, 16)
+    x = np.random.default_rng(1).normal(size=(16, 96, 9))
+    _check_against_per_head(MspModel(config), x, seed=1)
+
+
+def test_checkpoint_saved_before_fusion_predicts_the_same(tmp_path):
+    """msp_parent_v2.json was written by the per-head model (one conv per
+    extractor); its logits on a fixed input are stored next to it."""
+    from loadcast.msp import load_msp, save_msp
+
+    fixtures = Path(__file__).parent / "fixtures"
+    model = load_msp(fixtures / "msp_parent_v2.json")
+    expected = json.loads((fixtures / "msp_parent_v2_logits.json").read_text(encoding="utf-8"))
+    z = model.forward_batch(np.asarray(expected["input"]))
+    np.testing.assert_allclose(z, np.asarray(expected["logits"]), rtol=1e-12, atol=1e-12)
+    # the same blocks, names and shapes go back out byte for byte
+    save_msp(model, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == (fixtures / "msp_parent_v2.json").read_bytes()

@@ -65,17 +65,14 @@ def test_conv_kernel_too_wide():
 
 def test_layer_backward_zero_upstream():
     rng = np.random.default_rng(0)
-    for params, x in [
-        (nn.init_linear(rng, 4, 3), rng.normal(size=(2, 4))),
-        (nn.init_conv1d(rng, 2, 3, 3), rng.normal(size=(2, 6))),
-    ]:
-        out = (
-            nn.linear_forward(params, x)
-            if params.kind == "linear"
-            else nn.conv1d_forward(params, x)
-        )
-        (dw, db), dx = nn.layer_backward(params, x, np.zeros_like(out))
-        assert not dw.any() and not db.any() and not dx.any()
+    lin = nn.init_linear(rng, 4, 3)
+    x = rng.normal(size=(2, 4))
+    (dw, db), dx = nn.linear_backward(lin, x, np.zeros_like(nn.linear_forward(lin, x)))
+    assert not dw.any() and not db.any() and not dx.any()
+    conv = nn.init_conv1d(rng, 2, 3, 3)
+    xc = rng.normal(size=(2, 6))
+    (dw, db), dx = nn.conv1d_backward(conv, xc, np.zeros_like(nn.conv1d_forward(conv, xc)))
+    assert not dw.any() and not db.any() and not dx.any()
 
 
 def test_linear_param_grad_hand_case():
@@ -133,28 +130,68 @@ def test_im2col_rows_are_padded_windows(k):
     for b in range(2):
         for t in range(5):
             np.testing.assert_array_equal(cols[b * 5 + t], xp[b, :, t : t + k].reshape(-1))
-    np.testing.assert_array_equal(nn.im2col(x, k, transpose=True), cols.T)
-    full = nn.im2col(x, k, pad=(k - 1, k - 1))
-    assert full.shape == (2 * (5 + k - 1), 3 * k)
+    # a channels-last view gives the same matrix
+    x_cl = np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
+    np.testing.assert_array_equal(nn.im2col(x_cl, k), cols)
 
 
-def test_conv_shared_patches_match_own():
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_conv_input_gradient_matches_finite_differences(k):
+    rng = np.random.default_rng(10 + k)
+    conv = nn.init_conv1d(rng, 3, 4, k)
+    x = rng.normal(size=(2, 3, 7))
+    g = rng.normal(size=(2, 4, 7))
+    (_, _), dx = nn.conv1d_backward(conv, x, g)
+    report = nn.grad_check(lambda: float((nn.conv1d_forward(conv, x) * g).sum()), [x], [dx])
+    assert report.max_rel_error < 1e-6
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_conv_input_gradient_kernel_wider_than_series(k):
+    # T = 2: some taps reach past the whole series and contribute nothing
+    rng = np.random.default_rng(k)
+    conv = nn.init_conv1d(rng, 2, 3, k)
+    x = rng.normal(size=(2, 2))
+    g = rng.normal(size=(3, 2))
+    (dw, db), dx = nn.conv1d_backward(conv, x, g)
+    report = nn.grad_check(
+        lambda: float((nn.conv1d_forward(conv, x) * g).sum()),
+        [conv.weights, conv.bias, x],
+        [dw, db, dx],
+    )
+    assert report.max_rel_error < 1e-6
+
+
+def test_conv_channels_last_views_match_contiguous():
     rng = np.random.default_rng(6)
     conv = nn.init_conv1d(rng, 3, 4, 3)
     x = rng.normal(size=(5, 3, 8))
     g = rng.normal(size=(5, 4, 8))
-    np.testing.assert_array_equal(
-        nn.conv1d_forward(conv, x, cols=nn.im2col(x, 3)), nn.conv1d_forward(conv, x)
-    )
+    x_cl = np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
+    g_cl = np.ascontiguousarray(g.transpose(0, 2, 1)).transpose(0, 2, 1)
+    out = nn.conv1d_forward(conv, x)
+    assert out.transpose(0, 2, 1).flags.c_contiguous  # channels-last buffer
+    np.testing.assert_array_equal(nn.conv1d_forward(conv, x_cl), out)
     (dw, db), dx = nn.conv1d_backward(conv, x, g)
-    (dw2, db2), none = nn.conv1d_backward(
-        conv, x, g, cols_t=nn.im2col(x, 3, transpose=True), input_grad=False
-    )
+    (dw2, db2), dx2 = nn.conv1d_backward(conv, x_cl, g_cl)
+    for a, b in ((dw, dw2), (db, db2), (dx, dx2)):
+        np.testing.assert_array_equal(a, b)
+    (dw3, db3), none = nn.conv1d_backward(conv, x, g, input_grad=False)
+    np.testing.assert_array_equal(dw3, dw)
+    np.testing.assert_array_equal(db3, db)
+    assert none is None and dx.shape == x.shape
+
+
+def test_linear_backward_without_input_grad_is_bit_identical():
+    rng = np.random.default_rng(7)
+    lin = nn.init_linear(rng, 6, 5)
+    x = rng.normal(size=(4, 6))
+    g = rng.normal(size=(4, 5))
+    (dw, db), dx = nn.linear_backward(lin, x, g)
+    (dw2, db2), none = nn.linear_backward(lin, x, g, input_grad=False)
     np.testing.assert_array_equal(dw2, dw)
     np.testing.assert_array_equal(db2, db)
     assert none is None and dx.shape == x.shape
-    with pytest.raises(ShapeError, match="patch matrix"):
-        nn.conv1d_forward(conv, x, cols=nn.im2col(x[:2], 3))
 
 
 def test_softmax_uniform_and_hand_case():
@@ -247,3 +284,33 @@ def test_adam_rejects_non_finite_gradient():
     state = nn.init_adam([w])
     with pytest.raises(NumericError, match="trunk"):
         nn.adam_step(state, [w], [np.array([np.inf])], names=["trunk"])
+
+
+def _adam_step_reference(state, params, grads):
+    """The Adam update written with fresh arrays, as before it ran in place."""
+    state.t += 1
+    bc1 = 1.0 - state.beta1**state.t
+    bc2 = 1.0 - state.beta2**state.t
+    for i, (p, g) in enumerate(zip(params, grads)):
+        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
+        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
+        m_hat = state.m[i] / bc1
+        v_hat = state.v[i] / bc2
+        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
+def test_adam_in_place_is_bit_identical_to_fresh_arrays():
+    rng = np.random.default_rng(8)
+    shapes = [(7, 5), (5,), (3, 2, 4)]
+    ours = [rng.normal(size=s) for s in shapes]
+    ref = [p.copy() for p in ours]
+    state = nn.init_adam(ours, lr=0.01)
+    ref_state = nn.init_adam(ref, lr=0.01)
+    moments = [id(a) for a in state.m + state.v]
+    for _ in range(5):
+        grads = [rng.normal(size=s) * 10.0 ** rng.integers(-8, 3) for s in shapes]
+        nn.adam_step(state, ours, grads)
+        _adam_step_reference(ref_state, ref, grads)
+        for a, b in zip(ours + state.m + state.v, ref + ref_state.m + ref_state.v):
+            np.testing.assert_array_equal(a, b)
+    assert [id(a) for a in state.m + state.v] == moments  # updated in place
