@@ -166,9 +166,12 @@ def cmd_label(args: argparse.Namespace) -> int:
     config = merge_run_config(args)
     frame = load_csv(config.data_csv)
     frame = align_and_downsample(frame, config.period_seconds)
-    profile = labeling.identify_states(
-        frame, w=config.w, min_s=config.min_s, max_s=config.max_s, seed=config.seed
-    )
+    try:
+        profile = labeling.identify_states(
+            frame, w=config.w, min_s=config.min_s, max_s=config.max_s, seed=config.seed
+        )
+    except DataError as exc:
+        raise DataError(f"{config.data_csv}: {exc}") from None
     labeling.save_states_csv(profile, frame, args.out)
     counts = ",".join(str(int(n)) for n in profile.counts)
     print(f"wrote {args.out} (+ sidecar); states per variable: {counts}")

@@ -29,6 +29,11 @@ DEFAULT_MAX_STATES = 5
 # variable under the cap, once per candidate k above it.
 SILHOUETTE_CAP = 2048
 
+# Entries per row-block buffer in _exact_dists (2**15 float64 = 256 KB):
+# a block and its up to eight scratch buffers stay in cache while every
+# coordinate is added into them.
+_BLOCK_ELEMS = 1 << 15
+
 
 @dataclass
 class StateProfile:
@@ -93,20 +98,78 @@ def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _exact_dists(rows: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances via explicit differences, chunked.
+    """Pairwise Euclidean distances via explicit differences.
 
     The quadratic-form shortcut loses ~1e-13 to cancellation when
     points are close relative to their magnitude; silhouette promises
     exact agreement with the textbook definition, so pay for precision.
+
+    The output is built in row blocks of about _BLOCK_ELEMS entries, one
+    coordinate at a time, and each squared difference is added in
+    numpy's pairwise-summation order for a contiguous axis (see
+    _add_sq_diffs), so every entry is bit-identical to
+    ``np.sqrt(((a - b) ** 2).sum())``. Since ``(a-b)**2 == (b-a)**2``
+    in IEEE arithmetic, the matrix is exactly symmetric with a zero
+    diagonal.
     """
     n, dim = rows.shape
     out = np.empty((n, n))
-    chunk = max(1, (1 << 22) // max(1, n * dim))
-    for start in range(0, n, chunk):
-        block = rows[start : start + chunk]
-        d2 = ((block[:, None, :] - rows[None, :, :]) ** 2).sum(axis=-1)
-        out[start : start + chunk] = np.sqrt(d2)
+    coords = np.ascontiguousarray(rows.T)
+    block = max(1, _BLOCK_ELEMS // max(1, n))
+    scratch = np.empty((8 if dim >= 8 else 1, min(block, n), n))
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        d2 = out[start:stop]
+        _add_sq_diffs(coords, 0, dim, start, stop, d2, scratch[:, : stop - start])
+        np.sqrt(d2, out=d2)
     return out
+
+
+def _sq_diff(coords: np.ndarray, j: int, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+    c = coords[j]
+    np.subtract(c[start:stop, None], c[None, :], out=out)
+    return np.multiply(out, out, out=out)
+
+
+def _add_sq_diffs(
+    coords: np.ndarray, lo: int, hi: int, start: int, stop: int, out: np.ndarray, scratch: np.ndarray
+) -> None:
+    """out = sum over coordinates lo..hi-1 of the squared differences of
+    rows start..stop against every row, in the order numpy's pairwise sum
+    adds a contiguous axis of length hi-lo: one after another below 8;
+    eight interleaved partial sums up to 128, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail one by one; above
+    128, the two halves split at a multiple of 8, each summed the same way.
+    """
+    m = hi - lo
+    if m > 128:
+        half = m // 2 - (m // 2) % 8
+        _add_sq_diffs(coords, lo, lo + half, start, stop, out, scratch)
+        right = np.empty_like(out)
+        _add_sq_diffs(coords, lo + half, hi, start, stop, right, scratch)
+        out += right
+        return
+    _sq_diff(coords, lo, start, stop, out)
+    if m < 8:
+        for j in range(lo + 1, hi):
+            out += _sq_diff(coords, j, start, stop, scratch[0])
+        return
+    r = [out, *scratch[:7]]
+    for p in range(1, 8):
+        _sq_diff(coords, lo + p, start, stop, r[p])
+    tmp = scratch[7]
+    full = lo + m - m % 8
+    for j in range(lo + 8, full):
+        r[(j - lo) % 8] += _sq_diff(coords, j, start, stop, tmp)
+    r[0] += r[1]
+    r[2] += r[3]
+    r[0] += r[2]
+    r[4] += r[5]
+    r[6] += r[7]
+    r[4] += r[6]
+    r[0] += r[4]
+    for j in range(full, hi):
+        out += _sq_diff(coords, j, start, stop, tmp)
 
 
 def _kmeans_pp_init(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -178,7 +241,11 @@ def silhouette(
 
     dist, when given, must be ``_exact_dists(embedding)``, so that one
     matrix serves every clustering of the same rows; its diagonal is
-    zeroed in place. Without it the matrix is built here.
+    zeroed in place. Without it the matrix is built here. Either way it
+    must be exactly symmetric: the per-cluster sums gather the member
+    rows, ``dist[members].sum(axis=0)``, which adds the same values in
+    the same order (one member after another) as summing the member
+    columns would.
     """
     rows = np.asarray(embedding, dtype=np.float64)
     assignments = np.asarray(assignments)
@@ -196,7 +263,7 @@ def silhouette(
     # per-point summed distance to each cluster
     sums = np.zeros((n, labels.size))
     for j, lab in enumerate(labels):
-        sums[:, j] = dist[:, assignments == lab].sum(axis=1)
+        sums[:, j] = dist[assignments == lab].sum(axis=0)
     scores = np.zeros(n)
     for j, lab in enumerate(labels):
         members = assignments == lab
@@ -242,6 +309,10 @@ def identify_states(
     The silhouette distance matrix is built once per row selection and
     shared by every k scored on it: once per variable when l is within
     silhouette_cap, once per k when each k draws its own subsample.
+
+    Only k up to the variable's number of distinct windows are scored;
+    a variable with fewer distinct windows than min_s (say, a constant
+    column) raises DataError naming it.
     """
     if min_s < 2:
         raise ConfigError(f"min_s must be >= 2, got {min_s}")
@@ -252,11 +323,17 @@ def identify_states(
     counts = np.zeros(d, dtype=np.int64)
     for i in range(d):
         embedding = embed_windows(frame.values[:, i], w)
+        n_distinct = np.unique(embedding, axis=0).shape[0]
+        if n_distinct < min_s:
+            raise DataError(
+                f"variable {frame.variable_names[i]!r}: {n_distinct} distinct "
+                f"window(s) of width {w}, fewer than min_s={min_s} states"
+            )
         best_score = -np.inf
         best: KMeansResult | None = None
         best_k = 0
         dist = dist_idx = None
-        for k in range(min_s, max_s + 1):
+        for k in range(min_s, min(max_s, n_distinct) + 1):
             child = np.random.SeedSequence(entropy=(seed, i, k)).generate_state(1)[0]
             result = kmeans(embedding, k, seed=int(child))
             sub_rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, i, k, 1)))

@@ -223,15 +223,6 @@ def decode_states(grouped: GroupedLogits) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def _grouped_softmax(z: np.ndarray, class_counts: Sequence[int]) -> np.ndarray:
-    probs = np.empty_like(z)
-    start = 0
-    for n in class_counts:
-        probs[..., start : start + n] = nn.softmax_rows(z[..., start : start + n])
-        start += n
-    return probs
-
-
 def msp_loss(grouped: GroupedLogits, targets: np.ndarray) -> tuple[float, np.ndarray]:
     """Multitask cross-entropy over per-variable softmax groups.
 
@@ -266,19 +257,27 @@ def _batch_loss_grad(z: np.ndarray, targets: np.ndarray, counts: Sequence[int]):
     """Batched version of msp_loss; z is (B, H, sumN), targets (B, H, D).
 
     The loss goes through log-softmax, so it is finite for any finite
-    logits; the gradient is softmax - onehot.
+    logits; the gradient is softmax - onehot. Each group's shifted
+    logits, exponentials and their sum are computed once and serve both:
+    softmax is e / s as in nn.softmax_rows and log-softmax zs - log(s) as
+    in nn.log_softmax_rows, bit for bit.
     """
+    nn._require_finite(z, "softmax logits")
     b, h, _ = z.shape
     d = len(counts)
-    grad = _grouped_softmax(z, counts)
+    grad = np.empty_like(z)
     loss = 0.0
     start = 0
     bidx = np.arange(b)[:, None]
     hidx = np.arange(h)[None, :]
     for i, n in enumerate(counts):
         t = targets[:, :, i]
-        log_p = nn.log_softmax_rows(z[:, :, start : start + n])
-        loss += -log_p[bidx, hidx, t].sum()
+        g = z[:, :, start : start + n]
+        zs = g - g.max(axis=-1, keepdims=True)
+        e = np.exp(zs)
+        s = e.sum(axis=-1, keepdims=True)
+        grad[:, :, start : start + n] = e / s
+        loss += -(zs[bidx, hidx, t] - np.log(s)[:, :, 0]).sum()
         grad[bidx, hidx, start + t] -= 1.0
         start += n
     scale = b * h * d

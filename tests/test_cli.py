@@ -107,6 +107,37 @@ def test_label_rerun_identical(tmp_path):
     assert out.read_bytes() == first
 
 
+def two_column_csv(tmp_path, sparse):
+    """A planted column beside one with few distinct width-4 windows."""
+    rng = np.random.default_rng(1)
+    planted = np.repeat([0.0, 5.0, 10.0, 0.0, 5.0, 10.0], 20) + rng.normal(0, 0.3, 120)
+    path = tmp_path / "few.csv"
+    lines = ["timestamp,app,sparse"]
+    for t, v in enumerate(planted):
+        lines.append(f"{3600 * t},{float(v)!r},{sparse(t)!r}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_label_constant_column_is_data_error_naming_file_and_variable(tmp_path, capsys):
+    data = two_column_csv(tmp_path, lambda t: 0.0)  # one distinct window
+    code = run(["label", "--data", data, "--out", tmp_path / "s.csv", "--w", 4])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(data) in err and "'sparse'" in err and "1 distinct" in err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_label_column_with_two_distinct_windows_gets_two_states(tmp_path):
+    # only the first cell is non-zero: two distinct windows, so k stops at 2
+    data = two_column_csv(tmp_path, lambda t: 2.5 if t == 0 else 0.0)
+    out = tmp_path / "s.csv"
+    assert run(["label", "--data", data, "--out", out, "--w", 4]) == 0
+    profile, _, names = load_states_csv(out)
+    assert names == ["app", "sparse"] and profile.counts[1] == 2
+    assert profile.labels[0, 1] == 1 and (profile.labels[1:, 1] == 0).all()
+
+
 def test_missing_data_file_is_data_error(tmp_path, capsys):
     code = run(["label", "--data", tmp_path / "nope.csv", "--out", tmp_path / "s.csv"])
     assert code == cli.EXIT_DATA

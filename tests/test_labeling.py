@@ -2,6 +2,7 @@
 a brute-force oracle), and full state identification on planted data."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +156,124 @@ def test_silhouette_rejects_mis_shaped_dists():
     rows = np.arange(8.0).reshape(4, 2)
     with pytest.raises(ShapeError, match="distance matrix"):
         labeling.silhouette(rows, np.array([0, 0, 1, 1]), dist=np.zeros((3, 3)))
+
+
+def parent_exact_dists(rows):
+    """Reference: each chunk broadcasts (chunk, n, w) differences and sums
+    the last axis with numpy's pairwise sum."""
+    n, dim = rows.shape
+    out = np.empty((n, n))
+    chunk = max(1, (1 << 22) // max(1, n * dim))
+    for start in range(0, n, chunk):
+        block = rows[start : start + chunk]
+        d2 = ((block[:, None, :] - rows[None, :, :]) ** 2).sum(axis=-1)
+        out[start : start + chunk] = np.sqrt(d2)
+    return out
+
+
+def parent_silhouette(rows, assignments):
+    """Reference: silhouette with per-cluster sums over column masks."""
+    n = rows.shape[0]
+    labels, counts = np.unique(assignments, return_counts=True)
+    dist = parent_exact_dists(rows)
+    np.fill_diagonal(dist, 0.0)
+    sums = np.zeros((n, labels.size))
+    for j, lab in enumerate(labels):
+        sums[:, j] = dist[:, assignments == lab].sum(axis=1)
+    scores = np.zeros(n)
+    for j, lab in enumerate(labels):
+        members = assignments == lab
+        if counts[j] == 1:
+            continue
+        a = sums[members, j] / (counts[j] - 1)
+        other = np.ones(labels.size, dtype=bool)
+        other[j] = False
+        b = (sums[members][:, other] / counts[other]).min(axis=1)
+        denom = np.maximum(a, b)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            s = np.where(denom > 0, (b - a) / denom, 0.0)
+        scores[members] = s
+    return float(scores.mean())
+
+
+@pytest.mark.parametrize("w", [1, 2, 4, 7, 8, 9, 16, 24, 128, 129, 130, 260])
+def test_exact_dists_bit_identical_to_parent_for_every_width(w):
+    # the widths cover each branch of numpy's pairwise sum: sequential
+    # below 8, eight partial sums up to 128, a halving split above
+    rng = np.random.default_rng(w)
+    rows = rng.normal(scale=rng.uniform(0.1, 50.0), size=(75, w))
+    dist = labeling._exact_dists(rows)
+    assert np.array_equal(dist, parent_exact_dists(rows))
+    assert np.array_equal(dist, dist.T)
+    assert (np.diag(dist) == 0.0).all()
+
+
+def block_edge_sizes():
+    # n rows fill exactly one row block at n = isqrt(_BLOCK_ELEMS)
+    edge = math.isqrt(labeling._BLOCK_ELEMS)
+    return [1, 2, edge - 1, edge, edge + 1, 2048]
+
+
+@pytest.mark.parametrize("n", block_edge_sizes())
+def test_exact_dists_bit_identical_to_parent_at_block_edges(n):
+    rng = np.random.default_rng(n)
+    for w in (4, 24):
+        rows = rng.normal(scale=3.0, size=(n, w))
+        rows[n // 2] = rows[0]  # repeated windows, as in flat load series
+        dist = labeling._exact_dists(rows)
+        assert np.array_equal(dist, parent_exact_dists(rows))
+        assert np.array_equal(dist, dist.T)
+
+
+def test_exact_dists_peak_memory_is_the_output_plus_block_buffers():
+    n, w = labeling.SILHOUETTE_CAP, 24
+    rows = np.random.default_rng(5).normal(size=(n, w))
+    tracemalloc.start()
+    try:
+        dist = labeling._exact_dists(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dist.nbytes + (8 << 20)
+
+
+@pytest.mark.parametrize("k", range(2, 6))
+def test_silhouette_bit_identical_to_column_mask_sums(k):
+    rng = np.random.default_rng(50 + k)
+    n = 301
+    rows = rng.normal(scale=4.0, size=(n, 4))
+    assignments = rng.integers(0, k - 1, size=n)
+    assignments[n // 3] = k - 1  # a singleton cluster
+    assert labeling.silhouette(rows, assignments) == parent_silhouette(rows, assignments)
+    rows_24 = rng.normal(size=(n, 24))
+    dist = labeling._exact_dists(rows_24)
+    ours = labeling.silhouette(rows_24, assignments, dist=dist)
+    assert ours == parent_silhouette(rows_24, assignments)
+
+
+def test_identify_states_constant_variable_is_data_error_naming_it():
+    series, _ = planted_square_wave([0.0, 4.0], dwell=20, reps=4, sigma=0.2, seed=3)
+    frame = SeriesFrame(
+        3600 * np.arange(len(series)), np.stack([series, np.zeros_like(series)], axis=1), ["on", "off"]
+    )
+    with pytest.raises(DataError, match="variable 'off': 1 distinct"):
+        labeling.identify_states(frame, w=4, seed=3)
+
+
+def test_identify_states_scores_k_only_up_to_distinct_windows(monkeypatch):
+    series = np.zeros(60)
+    series[0] = 3.0  # windows: the one holding the spike, and all zeros
+    scored = []
+    kmeans = labeling.kmeans
+
+    def recording(embedding, k, seed, max_iter=100):
+        scored.append(k)
+        return kmeans(embedding, k, seed, max_iter)
+
+    monkeypatch.setattr(labeling, "kmeans", recording)
+    profile = labeling.identify_states(one_var_frame(series), w=4, seed=0)
+    assert scored == [2] and profile.counts[0] == 2
+    assert profile.labels[0, 0] == 1 and (profile.labels[1:, 0] == 0).all()
 
 
 def align_labels(pred, true, k):

@@ -112,8 +112,61 @@ def test_loss_finite_for_large_logit_gap():
     assert np.isfinite(loss) and loss == pytest.approx(800.0)
 
 
+def _grouped_softmax(z, class_counts):
+    probs = np.empty_like(z)
+    start = 0
+    for n in class_counts:
+        probs[..., start : start + n] = nn.softmax_rows(z[..., start : start + n])
+        start += n
+    return probs
+
+
+def two_call_loss_grad(z, targets, counts):
+    """Reference: the batched loss with one softmax call for the gradient
+    and a second log-softmax call per group for the loss."""
+    b, h, _ = z.shape
+    grad = _grouped_softmax(z, counts)
+    loss = 0.0
+    start = 0
+    bidx = np.arange(b)[:, None]
+    hidx = np.arange(h)[None, :]
+    for i, n in enumerate(counts):
+        t = targets[:, :, i]
+        log_p = nn.log_softmax_rows(z[:, :, start : start + n])
+        loss += -log_p[bidx, hidx, t].sum()
+        grad[bidx, hidx, start + t] -= 1.0
+        start += n
+    scale = b * h * len(counts)
+    return loss / scale, grad / scale
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_loss_bit_equal_to_two_call_softmax(seed):
+    from loadcast.msp import _batch_loss_grad
+
+    rng = np.random.default_rng(seed)
+    counts = [2, 3, 2, 5, 1, 4, 2, 3, 2]  # sum 24, as in the benchmark teacher
+    b, h = 128, 24
+    z = rng.normal(scale=rng.uniform(0.5, 40.0), size=(b, h, sum(counts)))
+    targets = np.stack([rng.integers(0, n, size=(b, h)) for n in counts], axis=-1)
+    loss, grad = _batch_loss_grad(z, targets, counts)
+    ref_loss, ref_grad = two_call_loss_grad(z, targets, counts)
+    assert loss == ref_loss
+    np.testing.assert_array_equal(grad, ref_grad)
+
+
+def test_batched_loss_rejects_non_finite_logits():
+    from loadcast.errors import NumericError
+    from loadcast.msp import _batch_loss_grad
+
+    z = np.zeros((2, 3, 5))
+    z[1, 2, 4] = np.nan
+    with pytest.raises(NumericError, match="non-finite"):
+        _batch_loss_grad(z, np.zeros((2, 3, 2), dtype=np.int64), [2, 3])
+
+
 def test_batched_loss_finite_for_large_logit_gap():
-    from loadcast.msp import _batch_loss_grad, _grouped_softmax
+    from loadcast.msp import _batch_loss_grad
 
     b, h, counts = 2, 3, [2, 3]
     z = np.zeros((b, h, 5))
