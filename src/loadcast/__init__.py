@@ -11,6 +11,7 @@ from .data import (
     NormStats,
     SeriesFrame,
     WindowSample,
+    WindowSet,
     align_and_downsample,
     load_csv,
     save_csv,

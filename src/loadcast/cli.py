@@ -17,9 +17,9 @@ from pathlib import Path
 
 from . import forecaster as fc
 from . import guidance, labeling, metrics, msp, synth
-from .data import SeriesFrame, align_and_downsample, load_csv, save_csv, sliding_windows
+from .data import SeriesFrame, align_and_downsample, load_csv, save_csv
 from .errors import ConfigError, DataError, NumericError
-from .pipeline import RunConfig, evaluate_forecaster, load_aligned, run_pipeline, split_with_states
+from .pipeline import RunConfig, evaluate_forecaster, prepare_windows, run_pipeline
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -123,7 +123,7 @@ def _add_run_flags(p: argparse.ArgumentParser, include_horizon_sweep: bool = Tru
     p.add_argument("--max-s", type=int, dest="max_s")
     p.add_argument("--seed", type=int, dest="seed")
     p.add_argument("--period-seconds", type=int, dest="period_seconds")
-    p.add_argument("--forecaster-kind", choices=("linear", "mlp"), dest="forecaster_kind")
+    p.add_argument("--forecaster-kind", choices=fc.FORECASTER_KINDS, dest="forecaster_kind")
     p.add_argument("--hidden", type=int, dest="hidden")
     p.add_argument(
         "--flat-linear",
@@ -178,18 +178,10 @@ def cmd_label(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _prepare_windows(config: RunConfig, horizon: int):
-    frame, profile = load_aligned(config)
-    frames, labels, stats = split_with_states(frame, profile)
-    windows = [
-        sliding_windows(f, lab, config.lookback, horizon) for f, lab in zip(frames, labels)
-    ]
-    return frame, profile, windows, stats
-
-
 def cmd_train_msp(args: argparse.Namespace) -> int:
     config = merge_run_config(args)
-    frame, profile, (train_w, val_w, _), _ = _prepare_windows(config, args.horizon)
+    frame, profile, _, windows = prepare_windows(config, [args.horizon])
+    train_w, val_w, _ = windows[args.horizon]
     msp_config = msp.MspConfig(
         lookback=config.lookback,
         horizon=args.horizon,
@@ -220,7 +212,8 @@ def cmd_train_msp(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = merge_run_config(args)
-    frame, _, (train_w, val_w, _), _ = _prepare_windows(config, args.horizon)
+    frame, _, _, windows = prepare_windows(config, [args.horizon])
+    train_w, val_w, _ = windows[args.horizon]
     fc_config = fc.ForecasterConfig(
         kind=config.forecaster_kind,
         lookback=config.lookback,
@@ -269,7 +262,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     model = fc.load_forecaster(args.model)
     horizon = model.config.horizon
     config.lookback = model.config.lookback
-    _, _, (_, _, test_w), stats = _prepare_windows(config, horizon)
+    _, _, stats, windows = prepare_windows(config, [horizon])
+    test_w = windows[horizon][2]
     m, mp, mr, mpr = evaluate_forecaster(model, test_w, stats)
     report = metrics.EvalReport([horizon], [m], [mp], [mr], [mpr])
     metrics.save_report_csv(report, args.out)

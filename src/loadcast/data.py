@@ -9,10 +9,14 @@ state labeling.
 from __future__ import annotations
 
 import csv
+import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, ShapeError
 
@@ -88,6 +92,48 @@ class WindowSample:
     origin: int
 
 
+class WindowSet(Sequence[WindowSample]):
+    """Every (lookback, horizon) window of one split, one step apart.
+
+    x (n, L, D), y (n, H, D) and s (n, H, D) are read-only views of the
+    split's values and labels, one sliding_window_view per field, so no
+    window is copied and a stray write raises. Window k is x[k], y[k],
+    s[k] with origin first_origin + k; x[idx] gathers a batch of them.
+    A WindowSample is made only on item access or iteration, and a slice
+    (step 1) is a WindowSet over the same memory.
+    """
+
+    __slots__ = ("x", "y", "s", "first_origin")
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, s: np.ndarray, first_origin: int):
+        self.x = x
+        self.y = y
+        self.s = s
+        self.first_origin = first_origin
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            start, stop, step = key.indices(len(self))
+            if step != 1:
+                raise ValueError(f"window slices must have step 1, got {step}")
+            part = slice(start, stop)
+            return WindowSet(self.x[part], self.y[part], self.s[part], self.first_origin + start)
+        k = operator.index(key)
+        n = len(self)
+        if k < 0:
+            k += n
+        if not 0 <= k < n:
+            raise IndexError(f"window index {key} out of range for {n} windows")
+        return WindowSample(self.x[k], self.y[k], self.s[k], self.first_origin + k)
+
+    def __iter__(self) -> Iterator[WindowSample]:
+        for k, (x, y, s) in enumerate(zip(self.x, self.y, self.s)):
+            yield WindowSample(x, y, s, self.first_origin + k)
+
+
 def load_csv(path: str | Path) -> SeriesFrame:
     """Parse a load-series CSV into a SeriesFrame, sorting rows by timestamp."""
     path = Path(path)
@@ -152,7 +198,7 @@ def _read_rows(path: Path) -> tuple[list[int], list[list[float]], list[str]]:
                     raise DataError(
                         f"{path}:{lineno}: column {name!r}: not a number: {cell!r}"
                     ) from None
-                if not np.isfinite(v):
+                if not math.isfinite(v):
                     raise DataError(f"{path}:{lineno}: column {name!r}: non-finite value {cell!r}")
                 vals.append(v)
             timestamps.append(ts)
@@ -248,11 +294,17 @@ def zscore_invert(frame: SeriesFrame, stats: NormStats) -> SeriesFrame:
     )
 
 
-def sliding_windows(frame: SeriesFrame, states, lookback: int, horizon: int) -> list[WindowSample]:
+def _runs(a: np.ndarray, width: int) -> np.ndarray:
+    """Read-only (l - width + 1, width, D) view of every width-row run of a (l, D)."""
+    return sliding_window_view(a, width, axis=0).transpose(0, 2, 1)
+
+
+def sliding_windows(frame: SeriesFrame, states, lookback: int, horizon: int) -> WindowSet:
     """Cut every (lookback, horizon) sample from the frame, one step apart.
 
     states is a StateProfile (or a bare (l, D) int matrix) aligned with
-    the frame; yields exactly l - lookback - horizon + 1 samples.
+    the frame; yields exactly l - lookback - horizon + 1 samples, as
+    views of the frame's values and the labels (see WindowSet).
     """
     labels = np.asarray(getattr(states, "labels", states))
     l = frame.length
@@ -266,15 +318,10 @@ def sliding_windows(frame: SeriesFrame, states, lookback: int, horizon: int) -> 
         raise DataError(
             f"series length {l} is below the minimum L+H = {lookback + horizon}"
         )
-    samples = []
-    for k in range(l - lookback - horizon + 1):
-        t = k + lookback
-        samples.append(
-            WindowSample(
-                x=frame.values[k:t],
-                y=frame.values[t : t + horizon],
-                s=labels[t : t + horizon],
-                origin=t,
-            )
-        )
-    return samples
+    values = frame.values
+    return WindowSet(
+        _runs(values[: l - horizon], lookback),
+        _runs(values[lookback:], horizon),
+        _runs(labels[lookback:], horizon),
+        first_origin=lookback,
+    )

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from . import checkpoint, guidance, nn
-from .data import WindowSample
+from .data import WindowSet
 from .errors import ConfigError, ShapeError
 from .train import (
     DEFAULT_BATCH,
@@ -28,9 +27,12 @@ from .train import (
 )
 
 
+FORECASTER_KINDS = ("linear", "mlp")
+
+
 @dataclass
 class ForecasterConfig:
-    kind: str  # "linear" | "mlp"
+    kind: str  # one of FORECASTER_KINDS
     lookback: int
     horizon: int
     n_variables: int
@@ -39,7 +41,7 @@ class ForecasterConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("linear", "mlp"):
+        if self.kind not in FORECASTER_KINDS:
             raise ConfigError(f"unknown forecaster kind {self.kind!r}")
         if min(self.lookback, self.horizon, self.n_variables) < 1:
             raise ConfigError("lookback, horizon, and n_variables must all be >= 1")
@@ -151,8 +153,8 @@ def forecast(model, x: np.ndarray) -> np.ndarray:
     return model.forward_batch(x[None])[0]
 
 
-def predict_samples(model, samples: Sequence[WindowSample], batch_size: int = 256) -> np.ndarray:
-    """Stacked forecasts (n, H, D) over a sample list."""
+def predict_samples(model, samples: WindowSet, batch_size: int = 256) -> np.ndarray:
+    """Stacked forecasts (n, H, D) over a split's windows."""
     outs = []
     for start in range(0, len(samples), batch_size):
         xb = stack_inputs(samples[start : start + batch_size])
@@ -162,8 +164,8 @@ def predict_samples(model, samples: Sequence[WindowSample], batch_size: int = 25
 
 def train_plain(
     model,
-    train_samples: Sequence[WindowSample],
-    val_samples: Sequence[WindowSample],
+    train_samples: WindowSet,
+    val_samples: WindowSet,
     lr: float = DEFAULT_LR,
     batch_size: int = DEFAULT_BATCH,
     patience: int = DEFAULT_PATIENCE,
@@ -186,8 +188,8 @@ def train_plain(
 def train_with_guidance(
     model,
     msp_model,
-    train_samples: Sequence[WindowSample],
-    val_samples: Sequence[WindowSample],
+    train_samples: WindowSet,
+    val_samples: WindowSet,
     config: guidance.GuidanceConfig | None = None,
     lr: float = DEFAULT_LR,
     batch_size: int = DEFAULT_BATCH,

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import nn
-from .data import WindowSample
+from .data import WindowSet
 from .errors import ConfigError, ShapeError
 from .msp import GroupedLogits
 from .train import (
@@ -96,7 +96,7 @@ def guided_loss(
 
 
 def teacher_weights(
-    msp_model, samples: Sequence[WindowSample], mode: str = "prob", batch_size: int = DEFAULT_BATCH
+    msp_model, samples: WindowSet, mode: str = "prob", batch_size: int = DEFAULT_BATCH
 ) -> np.ndarray:
     """Weights for every sample's future block, (n, H, D). The teacher
     is frozen, so these are computed once and reused across epochs."""
@@ -112,8 +112,8 @@ def teacher_weights(
 def train_guided(
     model,
     msp_model,
-    train_samples: Sequence[WindowSample],
-    val_samples: Sequence[WindowSample],
+    train_samples: WindowSet,
+    val_samples: WindowSet,
     config: GuidanceConfig,
     lr: float = DEFAULT_LR,
     batch_size: int = DEFAULT_BATCH,

@@ -190,18 +190,23 @@ def _kmeans_pp_init(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     return centroids
 
 
-def kmeans(embedding: np.ndarray, k: int, seed: int, max_iter: int = 100) -> KMeansResult:
+def kmeans(
+    embedding: np.ndarray, k: int, seed: int, max_iter: int = 100, n_distinct: int | None = None
+) -> KMeansResult:
     """Lloyd's algorithm with k-means++ seeding on flattened windows.
 
     Converges when assignments stop changing or max_iter is hit. An
     empty cluster is reseeded to the point farthest from its assigned
     centroid. Inertia is the sum of squared distances to assigned
-    centroids, recorded once per assignment pass.
+    centroids, recorded once per assignment pass. n_distinct is the
+    embedding's number of distinct rows when the caller has counted
+    them already; it is counted here otherwise.
     """
     rows = np.asarray(embedding, dtype=np.float64)
     if rows.ndim != 2:
         raise ShapeError(f"embedding must be 2-D, got shape {rows.shape}")
-    n_distinct = np.unique(rows, axis=0).shape[0]
+    if n_distinct is None:
+        n_distinct = np.unique(rows, axis=0).shape[0]
     if not 1 <= k <= n_distinct:
         raise ConfigError(f"k={k} outside [1, {n_distinct}] distinct rows")
     rng = np.random.default_rng(seed)
@@ -335,7 +340,7 @@ def identify_states(
         dist = dist_idx = None
         for k in range(min_s, min(max_s, n_distinct) + 1):
             child = np.random.SeedSequence(entropy=(seed, i, k)).generate_state(1)[0]
-            result = kmeans(embedding, k, seed=int(child))
+            result = kmeans(embedding, k, seed=int(child), n_distinct=n_distinct)
             sub_rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, i, k, 1)))
             idx = _selection_indices(l, silhouette_cap, sub_rng, result.assignments)
             if dist_idx is None or not np.array_equal(idx, dist_idx):

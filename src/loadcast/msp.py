@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import checkpoint, nn
-from .data import WindowSample
+from .data import WindowSet
 from .errors import ConfigError, ShapeError
 from .train import (
     DEFAULT_BATCH,
@@ -54,6 +54,9 @@ class MspConfig:
     def __post_init__(self) -> None:
         if min(self.lookback, self.horizon, self.n_variables) < 1:
             raise ConfigError("lookback, horizon, and n_variables must all be >= 1")
+        for name in ("trunk_channels", "ue_channels", "kernel_width"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if len(self.class_counts) != self.n_variables:
             raise ConfigError(
                 f"{len(self.class_counts)} class counts for {self.n_variables} variables"
@@ -285,7 +288,7 @@ def _batch_loss_grad(z: np.ndarray, targets: np.ndarray, counts: Sequence[int]):
 
 
 def state_accuracy(
-    model: MspModel, samples: Sequence[WindowSample], batch_size: int = DEFAULT_BATCH
+    model: MspModel, samples: WindowSet, batch_size: int = DEFAULT_BATCH
 ) -> float:
     """Fraction of (step, variable) cells whose decoded state matches."""
     if not samples:
@@ -310,8 +313,8 @@ def state_accuracy(
 
 def train_msp(
     model: MspModel,
-    train_samples: Sequence[WindowSample],
-    val_samples: Sequence[WindowSample],
+    train_samples: WindowSet,
+    val_samples: WindowSet,
     lr: float = DEFAULT_LR,
     batch_size: int = DEFAULT_BATCH,
     patience: int = DEFAULT_PATIENCE,

@@ -22,6 +22,7 @@ from . import guidance, metrics, msp
 from .data import (
     NormStats,
     SeriesFrame,
+    WindowSet,
     align_and_downsample,
     load_csv,
     sliding_windows,
@@ -31,6 +32,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError, LoadcastError
 from .labeling import StateProfile, load_states_csv
+from .train import stack_targets
 
 DEFAULT_HORIZONS = [1, 6, 12, 24, 36, 48, 60, 72, 168, 336]
 
@@ -66,11 +68,24 @@ class RunConfig:
     kernel_width: int = 3
 
     def __post_init__(self) -> None:
-        for name in ("batch", "max_epochs", "patience"):
+        sizes = ("batch", "max_epochs", "patience", "hidden", "trunk_channels", "ue_channels",
+                 "kernel_width")
+        for name in sizes:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if self.weight_mode not in guidance.WEIGHT_MODES:
+            raise ConfigError(
+                f"weight_mode must be one of {guidance.WEIGHT_MODES}, got {self.weight_mode!r}"
+            )
+        if self.forecaster_kind not in fc.FORECASTER_KINDS:
+            raise ConfigError(
+                f"forecaster_kind must be one of {fc.FORECASTER_KINDS}, "
+                f"got {self.forecaster_kind!r}"
+            )
         if any(h < 1 for h in self.horizons):
             raise ConfigError(f"horizons must be positive, got {self.horizons}")
         if list(self.horizons) != sorted(self.horizons):
@@ -121,12 +136,34 @@ def split_with_states(
     return frames, labels, stats
 
 
-def evaluate_forecaster(model, samples, stats: NormStats) -> tuple[float, float, float, float]:
-    """(mae, mape_sym, mae_raw, mape_sym_raw) over a window list."""
+def prepare_windows(
+    config: RunConfig, horizons: list[int]
+) -> tuple[SeriesFrame, StateProfile, NormStats, dict[int, tuple[WindowSet, WindowSet, WindowSet]]]:
+    """The one data-prep path: load and align the inputs, split them
+    60/20/20, z-score with train statistics, and cut the train,
+    validation and test windows of every horizon up front. Windows are
+    views of the splits (see WindowSet), so that copies nothing, and a
+    horizon too long for the series fails before any training."""
+    frame, profile = load_aligned(config)
+    frames, labels, stats = split_with_states(frame, profile)
+    windows = {}
+    for horizon in horizons:
+        with _stage(f"windows H={horizon}"):
+            train, val, test = (
+                sliding_windows(f, lab, config.lookback, horizon) for f, lab in zip(frames, labels)
+            )
+        windows[horizon] = (train, val, test)
+    return frame, profile, stats, windows
+
+
+def evaluate_forecaster(
+    model, samples: WindowSet, stats: NormStats
+) -> tuple[float, float, float, float]:
+    """(mae, mape_sym, mae_raw, mape_sym_raw) over a split's windows."""
     if not samples:
         raise DataError("no evaluation samples")
     yhat = fc.predict_samples(model, samples)
-    y = np.stack([s.y for s in samples])
+    y = stack_targets(samples)
     z_mae = metrics.mae(yhat, y)
     z_mape = metrics.mape_sym(yhat, y)
     yhat_raw = yhat * stats.std + stats.mean
@@ -145,8 +182,7 @@ class PipelineResult:
 def run_pipeline(config: RunConfig) -> PipelineResult:
     """Full two-stage run for every horizon; writes reports and
     checkpoints, returns the loaded results."""
-    frame, profile = load_aligned(config)
-    frames, labels, stats = split_with_states(frame, profile)
+    frame, profile, stats, windows = prepare_windows(config, config.horizons)
     d = frame.n_variables
     counts = [int(n) for n in profile.counts]
     ckpt_dir = Path(config.checkpoint_dir)
@@ -157,13 +193,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     plain_report = metrics.EvalReport([], [], [], [], [])
     guided_report = metrics.EvalReport([], [], [], [], [])
     for horizon in config.horizons:
-        windows = []
-        with _stage(f"windows H={horizon}"):
-            for part_frame, part_labels in zip(frames, labels):
-                windows.append(
-                    sliding_windows(part_frame, part_labels, config.lookback, horizon)
-                )
-        train_w, val_w, test_w = windows
+        train_w, val_w, test_w = windows[horizon]
 
         with _stage(f"train-msp H={horizon}"):
             msp_config = msp.MspConfig(

@@ -9,11 +9,12 @@ with alpha=0 versus plain training under the same seed).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Protocol
 
 import numpy as np
 
 from . import nn
+from .data import WindowSet
 from .errors import ConfigError
 
 DEFAULT_LR = 0.001
@@ -99,13 +100,16 @@ def train_loop(
     return history
 
 
-def stack_inputs(samples: Sequence) -> np.ndarray:
-    return np.stack([s.x for s in samples])
+def stack_inputs(windows: WindowSet) -> np.ndarray:
+    """Every window's lookback, a read-only (n, L, D) view; x[idx] gathers a batch."""
+    return windows.x
 
 
-def stack_targets(samples: Sequence) -> np.ndarray:
-    return np.stack([s.y for s in samples])
+def stack_targets(windows: WindowSet) -> np.ndarray:
+    """Every window's target values, a read-only (n, H, D) view."""
+    return windows.y
 
 
-def stack_states(samples: Sequence) -> np.ndarray:
-    return np.stack([s.s for s in samples])
+def stack_states(windows: WindowSet) -> np.ndarray:
+    """Every window's target state labels, a read-only (n, H, D) view."""
+    return windows.s

@@ -1,5 +1,7 @@
 """Ingestion, resampling, splitting, normalization, windowing tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,9 @@ from hypothesis import strategies as st
 
 from loadcast import data
 from loadcast.errors import DataError, ShapeError
+from loadcast.forecaster import ForecasterConfig, make_forecaster
+from loadcast.guidance import GuidanceConfig, train_guided
+from loadcast.train import stack_inputs, stack_states, stack_targets
 
 
 def write_csv(tmp_path, text, name="series.csv"):
@@ -56,6 +61,13 @@ def test_load_csv_reports_bad_cell_position(tmp_path):
 def test_load_csv_rejects_duplicate_timestamp(tmp_path):
     path = write_csv(tmp_path, "timestamp,a\n0,1.0\n0,2.0\n")
     with pytest.raises(DataError, match="duplicate timestamp 0"):
+        data.load_csv(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+def test_load_csv_rejects_non_finite_cell(tmp_path, cell):
+    path = write_csv(tmp_path, f"timestamp,a,b\n0,1.0,2.0\n60,3.0,{cell}\n")
+    with pytest.raises(DataError, match=f":3: column 'b': non-finite value '{cell}'"):
         data.load_csv(path)
 
 
@@ -202,3 +214,107 @@ def test_sliding_windows_too_short_names_minimum():
     frame = minute_frame(np.arange(4.0))
     with pytest.raises(DataError, match="L\\+H = 5"):
         data.sliding_windows(frame, zero_labels(frame), 3, 2)
+
+
+def per_window_slices(values, labels, lookback, horizon):
+    """The windows as separate slices, (x, y, s, origin) each: the reference."""
+    out = []
+    for k in range(len(values) - lookback - horizon + 1):
+        t = k + lookback
+        out.append((values[k:t], values[t : t + horizon], labels[t : t + horizon], t))
+    return out
+
+
+def assert_same_windows(got, want):
+    assert len(got) == len(want)
+    for sample, (x, y, s, origin) in zip(got, want):
+        assert sample.x.tobytes() == x.tobytes() and sample.x.shape == x.shape
+        assert sample.y.tobytes() == y.tobytes() and sample.y.shape == y.shape
+        assert sample.s.tobytes() == s.tobytes() and sample.s.dtype == s.dtype
+        assert sample.origin == origin
+
+
+def assert_same_batch(windows, want):
+    for stack, field in ((stack_inputs, 0), (stack_targets, 1), (stack_states, 2)):
+        expected = np.stack([w[field] for w in want])
+        got = stack(windows)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+@pytest.fixture
+def window_case():
+    rng = np.random.default_rng(8)
+    values = rng.normal(size=(70, 3))
+    labels = rng.integers(0, 5, size=(70, 3))
+    windows = data.sliding_windows(minute_frame(values), labels, 9, 4)
+    return windows, per_window_slices(values, labels, 9, 4)
+
+
+def test_window_items_equal_per_window_slices(window_case):
+    windows, want = window_case
+    n = len(want)
+    assert_same_windows(list(windows), want)
+    for k in (0, 1, n - 1, -1, -n, 17):
+        assert_same_windows([windows[k]], [want[k]])
+        assert_same_windows([windows[np.int64(k)]], [want[k]])
+    for k in (n, n + 3, -n - 1):
+        with pytest.raises(IndexError):
+            windows[k]
+
+
+def test_window_slices_equal_per_window_slices(window_case):
+    windows, want = window_case
+    n = len(want)
+    for part in (slice(0, 5), slice(None, 1), slice(n - 5, None), slice(-3, None), slice(20, 33),
+                 slice(n - 1, n + 10), slice(0, n)):
+        got = windows[part]
+        assert_same_windows(got, want[part])
+        assert_same_batch(got, want[part])
+        assert_same_windows([got[-1]], [want[part][-1]])
+    assert len(windows[30:30]) == 0 and len(windows[n:]) == 0
+    with pytest.raises(ValueError, match="step 1"):
+        windows[::2]
+
+
+def test_window_batches_equal_per_window_slices(window_case):
+    windows, want = window_case
+    rng = np.random.default_rng(0)
+    for stack, field in ((stack_inputs, 0), (stack_targets, 1), (stack_states, 2)):
+        full = stack(windows)
+        for idx in (rng.permutation(len(want))[:16], np.array([0, len(want) - 1, 0])):
+            expected = np.stack([want[i][field] for i in idx])
+            batch = full[idx]
+            assert batch.flags.c_contiguous and batch.tobytes() == expected.tobytes()
+    assert_same_batch(windows, want)
+
+
+def test_windows_are_read_only(window_case):
+    windows, _ = window_case
+    first = windows[0]
+    views = [stack(windows) for stack in (stack_inputs, stack_targets, stack_states)]
+    views += [stack_inputs(windows[3:9]), first.x, first.y, first.s]
+    for view in views:
+        with pytest.raises(ValueError, match="read-only"):
+            view[...] = 0
+
+
+def test_train_guided_does_not_copy_the_windows():
+    lookback, n_variables, n_train = 256, 8, 1300
+    stacked = n_train * lookback * n_variables * 8
+    assert stacked >= 20e6
+    rng = np.random.default_rng(0)
+
+    def windows(n):
+        shape = (n + lookback + 1, n_variables)
+        frame = minute_frame(rng.normal(size=shape))
+        return data.sliding_windows(frame, np.zeros(shape, dtype=np.int64), lookback, 2)
+
+    train, val = windows(n_train), windows(40)
+    model = make_forecaster(ForecasterConfig("linear", lookback, 2, n_variables))
+    tracemalloc.start()
+    try:
+        train_guided(model, None, train, val, GuidanceConfig(alpha=0.0), max_epochs=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < stacked / 2, f"peak {peak / 1e6:.1f} MB, stacked inputs {stacked / 1e6:.1f} MB"

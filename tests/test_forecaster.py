@@ -54,9 +54,10 @@ def test_forecast_shape_mismatch():
         forecast(model, np.zeros((4, 2)))
 
 
-def sine_splits(l=480, lookback=12, horizon=3):
-    """Noiseless periodic series: a per-variable linear map of the window
-    predicts it exactly (copy from one period back)."""
+def sine_parts(l=480):
+    """Noiseless periodic series cut 60/20/20 and z-scored: a per-variable
+    linear map of the window predicts it exactly (copy from one period
+    back). Returns (frame, labels) per split."""
     t = np.arange(l)
     values = np.column_stack(
         [np.sin(2 * np.pi * t / 12), np.cos(2 * np.pi * t / 12) + 0.5]
@@ -67,9 +68,13 @@ def sine_splits(l=480, lookback=12, horizon=3):
     stats = zscore_fit(train)
     i1, i2 = train.length, train.length + val.length
     return [
-        sliding_windows(zscore_apply(part, stats), lab, lookback, horizon)
+        (zscore_apply(part, stats), lab)
         for part, lab in ((train, labels[:i1]), (val, labels[i1:i2]), (test, labels[i2:]))
     ]
+
+
+def sine_splits(l=480, lookback=12, horizon=3):
+    return [sliding_windows(part, lab, lookback, horizon) for part, lab in sine_parts(l)]
 
 
 def test_train_plain_recovers_noiseless_linear_task():
@@ -220,20 +225,18 @@ def test_mae_training_affine_equivariance_directional():
     scale = np.array([3.0, 0.5])
     shift = np.array([1.0, -2.0])
 
-    def rescale(samples):
-        out = []
-        for s in samples:
-            out.append(
-                type(s)(x=s.x * scale + shift, y=s.y * scale + shift, s=s.s, origin=s.origin)
-            )
-        return out
+    def rescale(part):
+        return SeriesFrame(part.timestamps, part.values * scale + shift, part.variable_names)
 
+    rescaled_train, rescaled_val, rescaled_test = (
+        sliding_windows(rescale(part), lab, 12, 3) for part, lab in sine_parts(l=260)
+    )
     rescaled_model = make_forecaster(ForecasterConfig("linear", 12, 3, 2, seed=11))
     train_plain(
-        rescaled_model, rescale(train_w), rescale(val_w), lr=0.01, batch_size=32, max_epochs=60
+        rescaled_model, rescaled_train, rescaled_val, lr=0.01, batch_size=32, max_epochs=60
     )
     direct_pred = predict_samples(direct, test_w)
-    via = (predict_samples(rescaled_model, rescale(test_w)) - shift) / scale
+    via = (predict_samples(rescaled_model, rescaled_test) - shift) / scale
     y = np.stack([s.y for s in test_w])
     assert np.abs(via - direct_pred).mean() < 0.25 * np.abs(y).mean() + 0.05
 

@@ -266,13 +266,13 @@ def test_identify_states_scores_k_only_up_to_distinct_windows(monkeypatch):
     scored = []
     kmeans = labeling.kmeans
 
-    def recording(embedding, k, seed, max_iter=100):
-        scored.append(k)
-        return kmeans(embedding, k, seed, max_iter)
+    def recording(embedding, k, seed, max_iter=100, n_distinct=None):
+        scored.append((k, n_distinct))
+        return kmeans(embedding, k, seed, max_iter, n_distinct)
 
     monkeypatch.setattr(labeling, "kmeans", recording)
     profile = labeling.identify_states(one_var_frame(series), w=4, seed=0)
-    assert scored == [2] and profile.counts[0] == 2
+    assert scored == [(2, 2)] and profile.counts[0] == 2
     assert profile.labels[0, 0] == 1 and (profile.labels[1:, 0] == 0).all()
 
 

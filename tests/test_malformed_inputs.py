@@ -163,7 +163,8 @@ def test_corrupted_config_never_escapes_as_traceback(inputs, data):
 @pytest.mark.parametrize(
     "line",
     ["batch=0", "batch=-3", "max_epochs=0", "patience=0", "lr=0", "lr=-0.1", "lr=nan", "lr=inf",
-     "horizons=0"],
+     "horizons=0", "alpha=-1", "alpha=nan", "alpha=inf", "weight_mode=foo", "forecaster_kind=foo",
+     "hidden=0", "trunk_channels=0", "ue_channels=-2", "kernel_width=0"],
 )
 def test_invalid_config_value_exits_2_naming_file(tmp_path, line):
     bad = tmp_path / "bad.cfg"
@@ -175,12 +176,37 @@ def test_invalid_config_value_exits_2_naming_file(tmp_path, line):
 
 
 @pytest.mark.parametrize(
-    "flag", [["--batch", 0], ["--max-epochs", 0], ["--lr", "nan"], ["--horizons", 0]]
+    "flag",
+    [["--batch", 0], ["--max-epochs", 0], ["--lr", "nan"], ["--horizons", 0], ["--alpha", -1],
+     ["--alpha", "nan"], ["--hidden", 0], ["--trunk-channels", 0], ["--ue-channels", -2],
+     ["--kernel-width", 0]],
 )
 def test_invalid_flag_value_exits_2_without_naming_file(inputs, flag):
     code, err = run(["config", "--config", inputs / "run.cfg", *flag])
     assert code == cli.EXIT_CONFIG and err.startswith("configuration error: ")
     assert str(inputs / "run.cfg") not in err
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [["--trunk-channels", 0], ["--kernel-width", 0], ["--ue-channels", -2], ["--alpha", -1],
+     ["--alpha", "nan"], ["--hidden", 0, "--forecaster-kind", "mlp"], "weight_mode=foo"],
+)
+def test_invalid_model_value_exits_2_before_any_checkpoint(inputs, tmp_path, bad):
+    args = ["pipeline", "--data", inputs / "data.csv", "--states", inputs / "states.csv"]
+    args += ["--lookback", 8, "--horizons", 2, "--max-epochs", 1]
+    args += ["--checkpoint-dir", tmp_path / "ck", "--report-dir", tmp_path / "rep"]
+    if isinstance(bad, str):  # a config file line
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(bad + "\n", encoding="utf-8")
+        args += ["--config", cfg]
+    else:
+        args += bad
+    code, err = run(args)
+    assert code == cli.EXIT_CONFIG and err.startswith("configuration error: "), err
+    if isinstance(bad, str):
+        assert str(cfg) in err
+    assert not (tmp_path / "ck").exists()
 
 
 def test_flag_overriding_a_bad_file_value_is_accepted(tmp_path):

@@ -11,7 +11,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from loadcast import nn
 from loadcast.data import SeriesFrame, sliding_windows, split_60_20_20, zscore_apply, zscore_fit
-from loadcast.errors import ShapeError
+from loadcast.errors import ConfigError, ShapeError
 from loadcast.msp import (
     GroupedLogits,
     MspConfig,
@@ -45,6 +45,13 @@ def test_forward_shape_contract():
     out = msp_forward(model, rng.normal(size=(8, 2)))
     assert out.logits.shape == (3, 5)
     assert [g.shape[-1] for g in out.groups()] == [2, 3]
+
+
+@pytest.mark.parametrize("field", ["trunk_channels", "ue_channels", "kernel_width"])
+@pytest.mark.parametrize("value", [0, -2])
+def test_config_rejects_channels_and_kernel_width_below_one(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be >= 1, got {value}"):
+        MspConfig(lookback=8, horizon=2, n_variables=1, class_counts=[2], **{field: value})
 
 
 def test_forward_deterministic():
