@@ -24,7 +24,6 @@ from .data import (
 from .errors import ConfigError, DataError, LoadcastError, NumericError, ShapeError
 from .forecaster import (
     ForecasterConfig,
-    forecast,
     load_forecaster,
     make_forecaster,
     save_forecaster,
@@ -42,7 +41,7 @@ from .labeling import (
     silhouette,
 )
 from .metrics import EvalReport, mae, mape_sym, percent_improvement
-from .msp import GroupedLogits, MspConfig, MspModel, decode_states, msp_forward, msp_loss, train_msp
+from .msp import MspConfig, MspModel, decode_states, msp_loss, train_msp
 from .pipeline import RunConfig, run_pipeline
 from .synth import ApplianceSpec, SynthConfig, Trigger, generate
 

@@ -144,15 +144,6 @@ def make_forecaster(config: ForecasterConfig):
     return MlpForecaster(config)
 
 
-def forecast(model, x: np.ndarray) -> np.ndarray:
-    """Point forecast for one lookback window; x is (L, D) -> (H, D)."""
-    c = model.config
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (c.lookback, c.n_variables):
-        raise ShapeError(f"input shape {x.shape} does not match ({c.lookback}, {c.n_variables})")
-    return model.forward_batch(x[None])[0]
-
-
 def predict_samples(model, samples: WindowSet, batch_size: int = 256) -> np.ndarray:
     """Stacked forecasts (n, H, D) over a split's windows."""
     outs = []

@@ -8,6 +8,9 @@ predicted state patterns (events and steady operation alike) pull more
 of the forecaster's attention than cells the teacher finds noisy. The
 teacher is read-only throughout; validation and model selection use
 plain MAE so guidance shapes optimization only.
+
+event_weights and guided_loss take whole batches; teacher_weights and
+train_guided call them once per batch of windows.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import numpy as np
 from . import nn
 from .data import WindowSet
 from .errors import ConfigError, ShapeError
-from .msp import GroupedLogits
 from .train import (
     DEFAULT_BATCH,
     DEFAULT_LR,
@@ -51,10 +53,18 @@ class GuidanceConfig:
             raise ConfigError(f"mode must be one of {WEIGHT_MODES}, got {self.mode!r}")
 
 
-def _weights_from_logits(z: np.ndarray, class_counts: Sequence[int], mode: str) -> np.ndarray:
+def event_weights(z: np.ndarray, counts: Sequence[int], mode: str = "prob") -> np.ndarray:
+    """Per-(step, variable) weights from logits z (..., H, sumN) ->
+    (..., H, D); nn.softmax_rows runs once per variable's group.
+
+    In "prob" mode every weight lies in [1/n_i, 1] for a variable with
+    n_i classes (softmax max is at least uniform).
+    """
+    if mode not in WEIGHT_MODES:
+        raise ConfigError(f"mode must be one of {WEIGHT_MODES}, got {mode!r}")
     cols = []
     start = 0
-    for n in class_counts:
+    for n in counts:
         group = z[..., start : start + n]
         if mode == "prob":
             group = nn.softmax_rows(group)
@@ -63,33 +73,28 @@ def _weights_from_logits(z: np.ndarray, class_counts: Sequence[int], mode: str) 
     return np.stack(cols, axis=-1)
 
 
-def event_weights(grouped: GroupedLogits, mode: str = "prob") -> np.ndarray:
-    """Per-(step, variable) weights from grouped logits; (H, D).
-
-    In "prob" mode every weight lies in [1/n_i, 1] for a variable with
-    n_i classes (softmax max is at least uniform).
-    """
-    if mode not in WEIGHT_MODES:
-        raise ConfigError(f"mode must be one of {WEIGHT_MODES}, got {mode!r}")
-    return _weights_from_logits(grouped.logits, grouped.class_counts, mode)
-
-
 def guided_loss(
-    yhat: np.ndarray, y: np.ndarray, weights: np.ndarray, alpha: float
+    yhat: np.ndarray, y: np.ndarray, weights: np.ndarray | None, alpha: float
 ) -> tuple[float, np.ndarray]:
     """Combined loss MAE + alpha * mean(weights * |err|), with its
-    subgradient w.r.t. yhat (0 at exact ties)."""
+    subgradient w.r.t. yhat (0 at exact ties); weights None is plain MAE.
+    Any shape works, so one call scores a whole (B, H, D) batch."""
     yhat = np.asarray(yhat, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
     if yhat.shape != y.shape:
         raise ShapeError(f"prediction shape {yhat.shape} does not match target {y.shape}")
-    if weights.shape != yhat.shape:
-        raise ShapeError(f"weights shape {weights.shape} does not match predictions {yhat.shape}")
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != yhat.shape:
+            raise ShapeError(
+                f"weights shape {weights.shape} does not match predictions {yhat.shape}"
+            )
     if alpha < 0:
         raise ConfigError(f"alpha must be >= 0, got {alpha}")
     err = yhat - y
     ae = np.abs(err)
+    if weights is None:
+        return float(ae.mean()), np.sign(err) / err.size
     loss = float(ae.mean() + alpha * (weights * ae).mean())
     grad = np.sign(err) * (1.0 + alpha * weights) / err.size
     return loss, grad
@@ -105,7 +110,7 @@ def teacher_weights(
     for start in range(0, len(samples), batch_size):
         xb = stack_inputs(samples[start : start + batch_size])
         z = msp_model.forward_batch(xb)
-        out.append(_weights_from_logits(z, counts, mode))
+        out.append(event_weights(z, counts, mode))
     return np.concatenate(out, axis=0)
 
 
@@ -151,16 +156,8 @@ def train_guided(
 
     def batch_fn(idx: np.ndarray):
         yhat, cache = model.forward_batch(x_train[idx], want_cache=True)
-        err = yhat - y_train[idx]
-        ae = np.abs(err)
-        n = err.size
-        if weights is None:
-            loss = float(ae.mean())
-            dy = np.sign(err) / n
-        else:
-            wb = weights[idx]
-            loss = float(ae.mean() + alpha * (wb * ae).mean())
-            dy = np.sign(err) * (1.0 + alpha * wb) / n
+        wb = None if weights is None else weights[idx]
+        loss, dy = guided_loss(yhat, y_train[idx], wb, alpha)
         return loss, model.backward_batch(cache, dy)
 
     def val_fn() -> float:

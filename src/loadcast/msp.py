@@ -9,6 +9,11 @@ multitask cross-entropy against cluster-derived state labels, it
 becomes the frozen teacher whose class probabilities weight the
 forecaster's training loss.
 
+Logits are (batch, H, sum of class counts) arrays, one column group per
+variable. The loss (msp_loss) and the argmax decoding (decode_states)
+take such a batch directly; train_msp and state_accuracy call them once
+per batch, and a single window is a batch of one.
+
 The D extractor convs run as one fused conv from trunk_channels to
 D*ue_channels channels, on channels-last activations (one row of
 channels per time step), so each pass is one matrix product instead of
@@ -68,27 +73,6 @@ class MspConfig:
     @property
     def total_classes(self) -> int:
         return int(sum(self.class_counts))
-
-    @property
-    def group_offsets(self) -> list[int]:
-        offsets = [0]
-        for n in self.class_counts:
-            offsets.append(offsets[-1] + n)
-        return offsets
-
-
-@dataclass
-class GroupedLogits:
-    """Future-step class logits, one column group per variable."""
-
-    logits: np.ndarray  # (H, total_classes)
-    class_counts: list[int]
-
-    def groups(self):
-        start = 0
-        for n in self.class_counts:
-            yield self.logits[..., start : start + n]
-            start += n
 
 
 class MspModel:
@@ -210,64 +194,35 @@ class MspModel:
         return grads + [dwf, dbf]
 
 
-def msp_forward(model: MspModel, x: np.ndarray) -> GroupedLogits:
-    """Logits for one lookback window; x is (L, D)."""
-    c = model.config
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (c.lookback, c.n_variables):
-        raise ShapeError(f"input shape {x.shape} does not match ({c.lookback}, {c.n_variables})")
-    z = model.forward_batch(x[None])
-    return GroupedLogits(z[0], list(c.class_counts))
-
-
-def decode_states(grouped: GroupedLogits) -> np.ndarray:
-    """Argmax class per (step, variable); ties go to the lowest class id."""
-    cols = [g.argmax(axis=-1) for g in grouped.groups()]
+def decode_states(z: np.ndarray, counts: Sequence[int]) -> np.ndarray:
+    """Argmax class per (step, variable) of logits z (..., H, sumN) ->
+    (..., H, D); ties go to the lowest class id."""
+    cols = []
+    start = 0
+    for n in counts:
+        cols.append(z[..., start : start + n].argmax(axis=-1))
+        start += n
     return np.stack(cols, axis=-1)
 
 
-def msp_loss(grouped: GroupedLogits, targets: np.ndarray) -> tuple[float, np.ndarray]:
+def msp_loss(z: np.ndarray, targets: np.ndarray, counts: Sequence[int]):
     """Multitask cross-entropy over per-variable softmax groups.
 
-    targets is (H, D) integer states. Returns the scalar loss and its
-    gradient w.r.t. the logits (same shape as grouped.logits). The loss
-    goes through log-softmax, so it is finite for any finite logits.
-    """
-    z = grouped.logits
-    counts = grouped.class_counts
-    h = z.shape[0]
-    d = len(counts)
-    targets = np.asarray(targets)
-    if targets.shape != (h, d):
-        raise ShapeError(f"targets shape {targets.shape} does not match ({h}, {d})")
-    for i, n in enumerate(counts):
-        bad = (targets[:, i] < 0) | (targets[:, i] >= n)
-        if bad.any():
-            tau = int(np.argmax(bad))
-            raise ShapeError(
-                f"state target {targets[tau, i]} out of range [0, {n}) at step {tau}, variable {i}"
-            )
-    log_probs = np.concatenate([nn.log_softmax_rows(g) for g in grouped.groups()], axis=-1)
-    cols = np.cumsum([0, *counts[:-1]]) + targets  # (H, D): logit column of each target
-    rows = np.arange(h)[:, None]
-    loss = -log_probs[rows, cols].sum() / (h * d)
-    grad = np.exp(log_probs)
-    grad[rows, cols] -= 1.0
-    return float(loss), grad / (h * d)
-
-
-def _batch_loss_grad(z: np.ndarray, targets: np.ndarray, counts: Sequence[int]):
-    """Batched version of msp_loss; z is (B, H, sumN), targets (B, H, D).
-
-    The loss goes through log-softmax, so it is finite for any finite
-    logits; the gradient is softmax - onehot. Each group's shifted
-    logits, exponentials and their sum are computed once and serve both:
-    softmax is e / s as in nn.softmax_rows and log-softmax zs - log(s) as
-    in nn.log_softmax_rows, bit for bit.
+    z is (B, H, sumN) logits, targets (B, H, D) integer states. Returns
+    the mean loss over all B*H*D cells and its gradient w.r.t. z,
+    (softmax - onehot) / (B*H*D). The loss goes through log-softmax, so
+    it is finite for any finite logits. Each group's shifted logits,
+    exponentials and their sum are computed once and serve both:
+    softmax is e / s as in nn.softmax_rows and log-softmax zs - log(s)
+    as in nn.log_softmax_rows, bit for bit. A target outside [0, n)
+    raises ShapeError naming its sample in the batch, step and variable.
     """
     nn._require_finite(z, "softmax logits")
     b, h, _ = z.shape
     d = len(counts)
+    targets = np.asarray(targets)
+    if targets.shape != (b, h, d):
+        raise ShapeError(f"targets shape {targets.shape} does not match ({b}, {h}, {d})")
     grad = np.empty_like(z)
     loss = 0.0
     start = 0
@@ -275,6 +230,12 @@ def _batch_loss_grad(z: np.ndarray, targets: np.ndarray, counts: Sequence[int]):
     hidx = np.arange(h)[None, :]
     for i, n in enumerate(counts):
         t = targets[:, :, i]
+        if t.min() < 0 or t.max() >= n:
+            sample, tau = np.argwhere((t < 0) | (t >= n))[0]
+            raise ShapeError(
+                f"state target {t[sample, tau]} out of range [0, {n}) "
+                f"at sample {sample}, step {tau}, variable {i}"
+            )
         g = z[:, :, start : start + n]
         zs = g - g.max(axis=-1, keepdims=True)
         e = np.exp(zs)
@@ -300,13 +261,7 @@ def state_accuracy(
         chunk = samples[start : start + batch_size]
         z = model.forward_batch(stack_inputs(chunk))
         targets = stack_states(chunk)
-        cols = []
-        off = 0
-        for n in counts:
-            cols.append(z[:, :, off : off + n].argmax(axis=-1))
-            off += n
-        decoded = np.stack(cols, axis=-1)
-        correct += int((decoded == targets).sum())
+        correct += int((decode_states(z, counts) == targets).sum())
         total += targets.size
     return correct / total
 
@@ -332,7 +287,7 @@ def train_msp(
 
     def batch_fn(idx: np.ndarray):
         z, cache = model.forward_batch(x_train[idx], want_cache=True)
-        loss, dz = _batch_loss_grad(z, s_train[idx], counts)
+        loss, dz = msp_loss(z, s_train[idx], counts)
         return loss, model.backward_batch(cache, dz)
 
     def val_fn() -> float:
@@ -341,7 +296,7 @@ def train_msp(
         for start in range(0, x_val.shape[0], batch_size):
             xb = x_val[start : start + batch_size]
             z = model.forward_batch(xb)
-            loss, _ = _batch_loss_grad(z, s_val[start : start + batch_size], counts)
+            loss, _ = msp_loss(z, s_val[start : start + batch_size], counts)
             total += loss * xb.shape[0]
             rows += xb.shape[0]
         return total / rows

@@ -227,28 +227,6 @@ def log_softmax_rows(logits: Array) -> Array:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def cross_entropy(logits: Array, targets: Array) -> tuple[float, Array]:
-    """Mean negative log-likelihood of softmax(logits) and its gradient
-    w.r.t. the logits, (softmax - onehot) / rows.
-
-    targets is one class index per row. The loss goes through
-    log-softmax, so a confidently wrong row costs its logit gap instead
-    of the log of an underflowed probability.
-    """
-    n, m = logits.shape
-    targets = np.asarray(targets)
-    if targets.shape != (n,):
-        raise ShapeError(f"targets shape {targets.shape} does not match {n} rows")
-    if targets.min() < 0 or targets.max() >= m:
-        bad = int(np.argmax((targets < 0) | (targets >= m)))
-        raise ShapeError(f"target class {targets[bad]} out of range [0, {m}) at row {bad}")
-    log_probs = log_softmax_rows(logits)
-    loss = float(-log_probs[np.arange(n), targets].mean())
-    grad = np.exp(log_probs)
-    grad[np.arange(n), targets] -= 1.0
-    return loss, grad / n
-
-
 @dataclass
 class AdamState:
     """Adam moments and step counter for a list of parameter blocks."""

@@ -63,11 +63,11 @@ def test_criterion_1_gradient_integrity():
         )
         assert rep.max_rel_error < 1e-5
 
-        logits = rng.normal(size=(6, 4))
-        targets = rng.integers(0, 4, size=6)
-        _, dlogits = nn.cross_entropy(logits, targets)
+        logits = rng.normal(size=(6, 1, 4))
+        targets = rng.integers(0, 4, size=(6, 1, 1))
+        _, dlogits = msp_mod.msp_loss(logits, targets, [4])
         rep = nn.grad_check(
-            lambda: nn.cross_entropy(logits, targets)[0],
+            lambda: msp_mod.msp_loss(logits, targets, [4])[0],
             [logits],
             [dlogits],
         )
@@ -84,17 +84,16 @@ def test_criterion_1_gradient_integrity():
                 seed=seed,
             )
         )
-        xm = rng.normal(size=(8, 2))
-        sm = np.column_stack(
-            [rng.integers(0, 2, size=3), rng.integers(0, 3, size=3)]
+        counts = model.config.class_counts
+        xm = rng.normal(size=(2, 8, 2))
+        sm = np.stack(
+            [rng.integers(0, 2, size=(2, 3)), rng.integers(0, 3, size=(2, 3))], axis=-1
         )
-        z, cache = model.forward_batch(xm[None], want_cache=True)
-        _, dz = msp_mod.msp_loss(
-            msp_mod.GroupedLogits(z[0], model.config.class_counts), sm
-        )
-        grads = model.backward_batch(cache, dz[None])
+        z, cache = model.forward_batch(xm, want_cache=True)
+        _, dz = msp_mod.msp_loss(z, sm, counts)
+        grads = model.backward_batch(cache, dz)
         rep = nn.grad_check(
-            lambda: msp_mod.msp_loss(msp_mod.msp_forward(model, xm), sm)[0],
+            lambda: msp_mod.msp_loss(model.forward_batch(xm), sm, counts)[0],
             model.params(),
             grads,
             names=model.param_names(),
@@ -104,11 +103,12 @@ def test_criterion_1_gradient_integrity():
         yhat = rng.normal(size=(4, 3))
         y = rng.normal(size=(4, 3))
         w = rng.uniform(0.2, 1.0, size=(4, 3))
-        _, dy = guidance.guided_loss(yhat, y, w, 1.3)
-        rep = nn.grad_check(
-            lambda: guidance.guided_loss(yhat, y, w, 1.3)[0], [yhat], [dy]
-        )
-        assert rep.max_rel_error < 1e-4
+        for wy in (w, None):
+            _, dy = guidance.guided_loss(yhat, y, wy, 1.3)
+            rep = nn.grad_check(
+                lambda: guidance.guided_loss(yhat, y, wy, 1.3)[0], [yhat], [dy]
+            )
+            assert rep.max_rel_error < 1e-4
 
     assert time.time() - start < 60
     report(1, "gradient integrity, 5 seeds")

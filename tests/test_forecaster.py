@@ -11,7 +11,6 @@ from loadcast.forecaster import (
     ForecasterConfig,
     LinearForecaster,
     MlpForecaster,
-    forecast,
     load_forecaster,
     make_forecaster,
     predict_samples,
@@ -27,7 +26,7 @@ def test_linear_zero_weights_zero_forecast():
     model = LinearForecaster(ForecasterConfig("linear", 6, 2, 3))
     model.weights[:] = 0.0
     model.bias[:] = 0.0
-    out = forecast(model, np.random.default_rng(0).normal(size=(6, 3)))
+    out = model.forward_batch(np.random.default_rng(0).normal(size=(1, 6, 3)))[0]
     np.testing.assert_array_equal(out, np.zeros((2, 3)))
 
 
@@ -36,7 +35,7 @@ def test_linear_window_mean_weights():
     model.weights[:] = 1.0 / 4.0
     model.bias[:] = 0.0
     x = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0], [4.0, 40.0]])
-    out = forecast(model, x)
+    out = model.forward_batch(x[None])[0]
     np.testing.assert_allclose(out, [[2.5, 25.0]])
 
 
@@ -44,14 +43,14 @@ def test_linear_window_mean_weights():
 def test_forecast_shape_contract(kind, per_variable):
     config = ForecasterConfig(kind, 5, 3, 2, hidden=8, per_variable=per_variable)
     model = make_forecaster(config)
-    out = forecast(model, np.random.default_rng(1).normal(size=(5, 2)))
+    out = model.forward_batch(np.random.default_rng(1).normal(size=(1, 5, 2)))[0]
     assert out.shape == (3, 2)
 
 
 def test_forecast_shape_mismatch():
     model = make_forecaster(ForecasterConfig("linear", 5, 3, 2))
     with pytest.raises(ShapeError):
-        forecast(model, np.zeros((4, 2)))
+        model.forward_batch(np.zeros((1, 4, 2)))
 
 
 def sine_parts(l=480):
@@ -248,6 +247,6 @@ def test_forecaster_checkpoint_round_trip(tmp_path):
         path = tmp_path / f"{kind}_{per_variable}.json"
         save_forecaster(model, path)
         back = load_forecaster(path)
-        x = np.random.default_rng(8).normal(size=(5, 2))
-        np.testing.assert_array_equal(forecast(back, x), forecast(model, x))
+        x = np.random.default_rng(8).normal(size=(1, 5, 2))
+        np.testing.assert_array_equal(back.forward_batch(x), model.forward_batch(x))
         assert isinstance(back, (LinearForecaster, MlpForecaster))

@@ -14,48 +14,46 @@ from loadcast.guidance import (
     teacher_weights,
     train_guided,
 )
-from loadcast.msp import GroupedLogits, MspConfig, MspModel, param_checksum
+from loadcast.msp import MspConfig, MspModel, param_checksum
 from tests.test_msp import wave_splits
 
 
 def test_event_weights_uniform_logits():
-    grouped = GroupedLogits(np.zeros((2, 5)), [2, 3])
-    w = event_weights(grouped)
-    np.testing.assert_allclose(w[:, 0], 0.5)
-    np.testing.assert_allclose(w[:, 1], 1.0 / 3.0)
+    w = event_weights(np.zeros((3, 2, 5)), [2, 3])
+    np.testing.assert_allclose(w[..., 0], 0.5)
+    np.testing.assert_allclose(w[..., 1], 1.0 / 3.0)
 
 
 def test_event_weights_confident_logits_near_one():
-    grouped = GroupedLogits(np.array([[10.0, -10.0]]), [2])
-    w = event_weights(grouped)
-    assert abs(w[0, 0] - 1.0) < 1e-8
+    w = event_weights(np.array([[[10.0, -10.0]]]), [2])
+    assert abs(w[0, 0, 0] - 1.0) < 1e-8
 
 
 def test_event_weights_shift_invariance():
     rng = np.random.default_rng(0)
-    z = rng.normal(size=(3, 5))
-    a = event_weights(GroupedLogits(z, [2, 3]))
+    z = rng.normal(size=(2, 3, 5))
+    a = event_weights(z, [2, 3])
     shifted = z.copy()
-    shifted[:, :2] += 7.0
-    shifted[:, 2:] -= 3.0
-    b = event_weights(GroupedLogits(shifted, [2, 3]))
+    shifted[..., :2] += 7.0
+    shifted[..., 2:] -= 3.0
+    b = event_weights(shifted, [2, 3])
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 def test_event_weights_bounds():
     rng = np.random.default_rng(1)
     counts = [2, 3, 5]
-    z = rng.normal(scale=5, size=(20, sum(counts)))
-    w = event_weights(GroupedLogits(z, counts))
+    z = rng.normal(scale=5, size=(4, 5, sum(counts)))
+    w = event_weights(z, counts)
     assert (w <= 1.0).all()
     for i, n in enumerate(counts):
-        assert (w[:, i] >= 1.0 / n - 1e-12).all()
+        assert (w[..., i] >= 1.0 / n - 1e-12).all()
 
 
 def test_event_weights_logit_mode_takes_raw_max():
-    z = np.array([[3.0, -1.0, 0.5, 2.0, 1.0]])
-    w = event_weights(GroupedLogits(z, [2, 3]), mode="logit")
-    np.testing.assert_array_equal(w, [[3.0, 2.0]])
+    z = np.array([[[3.0, -1.0, 0.5, 2.0, 1.0]]])
+    w = event_weights(z, [2, 3], mode="logit")
+    np.testing.assert_array_equal(w, [[[3.0, 2.0]]])
 
 
 def test_guided_loss_alpha_zero_is_mae():
@@ -106,6 +104,15 @@ def test_guided_loss_gradient_matches_finite_differences():
     report = nn.grad_check(
         lambda: guided_loss(yhat, y, w, 0.8)[0], [yhat], [grad]
     )
+    assert report.max_rel_error < 1e-5
+
+
+def test_guided_loss_without_weights_is_mae_with_its_gradient():
+    rng = np.random.default_rng(7)
+    yhat, y = rng.normal(size=(2, 3, 4, 2))
+    loss, grad = guided_loss(yhat, y, None, 1.5)
+    assert loss == np.abs(yhat - y).mean()
+    report = nn.grad_check(lambda: guided_loss(yhat, y, None, 1.5)[0], [yhat], [grad])
     assert report.max_rel_error < 1e-5
 
 
@@ -164,6 +171,13 @@ def test_teacher_parameters_frozen_during_guided_training():
     assert param_checksum(teacher) == before
     for now, saved in zip(teacher.params(), before_blocks):
         np.testing.assert_array_equal(now, saved)
+
+
+def test_teacher_weights_rejects_unknown_mode():
+    train_w, _, _ = wave_splits(l=200)
+    teacher = MspModel(MspConfig(lookback=8, horizon=4, n_variables=1, class_counts=[2]))
+    with pytest.raises(ConfigError, match="'probability'"):
+        teacher_weights(teacher, train_w, "probability")
 
 
 def test_teacher_weights_shape_and_bounds():

@@ -13,11 +13,9 @@ from loadcast import nn
 from loadcast.data import SeriesFrame, sliding_windows, split_60_20_20, zscore_apply, zscore_fit
 from loadcast.errors import ConfigError, ShapeError
 from loadcast.msp import (
-    GroupedLogits,
     MspConfig,
     MspModel,
     decode_states,
-    msp_forward,
     msp_loss,
     param_checksum,
     state_accuracy,
@@ -42,9 +40,9 @@ def tiny_model(lookback=8, horizon=3, counts=(2, 3), seed=0):
 def test_forward_shape_contract():
     model = tiny_model()
     rng = np.random.default_rng(0)
-    out = msp_forward(model, rng.normal(size=(8, 2)))
-    assert out.logits.shape == (3, 5)
-    assert [g.shape[-1] for g in out.groups()] == [2, 3]
+    z = model.forward_batch(rng.normal(size=(1, 8, 2)))
+    assert z.shape == (1, 3, 5)
+    assert decode_states(z, model.config.class_counts).shape == (1, 3, 2)
 
 
 @pytest.mark.parametrize("field", ["trunk_channels", "ue_channels", "kernel_width"])
@@ -56,14 +54,14 @@ def test_config_rejects_channels_and_kernel_width_below_one(field, value):
 
 def test_forward_deterministic():
     model = tiny_model()
-    x = np.random.default_rng(1).normal(size=(8, 2))
-    np.testing.assert_array_equal(msp_forward(model, x).logits, msp_forward(model, x).logits)
+    x = np.random.default_rng(1).normal(size=(1, 8, 2))
+    np.testing.assert_array_equal(model.forward_batch(x), model.forward_batch(x))
 
 
 def test_forward_shape_mismatch():
     model = tiny_model()
     with pytest.raises(ShapeError):
-        msp_forward(model, np.zeros((7, 2)))
+        model.forward_batch(np.zeros((1, 7, 2)))
 
 
 def test_zeroed_fusion_forces_constant_logits():
@@ -72,22 +70,19 @@ def test_zeroed_fusion_forces_constant_logits():
     model.fusion.bias[:] = np.arange(5, dtype=np.float64)
     rng = np.random.default_rng(2)
     for _ in range(3):
-        out = msp_forward(model, rng.normal(size=(8, 2)))
-        assert (out.logits == np.arange(5)).all()
+        z = model.forward_batch(rng.normal(size=(1, 8, 2)))
+        assert (z == np.arange(5)).all()
 
 
 def test_decode_one_hot_and_ties():
-    grouped = GroupedLogits(np.array([[0.0, 9.0, 1.0, 1.0, 0.0]]), [2, 3])
-    decoded = decode_states(grouped)
-    np.testing.assert_array_equal(decoded, [[1, 0]])  # tie in group 2 -> class 0
+    decoded = decode_states(np.array([[[0.0, 9.0, 1.0, 1.0, 0.0]]]), [2, 3])
+    np.testing.assert_array_equal(decoded, [[[1, 0]]])  # tie in group 2 -> class 0
 
 
 def test_decode_invariant_under_monotone_transform():
     rng = np.random.default_rng(3)
-    z = rng.normal(size=(4, 5))
-    grouped = GroupedLogits(z, [2, 3])
-    transformed = GroupedLogits(3.0 * z + 1.5, [2, 3])
-    np.testing.assert_array_equal(decode_states(grouped), decode_states(transformed))
+    z = rng.normal(size=(2, 4, 5))
+    np.testing.assert_array_equal(decode_states(z, [2, 3]), decode_states(3.0 * z + 1.5, [2, 3]))
 
 
 def test_loss_saturates_at_confident_correct_logits():
@@ -96,27 +91,68 @@ def test_loss_saturates_at_confident_correct_logits():
     for tau in range(2):
         z[tau, targets[tau, 0]] = 20.0
         z[tau, 2 + targets[tau, 1]] = 20.0
-    loss, _ = msp_loss(GroupedLogits(z, [2, 3]), targets)
+    loss, _ = msp_loss(z[None], targets[None], [2, 3])
     assert loss < 1e-6
 
 
 def test_loss_uniform_logits_is_log_n():
     for n in (2, 3, 5):
-        z = np.zeros((4, 2 * n))
-        targets = np.zeros((4, 2), dtype=int)
-        loss, _ = msp_loss(GroupedLogits(z, [n, n]), targets)
+        z = np.zeros((3, 4, 2 * n))
+        targets = np.zeros((3, 4, 2), dtype=int)
+        loss, _ = msp_loss(z, targets, [n, n])
         assert loss == pytest.approx(np.log(n), abs=1e-12)
 
 
 def test_loss_hand_case():
-    z = np.array([[np.log(2.0), 0.0]])
-    loss, _ = msp_loss(GroupedLogits(z, [2]), np.array([[0]]))
+    z = np.array([[[np.log(2.0), 0.0]]])
+    loss, _ = msp_loss(z, np.array([[[0]]]), [2])
     assert loss == pytest.approx(-np.log(2.0 / 3.0), abs=1e-12)
 
 
 def test_loss_finite_for_large_logit_gap():
-    loss, _ = msp_loss(GroupedLogits(np.array([[800.0, 0.0]]), [2]), np.array([[1]]))
+    loss, _ = msp_loss(np.array([[[800.0, 0.0]]]), np.array([[[1]]]), [2])
     assert np.isfinite(loss) and loss == pytest.approx(800.0)
+
+
+# -- one variable: plain softmax cross-entropy over its classes ----------------
+
+
+def test_one_group_loss_perfect_prediction():
+    logits = np.array([[[800.0, 0.0, 0.0]]])
+    loss, _ = msp_loss(logits, np.array([[[0]]]), [3])
+    assert loss == 0.0
+
+
+def test_one_group_loss_uniform_is_log_n():
+    for n in (2, 3, 5):
+        logits = np.zeros((4, 1, n))
+        loss, _ = msp_loss(logits, np.zeros((4, 1, 1), dtype=int), [n])
+        assert abs(loss - np.log(n)) < 1e-12
+
+
+def test_one_group_loss_gradient_matches_finite_differences():
+    rng = np.random.default_rng(9)
+    logits = rng.normal(size=(5, 1, 4))
+    targets = rng.integers(0, 4, size=(5, 1, 1))
+    _, grad = msp_loss(logits, targets, [4])
+    report = nn.grad_check(
+        lambda: msp_loss(logits, targets, [4])[0],
+        [logits],
+        [grad],
+    )
+    assert report.max_rel_error < 1e-6
+
+
+def test_one_group_loss_finite_for_large_logit_gap():
+    loss, grad = msp_loss(np.array([[[800.0, 0.0]]]), np.array([[[1]]]), [2])
+    assert np.isfinite(loss) and loss == pytest.approx(800.0)
+    np.testing.assert_allclose(grad, [[[1.0, -1.0]]])
+
+
+def test_one_group_loss_target_out_of_range():
+    logits = np.zeros((2, 1, 3))
+    with pytest.raises(ShapeError, match="out of range"):
+        msp_loss(logits, np.array([0, 3]).reshape(2, 1, 1), [3])
 
 
 def _grouped_softmax(z, class_counts):
@@ -149,14 +185,12 @@ def two_call_loss_grad(z, targets, counts):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_batched_loss_bit_equal_to_two_call_softmax(seed):
-    from loadcast.msp import _batch_loss_grad
-
     rng = np.random.default_rng(seed)
     counts = [2, 3, 2, 5, 1, 4, 2, 3, 2]  # sum 24, as in the benchmark teacher
     b, h = 128, 24
     z = rng.normal(scale=rng.uniform(0.5, 40.0), size=(b, h, sum(counts)))
     targets = np.stack([rng.integers(0, n, size=(b, h)) for n in counts], axis=-1)
-    loss, grad = _batch_loss_grad(z, targets, counts)
+    loss, grad = msp_loss(z, targets, counts)
     ref_loss, ref_grad = two_call_loss_grad(z, targets, counts)
     assert loss == ref_loss
     np.testing.assert_array_equal(grad, ref_grad)
@@ -164,17 +198,14 @@ def test_batched_loss_bit_equal_to_two_call_softmax(seed):
 
 def test_batched_loss_rejects_non_finite_logits():
     from loadcast.errors import NumericError
-    from loadcast.msp import _batch_loss_grad
 
     z = np.zeros((2, 3, 5))
     z[1, 2, 4] = np.nan
     with pytest.raises(NumericError, match="non-finite"):
-        _batch_loss_grad(z, np.zeros((2, 3, 2), dtype=np.int64), [2, 3])
+        msp_loss(z, np.zeros((2, 3, 2), dtype=np.int64), [2, 3])
 
 
 def test_batched_loss_finite_for_large_logit_gap():
-    from loadcast.msp import _batch_loss_grad
-
     b, h, counts = 2, 3, [2, 3]
     z = np.zeros((b, h, 5))
     z[..., 0] = 800.0  # every cell confidently predicts state 0 of variable 0
@@ -182,7 +213,7 @@ def test_batched_loss_finite_for_large_logit_gap():
     targets = np.zeros((b, h, 2), dtype=np.int64)
     targets[1, 2, 0] = 1  # one confidently wrong cell
     with np.errstate(divide="raise", invalid="raise"):
-        loss, grad = _batch_loss_grad(z, targets, counts)
+        loss, grad = msp_loss(z, targets, counts)
     assert np.isfinite(loss) and loss == pytest.approx(800.0 / (b * h * len(counts)))
     onehot = np.zeros_like(z)
     onehot[..., 0] = onehot[..., 2] = 1.0
@@ -192,32 +223,53 @@ def test_batched_loss_finite_for_large_logit_gap():
 
 
 def test_loss_out_of_range_target_names_position():
-    z = np.zeros((2, 5))
-    bad = np.array([[0, 0], [0, 3]])
-    with pytest.raises(ShapeError, match="step 1, variable 1"):
-        msp_loss(GroupedLogits(z, [2, 3]), bad)
+    z = np.zeros((2, 2, 5))
+    bad = np.array([[[0, 0], [0, 0]], [[0, 0], [0, 3]]])
+    with pytest.raises(ShapeError, match="sample 1, step 1, variable 1"):
+        msp_loss(z, bad, [2, 3])
+
+
+@pytest.mark.parametrize("label", [-1, 2])
+def test_train_msp_rejects_state_label_out_of_range(label):
+    """A label outside [0, n) used to vanish from the gradient (-1) or end
+    in a bare IndexError (n); training now stops with a ShapeError."""
+    labels = np.zeros((40, 1), dtype=np.int64)
+    labels[20, 0] = label
+    frame = SeriesFrame(3600 * np.arange(40), np.arange(40.0)[:, None], ["x"])
+    bad_w = sliding_windows(frame, labels, 8, 4)
+    config = MspConfig(lookback=8, horizon=4, n_variables=1, class_counts=[2], **TINY)
+    with pytest.raises(ShapeError, match=rf"state target {label} out of range \[0, 2\)"):
+        train_msp(MspModel(config), bad_w, bad_w, max_epochs=1)
 
 
 def test_per_group_softmax_rows_sum_to_one():
     rng = np.random.default_rng(4)
     model = tiny_model()
-    out = msp_forward(model, rng.normal(size=(8, 2)))
-    for group in out.groups():
-        probs = nn.softmax_rows(group)
+    z = model.forward_batch(rng.normal(size=(1, 8, 2)))
+    for start, n in ((0, 2), (2, 3)):
+        probs = nn.softmax_rows(z[..., start : start + n])
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_full_model_gradient_matches_finite_differences():
     model = tiny_model(seed=5)
     rng = np.random.default_rng(5)
-    x = rng.normal(size=(8, 2))
-    targets = np.array([[0, 1], [1, 2], [0, 0]])
+    x = rng.normal(size=(2, 8, 2))
+    targets = np.array([[[0, 1], [1, 2], [0, 0]], [[1, 0], [0, 2], [1, 1]]])
+    counts = model.config.class_counts
+    # Biases start at 0, so a head whose trunk inputs are all dead over a
+    # kernel's reach sits exactly on the ReLU kink, where a central
+    # difference reads half the one-sided slope. Nonzero biases keep every
+    # pre-activation off the kink.
+    for name, p in zip(model.param_names(), model.params()):
+        if name.endswith("bias"):
+            p[:] = rng.normal(scale=0.1, size=p.shape)
 
-    z, cache = model.forward_batch(x[None], want_cache=True)
-    loss, dz = msp_loss(GroupedLogits(z[0], model.config.class_counts), targets)
-    grads = model.backward_batch(cache, dz[None])
+    z, cache = model.forward_batch(x, want_cache=True)
+    loss, dz = msp_loss(z, targets, counts)
+    grads = model.backward_batch(cache, dz)
     report = nn.grad_check(
-        lambda: msp_loss(msp_forward(model, x), targets)[0],
+        lambda: msp_loss(model.forward_batch(x), targets, counts)[0],
         model.params(),
         grads,
         names=model.param_names(),
@@ -267,11 +319,10 @@ def test_train_msp_returns_best_snapshot():
     assert history.best_val_loss == min(history.val_loss)
     # the restored parameters really are the best-epoch snapshot: re-running
     # validation must reproduce the recorded best loss
-    from loadcast.msp import _batch_loss_grad
     from loadcast.train import stack_inputs, stack_states
 
     z = model.forward_batch(stack_inputs(val_w))
-    loss, _ = _batch_loss_grad(z, stack_states(val_w), model.config.class_counts)
+    loss, _ = msp_loss(z, stack_states(val_w), model.config.class_counts)
     assert loss == pytest.approx(history.best_val_loss, rel=1e-12)
 
 
@@ -283,8 +334,8 @@ def test_checkpoint_round_trip(tmp_path):
     save_msp(model, path)
     back = load_msp(path)
     assert param_checksum(back) == param_checksum(model)
-    x = np.random.default_rng(6).normal(size=(8, 2))
-    np.testing.assert_array_equal(msp_forward(back, x).logits, msp_forward(model, x).logits)
+    x = np.random.default_rng(6).normal(size=(1, 8, 2))
+    np.testing.assert_array_equal(back.forward_batch(x), model.forward_batch(x))
 
 
 def test_forward_with_and_without_cache_bit_equal():

@@ -1,5 +1,5 @@
 """Kernel tests: layer semantics, hand-derived gradients vs finite
-differences, softmax/cross-entropy, Adam."""
+differences, softmax, Adam."""
 
 import numpy as np
 import pytest
@@ -211,44 +211,6 @@ def test_softmax_shift_invariance_and_row_sums(row, shift):
     b = nn.softmax_rows(z + shift)
     assert abs(a.sum() - 1.0) < 1e-12
     np.testing.assert_allclose(a, b, atol=1e-12)
-
-
-def test_cross_entropy_perfect_prediction():
-    logits = np.array([[800.0, 0.0, 0.0]])
-    loss, _ = nn.cross_entropy(logits, np.array([0]))
-    assert loss == 0.0
-
-
-def test_cross_entropy_uniform_is_log_n():
-    for n in (2, 3, 5):
-        logits = np.zeros((4, n))
-        loss, _ = nn.cross_entropy(logits, np.zeros(4, dtype=int))
-        assert abs(loss - np.log(n)) < 1e-12
-
-
-def test_cross_entropy_gradient_matches_finite_differences():
-    rng = np.random.default_rng(9)
-    logits = rng.normal(size=(5, 4))
-    targets = rng.integers(0, 4, size=5)
-    _, grad = nn.cross_entropy(logits, targets)
-    report = nn.grad_check(
-        lambda: nn.cross_entropy(logits, targets)[0],
-        [logits],
-        [grad],
-    )
-    assert report.max_rel_error < 1e-6
-
-
-def test_cross_entropy_finite_for_large_logit_gap():
-    loss, grad = nn.cross_entropy(np.array([[800.0, 0.0]]), np.array([1]))
-    assert np.isfinite(loss) and loss == pytest.approx(800.0)
-    np.testing.assert_allclose(grad, [[1.0, -1.0]])
-
-
-def test_cross_entropy_target_out_of_range():
-    logits = np.zeros((2, 3))
-    with pytest.raises(ShapeError, match="out of range"):
-        nn.cross_entropy(logits, np.array([0, 3]))
 
 
 def test_adam_zero_gradient_is_identity():
