@@ -18,8 +18,16 @@ from pathlib import Path
 from . import forecaster as fc
 from . import guidance, labeling, metrics, msp, synth
 from .data import SeriesFrame, align_and_downsample, load_csv, save_csv
-from .errors import ConfigError, DataError, NumericError
-from .pipeline import RunConfig, evaluate_forecaster, prepare_windows, run_pipeline
+from .errors import ConfigError, DataError, NumericError, ShapeError
+from .pipeline import (
+    RunConfig,
+    evaluate_forecaster,
+    prefix_errors,
+    prepare_windows,
+    run_pipeline,
+    train_forecaster,
+    train_teacher,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -180,28 +188,9 @@ def cmd_label(args: argparse.Namespace) -> int:
 
 def cmd_train_msp(args: argparse.Namespace) -> int:
     config = merge_run_config(args)
-    frame, profile, _, windows = prepare_windows(config, [args.horizon])
+    _, profile, _, windows = prepare_windows(config, [args.horizon])
     train_w, val_w, _ = windows[args.horizon]
-    msp_config = msp.MspConfig(
-        lookback=config.lookback,
-        horizon=args.horizon,
-        n_variables=frame.n_variables,
-        class_counts=[int(n) for n in profile.counts],
-        trunk_channels=config.trunk_channels,
-        ue_channels=config.ue_channels,
-        kernel_width=config.kernel_width,
-        seed=config.seed,
-    )
-    model = msp.MspModel(msp_config)
-    history = msp.train_msp(
-        model,
-        train_w,
-        val_w,
-        lr=config.lr,
-        batch_size=config.batch,
-        patience=config.patience,
-        max_epochs=config.max_epochs,
-    )
+    model, history = train_teacher(config, args.horizon, profile.counts, train_w, val_w)
     msp.save_msp(model, args.out)
     print(
         f"wrote {args.out} (best val loss {history.best_val_loss:.6f} "
@@ -214,42 +203,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = merge_run_config(args)
     frame, _, _, windows = prepare_windows(config, [args.horizon])
     train_w, val_w, _ = windows[args.horizon]
-    fc_config = fc.ForecasterConfig(
-        kind=config.forecaster_kind,
-        lookback=config.lookback,
-        horizon=args.horizon,
-        n_variables=frame.n_variables,
-        hidden=config.hidden,
-        per_variable=config.per_variable,
-        seed=config.seed,
-    )
-    model = fc.make_forecaster(fc_config)
-    if args.msp:
-        teacher = msp.load_msp(args.msp)
-        history = fc.train_with_guidance(
-            model,
-            teacher,
-            train_w,
-            val_w,
-            guidance.GuidanceConfig(alpha=config.alpha, mode=config.weight_mode),
-            lr=config.lr,
-            batch_size=config.batch,
-            patience=config.patience,
-            max_epochs=config.max_epochs,
+    teacher = msp.load_msp(args.msp) if args.msp else None
+    # the forecaster is built for these windows; only a teacher's geometry can differ
+    with prefix_errors(f"checkpoint {args.msp} does not fit {config.data_csv}: ", ShapeError):
+        model, history = train_forecaster(
+            config, args.horizon, frame.n_variables, train_w, val_w, teacher
         )
-        mode = "guided"
-    else:
-        history = fc.train_plain(
-            model,
-            train_w,
-            val_w,
-            lr=config.lr,
-            batch_size=config.batch,
-            patience=config.patience,
-            max_epochs=config.max_epochs,
-        )
-        mode = "plain"
     fc.save_forecaster(model, args.out)
+    mode = "plain" if teacher is None else "guided"
     print(
         f"wrote {args.out} ({mode}, best val MAE {history.best_val_loss:.6f} "
         f"at epoch {history.best_epoch}/{history.stopped_epoch})"
@@ -264,7 +225,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     config.lookback = model.config.lookback
     _, _, stats, windows = prepare_windows(config, [horizon])
     test_w = windows[horizon][2]
-    m, mp, mr, mpr = evaluate_forecaster(model, test_w, stats)
+    with prefix_errors(f"checkpoint {args.model} does not fit {config.data_csv}: ", ShapeError):
+        m, mp, mr, mpr = evaluate_forecaster(model, test_w, stats)
     report = metrics.EvalReport([horizon], [m], [mp], [mr], [mpr])
     metrics.save_report_csv(report, args.out)
     print(f"wrote {args.out} (H={horizon}: mae {m:.6f}, mape_sym {mp:.6f})")

@@ -193,7 +193,7 @@ def train_with_guidance(
         config = guidance.GuidanceConfig()
     mc, fc = msp_model.config, model.config
     if (mc.lookback, mc.horizon, mc.n_variables) != (fc.lookback, fc.horizon, fc.n_variables):
-        raise ConfigError(
+        raise ShapeError(
             "state predictor geometry "
             f"(L={mc.lookback}, H={mc.horizon}, D={mc.n_variables}) does not match forecaster "
             f"(L={fc.lookback}, H={fc.horizon}, D={fc.n_variables})"

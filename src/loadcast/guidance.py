@@ -15,6 +15,7 @@ train_guided call them once per batch of windows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,6 +38,12 @@ from .train import (
 WEIGHT_MODES = ("prob", "logit")
 
 
+def check_alpha(alpha: float) -> None:
+    """A guidance strength must be a finite number >= 0."""
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
+
+
 @dataclass
 class GuidanceConfig:
     """alpha scales the weighted term; mode "prob" uses max softmax
@@ -47,8 +54,7 @@ class GuidanceConfig:
     mode: str = "prob"
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
+        check_alpha(self.alpha)
         if self.mode not in WEIGHT_MODES:
             raise ConfigError(f"mode must be one of {WEIGHT_MODES}, got {self.mode!r}")
 
@@ -89,8 +95,7 @@ def guided_loss(
             raise ShapeError(
                 f"weights shape {weights.shape} does not match predictions {yhat.shape}"
             )
-    if alpha < 0:
-        raise ConfigError(f"alpha must be >= 0, got {alpha}")
+    check_alpha(alpha)
     err = yhat - y
     ae = np.abs(err)
     if weights is None:

@@ -130,38 +130,18 @@ def save_comparison_csv(
     baseline: EvalReport, treated: EvalReport, improvement: ImprovementReport, path: str | Path
 ) -> None:
     """Side-by-side table with per-horizon improvements and an avg row."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as f:
+    per, avg = improvement.per_horizon, improvement.average
+    rows = [
+        [h, baseline.mae[i], treated.mae[i], per["mae"][i],
+         baseline.mape_sym[i], treated.mape_sym[i], per["mape_sym"][i]]
+        for i, h in enumerate(improvement.horizons)
+    ]
+    rows.append(["avg", baseline.avg_mae, treated.avg_mae, avg["mae"],
+                 baseline.avg_mape_sym, treated.avg_mape_sym, avg["mape_sym"]])
+    with Path(path).open("w", newline="", encoding="utf-8") as f:
         f.write(
             "horizon,baseline_mae,guided_mae,mae_improvement_pct,"
             "baseline_mape_sym,guided_mape_sym,mape_sym_improvement_pct\n"
         )
-        for i, h in enumerate(improvement.horizons):
-            f.write(
-                ",".join(
-                    [
-                        str(h),
-                        repr(baseline.mae[i]),
-                        repr(treated.mae[i]),
-                        repr(improvement.per_horizon["mae"][i]),
-                        repr(baseline.mape_sym[i]),
-                        repr(treated.mape_sym[i]),
-                        repr(improvement.per_horizon["mape_sym"][i]),
-                    ]
-                )
-                + "\n"
-            )
-        f.write(
-            ",".join(
-                [
-                    "avg",
-                    repr(baseline.avg_mae),
-                    repr(treated.avg_mae),
-                    repr(improvement.average["mae"]),
-                    repr(baseline.avg_mape_sym),
-                    repr(treated.avg_mape_sym),
-                    repr(improvement.average["mape_sym"]),
-                ]
-            )
-            + "\n"
-        )
+        for label, *values in rows:
+            f.write(",".join([str(label), *map(repr, values)]) + "\n")

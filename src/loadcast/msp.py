@@ -266,6 +266,24 @@ def state_accuracy(
     return correct / total
 
 
+def _check_states(samples: WindowSet, counts: Sequence[int], split: str) -> None:
+    """Reject a state label outside [0, n) before training, naming its
+    row in the split (window origin + step) and its variable."""
+    s = stack_states(samples)
+    d = len(counts)
+    if s.shape[2] != d:
+        raise ShapeError(f"{split} state labels have {s.shape[2]} variables, the model {d}")
+    for i, n in enumerate(counts):
+        t = s[:, :, i]
+        if t.min() < 0 or t.max() >= n:
+            k, tau = np.argwhere((t < 0) | (t >= n))[0]
+            origin = samples.first_origin + k
+            raise ShapeError(
+                f"state target {t[k, tau]} out of range [0, {n}) in the {split} split "
+                f"at row {origin + tau} (window origin {origin} + step {tau}), variable {i}"
+            )
+
+
 def train_msp(
     model: MspModel,
     train_samples: WindowSet,
@@ -280,6 +298,8 @@ def train_msp(
     if not train_samples or not val_samples:
         raise ConfigError("train and validation sets must both be nonempty")
     counts = model.config.class_counts
+    _check_states(train_samples, counts, "train")
+    _check_states(val_samples, counts, "validation")
     x_train = stack_inputs(train_samples)
     s_train = stack_states(train_samples)
     x_val = stack_inputs(val_samples)

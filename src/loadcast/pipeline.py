@@ -6,14 +6,18 @@ trained first on cluster-derived labels, then frozen while it reweights
 the forecaster's training loss. Splits are chronological 60/20/20,
 inputs are z-scored with train statistics, and metrics are reported on
 the z-scored scale (raw-scale columns are carried alongside).
+
+train_teacher and train_forecaster are the two stages at one horizon;
+run_pipeline and the train-msp / train commands all train through them.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +36,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError, LoadcastError
 from .labeling import StateProfile, load_states_csv
-from .train import stack_targets
+from .train import TrainHistory, stack_targets
 
 DEFAULT_HORIZONS = [1, 6, 12, 24, 36, 48, 60, 72, 168, 336]
 
@@ -75,8 +79,7 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
+        guidance.check_alpha(self.alpha)
         if self.weight_mode not in guidance.WEIGHT_MODES:
             raise ConfigError(
                 f"weight_mode must be one of {guidance.WEIGHT_MODES}, got {self.weight_mode!r}"
@@ -97,12 +100,17 @@ class RunConfig:
 
 
 @contextmanager
-def _stage(name: str):
-    """Re-raise stage failures with a stage-tagged message."""
+def prefix_errors(prefix: str, errors: type[LoadcastError] = LoadcastError):
+    """Re-raise a failure of the given types with prefix put before its message."""
     try:
         yield
-    except LoadcastError as exc:
-        raise type(exc)(f"[stage {name}] {exc}") from exc
+    except errors as exc:
+        raise type(exc)(f"{prefix}{exc}") from exc
+
+
+def _stage(name: str):
+    """Re-raise stage failures with a stage-tagged message."""
+    return prefix_errors(f"[stage {name}] ")
 
 
 def load_aligned(config: RunConfig) -> tuple[SeriesFrame, StateProfile]:
@@ -149,11 +157,65 @@ def prepare_windows(
     windows = {}
     for horizon in horizons:
         with _stage(f"windows H={horizon}"):
-            train, val, test = (
+            windows[horizon] = tuple(
                 sliding_windows(f, lab, config.lookback, horizon) for f, lab in zip(frames, labels)
             )
-        windows[horizon] = (train, val, test)
     return frame, profile, stats, windows
+
+
+def _fit_args(config: RunConfig) -> dict:
+    """The optimiser and early-stopping settings every trainer takes."""
+    return {"lr": config.lr, "batch_size": config.batch, "patience": config.patience,
+            "max_epochs": config.max_epochs}
+
+
+def train_teacher(
+    config: RunConfig, horizon: int, counts: Sequence[int], train_w: WindowSet, val_w: WindowSet
+) -> tuple[msp.MspModel, TrainHistory]:
+    """Stage 1 at one horizon: a state predictor over len(counts)
+    variables (counts[i] states for variable i), trained on the
+    windows' state labels."""
+    teacher = msp.MspModel(
+        msp.MspConfig(
+            lookback=config.lookback,
+            horizon=horizon,
+            n_variables=len(counts),
+            class_counts=counts,
+            trunk_channels=config.trunk_channels,
+            ue_channels=config.ue_channels,
+            kernel_width=config.kernel_width,
+            seed=config.seed,
+        )
+    )
+    return teacher, msp.train_msp(teacher, train_w, val_w, **_fit_args(config))
+
+
+def train_forecaster(
+    config: RunConfig,
+    horizon: int,
+    n_variables: int,
+    train_w: WindowSet,
+    val_w: WindowSet,
+    teacher: msp.MspModel | None = None,
+) -> tuple[object, TrainHistory]:
+    """Stage 2 at one horizon: a forecaster trained under plain MAE, or
+    guided by the frozen teacher when one is given."""
+    model = fc.make_forecaster(
+        fc.ForecasterConfig(
+            kind=config.forecaster_kind,
+            lookback=config.lookback,
+            horizon=horizon,
+            n_variables=n_variables,
+            hidden=config.hidden,
+            per_variable=config.per_variable,
+            seed=config.seed,
+        )
+    )
+    fit = _fit_args(config)
+    if teacher is None:
+        return model, fc.train_plain(model, train_w, val_w, **fit)
+    guide = guidance.GuidanceConfig(alpha=config.alpha, mode=config.weight_mode)
+    return model, fc.train_with_guidance(model, teacher, train_w, val_w, guide, **fit)
 
 
 def evaluate_forecaster(
@@ -184,92 +246,31 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     checkpoints, returns the loaded results."""
     frame, profile, stats, windows = prepare_windows(config, config.horizons)
     d = frame.n_variables
-    counts = [int(n) for n in profile.counts]
     ckpt_dir = Path(config.checkpoint_dir)
     report_dir = Path(config.report_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     report_dir.mkdir(parents=True, exist_ok=True)
 
-    plain_report = metrics.EvalReport([], [], [], [], [])
-    guided_report = metrics.EvalReport([], [], [], [], [])
+    reports = {name: metrics.EvalReport([], [], [], [], []) for name in ("plain", "guided")}
     for horizon in config.horizons:
         train_w, val_w, test_w = windows[horizon]
-
         with _stage(f"train-msp H={horizon}"):
-            msp_config = msp.MspConfig(
-                lookback=config.lookback,
-                horizon=horizon,
-                n_variables=d,
-                class_counts=counts,
-                trunk_channels=config.trunk_channels,
-                ue_channels=config.ue_channels,
-                kernel_width=config.kernel_width,
-                seed=config.seed,
-            )
-            teacher = msp.MspModel(msp_config)
-            msp.train_msp(
-                teacher,
-                train_w,
-                val_w,
-                lr=config.lr,
-                batch_size=config.batch,
-                patience=config.patience,
-                max_epochs=config.max_epochs,
-            )
+            teacher, _ = train_teacher(config, horizon, profile.counts, train_w, val_w)
             msp.save_msp(teacher, ckpt_dir / f"msp_h{horizon}.json")
-
-        fc_config = fc.ForecasterConfig(
-            kind=config.forecaster_kind,
-            lookback=config.lookback,
-            horizon=horizon,
-            n_variables=d,
-            hidden=config.hidden,
-            per_variable=config.per_variable,
-            seed=config.seed,
-        )
-        with _stage(f"train-plain H={horizon}"):
-            plain_model = fc.make_forecaster(fc_config)
-            fc.train_plain(
-                plain_model,
-                train_w,
-                val_w,
-                lr=config.lr,
-                batch_size=config.batch,
-                patience=config.patience,
-                max_epochs=config.max_epochs,
-            )
-            fc.save_forecaster(plain_model, ckpt_dir / f"plain_h{horizon}.json")
-        with _stage(f"train-guided H={horizon}"):
-            guided_model = fc.make_forecaster(fc_config)
-            fc.train_with_guidance(
-                guided_model,
-                teacher,
-                train_w,
-                val_w,
-                guidance.GuidanceConfig(alpha=config.alpha, mode=config.weight_mode),
-                lr=config.lr,
-                batch_size=config.batch,
-                patience=config.patience,
-                max_epochs=config.max_epochs,
-            )
-            fc.save_forecaster(guided_model, ckpt_dir / f"guided_h{horizon}.json")
-
-        with _stage(f"evaluate H={horizon}"):
-            for model, report in ((plain_model, plain_report), (guided_model, guided_report)):
-                m, mp, mr, mpr = evaluate_forecaster(model, test_w, stats)
-                report.horizons.append(horizon)
-                report.mae.append(m)
-                report.mape_sym.append(mp)
-                report.mae_raw.append(mr)
-                report.mape_sym_raw.append(mpr)
+        for name, guide in (("plain", None), ("guided", teacher)):
+            with _stage(f"train-{name} H={horizon}"):
+                model, _ = train_forecaster(config, horizon, d, train_w, val_w, guide)
+                fc.save_forecaster(model, ckpt_dir / f"{name}_h{horizon}.json")
+            with _stage(f"evaluate H={horizon}"):
+                row = (horizon, *evaluate_forecaster(model, test_w, stats))
+            for column, value in zip(fields(metrics.EvalReport), row):
+                getattr(reports[name], column.name).append(value)
 
     with _stage("report"):
+        plain_report, guided_report = reports["plain"], reports["guided"]
         improvement = metrics.percent_improvement(plain_report, guided_report)
-        paths = {
-            "plain": str(report_dir / "plain.csv"),
-            "guided": str(report_dir / "guided.csv"),
-            "comparison": str(report_dir / "comparison.csv"),
-        }
+        names = ("plain", "guided", "comparison")
+        paths = {name: str(report_dir / f"{name}.csv") for name in names}
         metrics.save_report_csv(plain_report, paths["plain"])
         metrics.save_report_csv(guided_report, paths["guided"])
         metrics.save_comparison_csv(plain_report, guided_report, improvement, paths["comparison"])

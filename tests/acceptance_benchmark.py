@@ -14,8 +14,10 @@ import numpy as np
 
 from loadcast import forecaster as fc
 from loadcast import guidance, labeling, msp, synth
-from loadcast.data import sliding_windows, split_60_20_20, zscore_apply, zscore_fit
+from loadcast.data import sliding_windows
 from loadcast.metrics import mae
+from loadcast.pipeline import split_with_states
+from loadcast.train import stack_targets
 
 LOOKBACK = 96
 HORIZONS = (6, 24)
@@ -51,17 +53,12 @@ def run_benchmark(length: int = 20000, seeds: range = range(N_SEEDS)) -> list[Ho
     config = synth.benchmark_household(seed=0, length=length)
     frame, _ = synth.generate(config)
     profile = labeling.identify_states(frame, w=LABEL_WINDOW, seed=0)
-    train, val, test = split_60_20_20(frame)
-    stats = zscore_fit(train)
-    i1, i2 = train.length, train.length + val.length
-    label_parts = (profile.labels[:i1], profile.labels[i1:i2], profile.labels[i2:])
+    frames, labels, _ = split_with_states(frame, profile)
     results = []
     for horizon in HORIZONS:
-        windows = [
-            sliding_windows(zscore_apply(part, stats), lab, LOOKBACK, horizon)
-            for part, lab in zip((train, val, test), label_parts)
-        ]
-        train_w, val_w, test_w = windows
+        train_w, val_w, test_w = (
+            sliding_windows(part, lab, LOOKBACK, horizon) for part, lab in zip(frames, labels)
+        )
         teacher = msp.MspModel(
             msp.MspConfig(
                 lookback=LOOKBACK,
@@ -73,7 +70,7 @@ def run_benchmark(length: int = 20000, seeds: range = range(N_SEEDS)) -> list[Ho
         )
         msp.train_msp(teacher, train_w, val_w, max_epochs=TEACHER_MAX_EPOCHS)
         weights = guidance.teacher_weights(teacher, train_w)
-        y_test = np.stack([s.y for s in test_w])
+        y_test = stack_targets(test_w)
         result = HorizonResult(horizon, [], [])
         for seed in seeds:
             fc_config = fc.ForecasterConfig(

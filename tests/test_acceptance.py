@@ -309,6 +309,7 @@ def test_criterion_5_reduction_law(tmp_path):
 # -- 6. directional guided-training benefit ----------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_6_directional_benefit():
     start = time.time()
     results = run_benchmark()

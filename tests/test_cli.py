@@ -237,6 +237,31 @@ def test_train_eval_compare_round_trip(small_run):
     assert cmp_path.read_text().startswith("horizon,")
 
 
+def test_stage_commands_write_the_pipeline_outputs(small_run):
+    """train-msp, train, train --msp and eval run the pipeline's stages:
+    the same flags give the same checkpoints and report row."""
+    out = small_run / "stages"
+    common = [
+        "--data", small_run / "data.csv",
+        "--states", small_run / "states.csv",
+        "--lookback", 16,
+        "--max-epochs", 4,
+        "--seed", 5,
+    ]
+    ckpt = out / "ckpt"
+    assert run(["pipeline", *common, "--horizons", 3, "--report-dir", out,
+                "--checkpoint-dir", ckpt]) == 0
+    stage = [*common, "--horizon", 3]
+    assert run(["train-msp", *stage, "--out", out / "msp.json"]) == 0
+    assert run(["train", *stage, "--out", out / "plain.json"]) == 0
+    assert run(["train", *stage, "--msp", out / "msp.json", "--out", out / "guided.json"]) == 0
+    for name in ("msp", "plain", "guided"):
+        assert (out / f"{name}.json").read_bytes() == (ckpt / f"{name}_h3.json").read_bytes()
+    assert run(["eval", *common, "--model", out / "guided.json", "--out", out / "eval.csv"]) == 0
+    lines = (out / "eval.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines == (out / "guided.csv").read_text().splitlines()
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("lookback=48\nalpha=0.25\n# comment\nbatch=64\n", encoding="utf-8")

@@ -122,8 +122,11 @@ def test_guided_loss_shape_mismatch():
 
 
 def test_guidance_config_validation():
-    with pytest.raises(ConfigError):
-        GuidanceConfig(alpha=-0.1)
+    for alpha in (-0.1, np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            GuidanceConfig(alpha=alpha)
+        with pytest.raises(ConfigError):
+            guided_loss(np.ones((2, 2)), np.zeros((2, 2)), np.ones((2, 2)), alpha)
     with pytest.raises(ConfigError):
         GuidanceConfig(mode="nope")
 

@@ -237,3 +237,32 @@ def test_train_loop_rejects_empty_batches():
     for bad in ({"batch_size": 0}, {"max_epochs": 0}, {"patience": 0}):
         with pytest.raises(ConfigError, match=f"{next(iter(bad))} must be >= 1"):
             train_loop(model, 8, lambda idx: (0.0, []), lambda: 0.0, **bad)
+
+
+def test_teacher_of_another_horizon_exits_2_naming_checkpoint_and_data(inputs, tmp_path):
+    teacher = tmp_path / "m.json"
+    args = ["--data", inputs / "data.csv", "--states", inputs / "states.csv", "--lookback", 8]
+    args += ["--max-epochs", 1]
+    assert run(["train-msp", *args, "--horizon", 2, "--out", teacher]) == (0, "")
+    forecaster = tmp_path / "f.json"
+    code, err = run(["train", *args, "--horizon", 1, "--msp", teacher, "--out", forecaster])
+    assert code == cli.EXIT_CONFIG and "geometry" in err, err
+    assert str(teacher) in err and str(inputs / "data.csv") in err
+    assert not forecaster.exists()
+
+
+def test_eval_on_data_with_other_columns_exits_2_naming_checkpoint_and_data(inputs, tmp_path):
+    model = tmp_path / "f.json"
+    args = ["--data", inputs / "data.csv", "--states", inputs / "states.csv", "--lookback", 8]
+    code, err = run(["train", *args, "--horizon", 2, "--max-epochs", 1, "--out", model])
+    assert code == 0, err
+    one_column = tmp_path / "one.csv"
+    lines = (inputs / "data.csv").read_text(encoding="utf-8").splitlines()
+    one_column.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n", "utf-8")
+    states = tmp_path / "one_states.csv"
+    assert run(["label", "--data", one_column, "--out", states, "--w", 4]) == (0, "")
+    args = ["--data", one_column, "--states", states, "--model", model, "--out", tmp_path / "r.csv"]
+    code, err = run(["eval", *args])
+    assert code == cli.EXIT_CONFIG and "does not match" in err, err
+    assert str(model) in err and str(one_column) in err
+    assert not (tmp_path / "r.csv").exists()

@@ -238,8 +238,17 @@ def test_train_msp_rejects_state_label_out_of_range(label):
     frame = SeriesFrame(3600 * np.arange(40), np.arange(40.0)[:, None], ["x"])
     bad_w = sliding_windows(frame, labels, 8, 4)
     config = MspConfig(lookback=8, horizon=4, n_variables=1, class_counts=[2], **TINY)
-    with pytest.raises(ShapeError, match=rf"state target {label} out of range \[0, 2\)"):
+    with pytest.raises(ShapeError, match=rf"state target {label} out of range \[0, 2\)") as err:
         train_msp(MspModel(config), bad_w, bad_w, max_epochs=1)
+    assert "at row 20 " in str(err.value)
+
+
+def test_train_msp_rejects_labels_of_another_variable_count():
+    frame = SeriesFrame(3600 * np.arange(40), np.zeros((40, 3)), ["a", "b", "c"])
+    windows = sliding_windows(frame, np.zeros((40, 3), dtype=np.int64), 8, 4)
+    config = MspConfig(lookback=8, horizon=4, n_variables=2, class_counts=[2, 2], **TINY)
+    with pytest.raises(ShapeError, match="train state labels have 3 variables, the model 2"):
+        train_msp(MspModel(config), windows, windows, max_epochs=1)
 
 
 def test_per_group_softmax_rows_sum_to_one():
