@@ -16,7 +16,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import forecaster as fc
-from . import guidance, labeling, metrics, msp, synth
+from . import labeling, metrics, msp, synth
 from .data import SeriesFrame, align_and_downsample, load_csv, save_csv
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .pipeline import (
@@ -125,7 +125,6 @@ def _add_run_flags(p: argparse.ArgumentParser, include_horizon_sweep: bool = Tru
     p.add_argument("--patience", type=int, dest="patience")
     p.add_argument("--max-epochs", type=int, dest="max_epochs")
     p.add_argument("--alpha", type=float, dest="alpha")
-    p.add_argument("--weight-mode", choices=guidance.WEIGHT_MODES, dest="weight_mode")
     p.add_argument("--w", type=int, dest="w", help="labeling window size")
     p.add_argument("--min-s", type=int, dest="min_s")
     p.add_argument("--max-s", type=int, dest="max_s")

@@ -189,21 +189,12 @@ def train_with_guidance(
 ) -> TrainHistory:
     """Event-guided training: same model, same inference path, the loss
     reweighted by the frozen state predictor's class probabilities."""
-    if config is None:
-        config = guidance.GuidanceConfig()
-    mc, fc = msp_model.config, model.config
-    if (mc.lookback, mc.horizon, mc.n_variables) != (fc.lookback, fc.horizon, fc.n_variables):
-        raise ShapeError(
-            "state predictor geometry "
-            f"(L={mc.lookback}, H={mc.horizon}, D={mc.n_variables}) does not match forecaster "
-            f"(L={fc.lookback}, H={fc.horizon}, D={fc.n_variables})"
-        )
     return guidance.train_guided(
         model,
         msp_model,
         train_samples,
         val_samples,
-        config,
+        config or guidance.GuidanceConfig(),
         lr=lr,
         batch_size=batch_size,
         patience=patience,

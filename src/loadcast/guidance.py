@@ -3,9 +3,11 @@ per-(step, variable) loss weights and train forecasters under the
 combined objective  loss = MAE + alpha * weighted-MAE.
 
 The weight for a future cell is the maximum class probability the
-teacher assigns to that variable at that step, so confidently
-predicted state patterns (events and steady operation alike) pull more
-of the forecaster's attention than cells the teacher finds noisy. The
+teacher assigns to that variable at that step. It lies in [1/n, 1] for
+a variable with n states, so every cell's loss coefficient
+1 + alpha * w stays positive, and confidently predicted state patterns
+(events and steady operation alike) pull more of the forecaster's
+attention than cells the teacher finds noisy. The
 teacher is read-only throughout; validation and model selection use
 plain MAE so guidance shapes optimization only.
 
@@ -35,9 +37,6 @@ from .train import (
     train_loop,
 )
 
-WEIGHT_MODES = ("prob", "logit")
-
-
 def check_alpha(alpha: float) -> None:
     """A guidance strength must be a finite number >= 0."""
     if not (math.isfinite(alpha) and alpha >= 0):
@@ -46,35 +45,24 @@ def check_alpha(alpha: float) -> None:
 
 @dataclass
 class GuidanceConfig:
-    """alpha scales the weighted term; mode "prob" uses max softmax
-    probability per group (bounded in (0, 1]), "logit" the raw logit
-    max (unbounded; kept for ablation)."""
+    """alpha scales the weighted term of MAE + alpha * weighted-MAE."""
 
     alpha: float = 1.0
-    mode: str = "prob"
 
     def __post_init__(self) -> None:
         check_alpha(self.alpha)
-        if self.mode not in WEIGHT_MODES:
-            raise ConfigError(f"mode must be one of {WEIGHT_MODES}, got {self.mode!r}")
 
 
-def event_weights(z: np.ndarray, counts: Sequence[int], mode: str = "prob") -> np.ndarray:
-    """Per-(step, variable) weights from logits z (..., H, sumN) ->
-    (..., H, D); nn.softmax_rows runs once per variable's group.
-
-    In "prob" mode every weight lies in [1/n_i, 1] for a variable with
-    n_i classes (softmax max is at least uniform).
+def event_weights(z: np.ndarray, counts: Sequence[int]) -> np.ndarray:
+    """Per-(step, variable) max softmax probability from logits z
+    (..., H, sumN) -> (..., H, D); nn.softmax_rows runs once per
+    variable's group. Every weight lies in [1/n_i, 1] for a variable
+    with n_i classes (softmax max is at least uniform).
     """
-    if mode not in WEIGHT_MODES:
-        raise ConfigError(f"mode must be one of {WEIGHT_MODES}, got {mode!r}")
     cols = []
     start = 0
     for n in counts:
-        group = z[..., start : start + n]
-        if mode == "prob":
-            group = nn.softmax_rows(group)
-        cols.append(group.max(axis=-1))
+        cols.append(nn.softmax_rows(z[..., start : start + n]).max(axis=-1))
         start += n
     return np.stack(cols, axis=-1)
 
@@ -106,7 +94,7 @@ def guided_loss(
 
 
 def teacher_weights(
-    msp_model, samples: WindowSet, mode: str = "prob", batch_size: int = DEFAULT_BATCH
+    msp_model, samples: WindowSet, *, batch_size: int = DEFAULT_BATCH
 ) -> np.ndarray:
     """Weights for every sample's future block, (n, H, D). The teacher
     is frozen, so these are computed once and reused across epochs."""
@@ -115,7 +103,7 @@ def teacher_weights(
     for start in range(0, len(samples), batch_size):
         xb = stack_inputs(samples[start : start + batch_size])
         z = msp_model.forward_batch(xb)
-        out.append(event_weights(z, counts, mode))
+        out.append(event_weights(z, counts))
     return np.concatenate(out, axis=0)
 
 
@@ -138,10 +126,19 @@ def train_guided(
     training reproduces plain training bit-for-bit under one seed.
     precomputed_weights may carry teacher_weights() output for the
     train samples to share one weight pass across runs (the teacher is
-    frozen, so recomputation is pure overhead).
+    frozen, so recomputation is pure overhead). A teacher must share
+    the forecaster's lookback, horizon and variable count.
     """
     if not train_samples or not val_samples:
         raise ConfigError("train and validation sets must both be nonempty")
+    if msp_model is not None:
+        mc, fc = msp_model.config, model.config
+        if (mc.lookback, mc.horizon, mc.n_variables) != (fc.lookback, fc.horizon, fc.n_variables):
+            raise ShapeError(
+                "state predictor geometry "
+                f"(L={mc.lookback}, H={mc.horizon}, D={mc.n_variables}) does not match "
+                f"forecaster (L={fc.lookback}, H={fc.horizon}, D={fc.n_variables})"
+            )
     x_train = stack_inputs(train_samples)
     y_train = stack_targets(train_samples)
     x_val = stack_inputs(val_samples)
@@ -155,7 +152,7 @@ def train_guided(
             )
         weights = precomputed_weights
     elif msp_model is not None:
-        weights = teacher_weights(msp_model, train_samples, config.mode, batch_size)
+        weights = teacher_weights(msp_model, train_samples, batch_size=batch_size)
     alpha = config.alpha
     size_per = y_train.shape[1] * y_train.shape[2]
 

@@ -58,7 +58,6 @@ class RunConfig:
     patience: int = 10
     max_epochs: int = 100
     alpha: float = 1.0
-    weight_mode: str = "prob"
     w: int = 24
     min_s: int = 2
     max_s: int = 5
@@ -80,15 +79,15 @@ class RunConfig:
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         guidance.check_alpha(self.alpha)
-        if self.weight_mode not in guidance.WEIGHT_MODES:
-            raise ConfigError(
-                f"weight_mode must be one of {guidance.WEIGHT_MODES}, got {self.weight_mode!r}"
-            )
         if self.forecaster_kind not in fc.FORECASTER_KINDS:
             raise ConfigError(
                 f"forecaster_kind must be one of {fc.FORECASTER_KINDS}, "
                 f"got {self.forecaster_kind!r}"
             )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not self.horizons:
+            raise ConfigError("horizons must name at least one horizon")
         if any(h < 1 for h in self.horizons):
             raise ConfigError(f"horizons must be positive, got {self.horizons}")
         if list(self.horizons) != sorted(self.horizons):
@@ -214,7 +213,7 @@ def train_forecaster(
     fit = _fit_args(config)
     if teacher is None:
         return model, fc.train_plain(model, train_w, val_w, **fit)
-    guide = guidance.GuidanceConfig(alpha=config.alpha, mode=config.weight_mode)
+    guide = guidance.GuidanceConfig(alpha=config.alpha)
     return model, fc.train_with_guidance(model, teacher, train_w, val_w, guide, **fit)
 
 

@@ -63,6 +63,8 @@ def validate_config(config: SynthConfig) -> None:
         raise ConfigError(f"noise_sigma must be >= 0, got {config.noise_sigma}")
     if not 0.0 <= config.spike_rate <= 1.0:
         raise ConfigError(f"spike_rate must be in [0, 1], got {config.spike_rate}")
+    if config.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {config.seed}")
     if not config.appliances:
         raise ConfigError("at least one appliance is required")
     names = [a.name for a in config.appliances]

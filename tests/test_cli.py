@@ -67,6 +67,18 @@ def test_synth_trigger_cycle_names_cycle(tmp_path, capsys):
     assert "cycle" in err and "a" in err and "b" in err
 
 
+def test_synth_negative_seed_exits_2(tmp_path, capsys):
+    assert run(synth_args(tmp_path, seed=-2)) == cli.EXIT_CONFIG
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "data.csv").exists()
+
+
+def test_weight_mode_flag_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["config", "--weight-mode", "prob"])
+    assert exc.value.code == 2
+
+
 def planted_csv(tmp_path):
     """Three-level appliance column so labeling has a known answer."""
     rng = np.random.default_rng(0)

@@ -18,6 +18,7 @@ from loadcast.forecaster import (
     train_plain,
     train_with_guidance,
 )
+from loadcast.guidance import GuidanceConfig, train_guided
 from loadcast.msp import MspConfig, MspModel
 from tests.test_msp import wave_splits
 
@@ -162,8 +163,6 @@ def test_alpha_zero_guidance_equals_plain_via_wrapper():
             trunk_channels=4, ue_channels=3, seed=3,
         )
     )
-    from loadcast.guidance import GuidanceConfig
-
     plain = make_forecaster(fc_config)
     train_plain(plain, train_w, val_w, max_epochs=8)
     guided = make_forecaster(fc_config)
@@ -182,8 +181,14 @@ def test_guidance_geometry_mismatch_rejected():
         )
     )
     student = make_forecaster(ForecasterConfig("linear", 8, 6, 2, seed=0))
+    windows = [object()]  # the check comes before any window is read
     with pytest.raises(ConfigError, match="geometry"):
-        train_with_guidance(student, teacher, [object()], [object()])
+        train_with_guidance(student, teacher, windows, windows)
+    for weights in (None, np.ones((1, 6, 2))):
+        with pytest.raises(ConfigError, match="geometry"):
+            train_guided(
+                student, teacher, windows, windows, GuidanceConfig(), precomputed_weights=weights
+            )
 
 
 def test_linear_least_squares_affine_equivariance():

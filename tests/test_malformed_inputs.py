@@ -163,8 +163,9 @@ def test_corrupted_config_never_escapes_as_traceback(inputs, data):
 @pytest.mark.parametrize(
     "line",
     ["batch=0", "batch=-3", "max_epochs=0", "patience=0", "lr=0", "lr=-0.1", "lr=nan", "lr=inf",
-     "horizons=0", "alpha=-1", "alpha=nan", "alpha=inf", "weight_mode=foo", "forecaster_kind=foo",
-     "hidden=0", "trunk_channels=0", "ue_channels=-2", "kernel_width=0"],
+     "horizons=0", "horizons=", "alpha=-1", "alpha=nan", "alpha=inf", "weight_mode=foo",
+     "weight_mode=prob", "forecaster_kind=foo", "hidden=0", "trunk_channels=0", "ue_channels=-2",
+     "kernel_width=0", "seed=-1"],
 )
 def test_invalid_config_value_exits_2_naming_file(tmp_path, line):
     bad = tmp_path / "bad.cfg"
@@ -179,7 +180,7 @@ def test_invalid_config_value_exits_2_naming_file(tmp_path, line):
     "flag",
     [["--batch", 0], ["--max-epochs", 0], ["--lr", "nan"], ["--horizons", 0], ["--alpha", -1],
      ["--alpha", "nan"], ["--hidden", 0], ["--trunk-channels", 0], ["--ue-channels", -2],
-     ["--kernel-width", 0]],
+     ["--kernel-width", 0], ["--horizons", ""], ["--seed", -1]],
 )
 def test_invalid_flag_value_exits_2_without_naming_file(inputs, flag):
     code, err = run(["config", "--config", inputs / "run.cfg", *flag])
