@@ -41,16 +41,22 @@ VERSION = 2
 DTYPE = "<f8"
 
 
+# Stands for one block's data while the header is rendered; JSON writes it as "\u0000".
+_SLOT = "\x00"
+
+
 def save_container(
     path: str | Path, kind: str, config: dict, names: list[str], arrays: list[np.ndarray]
 ) -> None:
+    """Write a version-2 container: the bytes json.dump(doc, f, indent=1)
+    writes for the layout above, then a newline.
+
+    The header is rendered with a placeholder for each block's data, and
+    each block's base64 text is written straight into its place, so the
+    long data strings are neither held all at once nor re-escaped by json.
+    """
     params = [
-        {
-            "name": name,
-            "shape": list(arr.shape),
-            "dtype": DTYPE,
-            "data": base64.b64encode(np.ascontiguousarray(arr, dtype=DTYPE)).decode("ascii"),
-        }
+        {"name": name, "shape": list(arr.shape), "dtype": DTYPE, "data": _SLOT}
         for name, arr in zip(names, arrays)
     ]
     doc = {
@@ -60,9 +66,17 @@ def save_container(
         "config": config,
         "params": params,
     }
-    with Path(path).open("w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
+    pieces = json.dumps(doc, indent=1).split(json.dumps(_SLOT))
+    if len(pieces) != len(arrays) + 1:
+        raise ConfigError(f"{path}: checkpoint config or block names contain {_SLOT!r}")
+    with Path(path).open("wb") as f:
+        f.write(pieces[0].encode("ascii"))
+        for arr, piece in zip(arrays, pieces[1:]):
+            f.write(b'"')
+            f.write(base64.b64encode(np.ascontiguousarray(arr, dtype=DTYPE)))
+            f.write(b'"')
+            f.write(piece.encode("ascii"))
+        f.write(b"\n")
 
 
 def _read_block(path: Path, version: int, index: int, block) -> tuple[str, np.ndarray]:

@@ -20,6 +20,12 @@ channels per time step), so each pass is one matrix product instead of
 D. The parameter blocks stay per head: names, shapes and checkpoints
 are those of D separate convs, whose weights are concatenated at call
 time and whose gradient is split back per head.
+
+A training step keeps that fused conv's output r, (B, L, D*ue) floats,
+as its only per-head activation: the forward pass caches r itself, not
+a copy of each head's input, and the backward pass writes each head's
+input gradient back over the head's channels of r, so r becomes the
+fused conv's upstream gradient.
 """
 
 from __future__ import annotations
@@ -45,6 +51,9 @@ from .train import (
 )
 
 
+MIN_CLASSES, MAX_CLASSES = 2, 5  # states per variable the teacher can predict
+
+
 @dataclass
 class MspConfig:
     lookback: int
@@ -66,8 +75,10 @@ class MspConfig:
             raise ConfigError(
                 f"{len(self.class_counts)} class counts for {self.n_variables} variables"
             )
-        if any(not 2 <= int(n) <= 5 for n in self.class_counts):
-            raise ConfigError(f"class counts must lie in [2, 5], got {self.class_counts}")
+        if any(not MIN_CLASSES <= int(n) <= MAX_CLASSES for n in self.class_counts):
+            raise ConfigError(
+                f"class counts must lie in [{MIN_CLASSES}, {MAX_CLASSES}], got {self.class_counts}"
+            )
         self.class_counts = [int(n) for n in self.class_counts]
 
     @property
@@ -143,48 +154,51 @@ class MspModel:
         r = nn.conv1d_forward(self._fused_conv(), a1)
         np.maximum(r, 0.0, out=r)
         group_logits = []
-        heads = []
         for i, (lin, n) in enumerate(zip(self.extractor_linears, c.class_counts)):
             f = r[:, i * ue : (i + 1) * ue].reshape(b, -1)  # (channel, time) order
             group_logits.append(nn.linear_forward(lin, f).reshape(b, c.horizon, n))
-            if want_cache:
-                heads.append(f)
         zu = np.concatenate(group_logits, axis=2)
         zf = zu.reshape(b * c.horizon, c.total_classes)
         z = nn.linear_forward(self.fusion, zf).reshape(b, c.horizon, c.total_classes)
         if want_cache:
-            return z, (xc, a1, heads, zf)
+            return z, [xc, a1, r, zf]
         return z
 
     def backward_batch(self, cache, dz: np.ndarray) -> list[np.ndarray]:
         """Gradients for every parameter block, in params() order.
 
-        Consumes the cache: each head's input is dropped once its gradient
-        is taken. The ReLU masks are read off the cached activations,
-        which are positive exactly where their pre-activations were.
+        Empties the cache. The fused conv's activation r becomes its own
+        upstream gradient: head i's input is rebuilt from r's channels
+        [i*ue, (i+1)*ue), and the head's masked input gradient is written
+        back over those channels. After the last head r holds the fused
+        conv's grad_out, and no per-head copy outlives its head. The ReLU
+        masks are read off the cached activations, which are positive
+        exactly where their pre-activations were.
         """
         c = self.config
-        xc, a1, heads, zf = cache
+        xc, a1, r, zf = cache
+        cache.clear()
         b = dz.shape[0]
         ue = c.ue_channels
         (dwf, dbf), dzf = nn.linear_backward(
             self.fusion, zf, dz.reshape(b * c.horizon, c.total_classes)
         )
         dzu = dzf.reshape(b, c.horizon, c.total_classes)
-        du = np.empty((b, c.lookback, c.n_variables * ue))  # channels-last
         linear_grads = []
         start = 0
         for i, (lin, n) in enumerate(zip(self.extractor_linears, c.class_counts)):
             dg = np.ascontiguousarray(dzu[:, :, start : start + n]).reshape(b, -1)
             start += n
-            f, heads[i] = heads[i], None
+            ri = r[:, i * ue : (i + 1) * ue]
+            f = ri.reshape(b, -1)  # (channel, time) order, as in forward_batch
             dlin, df = nn.linear_backward(lin, f, dg)
             linear_grads.append(dlin)
             df *= f > 0
             del f
-            du[:, :, i * ue : (i + 1) * ue] = df.reshape(b, ue, c.lookback).transpose(0, 2, 1)
-        (dwc, dbc), da1 = nn.conv1d_backward(self._fused_conv(), a1, du.transpose(0, 2, 1))
-        del du
+            ri[...] = df.reshape(b, ue, c.lookback)
+            del df
+        (dwc, dbc), da1 = nn.conv1d_backward(self._fused_conv(), a1, r)
+        del r, ri
         da1 *= a1 > 0
         (dwt, dbt), _ = nn.conv1d_backward(self.trunk, xc, da1, input_grad=False)
         grads = [dwt, dbt]

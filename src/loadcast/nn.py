@@ -112,8 +112,7 @@ def _left_pad(k: int) -> int:
 
 def im2col(x: Array, k: int) -> Array:
     """Row-major patch matrix of x (batch, channels, T) for a width-k
-    convolution, the operand of the matrix products in conv1d_forward and
-    conv1d_backward.
+    convolution, the operand of the matrix product in conv1d_forward.
 
     Row b*T + t, column c*k + j holds x[b, c, t + j - left], or 0 in the
     same-length zero padding (left = k - 1 - (k - 1) // 2 steps before the
@@ -171,6 +170,16 @@ def conv1d_backward(
     grad_out is read fastest as a channels-last view, like the output of
     conv1d_forward, and the input gradient is returned as one.
     input_grad=False skips the input gradient and returns None in its place.
+
+    The weight gradient goes one tap at a time, from one shifted,
+    zero-padded copy of x reused across taps (1/k of the im2col patch
+    matrix), and each input-gradient tap is released before the next. The
+    weight gradient sums the same products as im2col(x, k).T @ grad_out,
+    but in k smaller matrix products that BLAS may block differently: at
+    some batch sizes, such as tail batches of 7, 33 or 64, it differs from
+    the patch-matrix product in its last bits (within 1e-14 of the largest
+    entry). Full batches of 128 at the teacher's channel counts give the
+    same bits with one BLAS thread. The bias and input gradients do not move.
     """
     t = x.shape[-1]
     k = params.kernel_width
@@ -181,8 +190,22 @@ def conv1d_backward(
     xb, gb = (x[None], grad_out[None]) if x.ndim == 2 else (x, grad_out)
     b = xb.shape[0]
     g = gb.transpose(0, 2, 1).reshape(b * t, o)  # (batch*T, out_channels)
-    dwflip = (im2col(xb, k).T @ g).reshape(i, k, o).transpose(2, 0, 1)
-    dw = dwflip[:, :, ::-1].copy()
+    left = _left_pad(k)
+
+    # Tap j reads x[t + j - left] at output step t through kernel column
+    # k-1-j (see im2col): its weight gradient is that shifted copy of x,
+    # zero outside the series, against g.
+    src = xb.transpose(0, 2, 1)  # (batch, T, in_channels)
+    shifted = np.empty((b, t, i))
+    dw = np.empty((o, i, k))
+    for j in range(k):
+        shift = j - left
+        lo, hi = max(0, -shift), min(t, t - shift)
+        shifted[:, :lo] = 0.0
+        shifted[:, hi:] = 0.0
+        shifted[:, lo:hi] = src[:, lo + shift : hi + shift]
+        dw[:, :, k - 1 - j] = (shifted.reshape(b * t, i).T @ g).T
+    del shifted
     db = g.sum(axis=0)
     if not input_grad:
         return (dw, db), None
@@ -190,7 +213,6 @@ def conv1d_backward(
     # Tap j carries x[t + j - left] to output step t through kernel column
     # k-1-j, so the input gradient at step s collects g[s - shift] @ that
     # column, shift = j - left: one matrix product per tap, added in place.
-    left = _left_pad(k)
     dx = (g @ params.weights[:, :, k - 1 - left]).reshape(b, t, i)
     for j in range(k):
         shift = j - left
@@ -199,6 +221,7 @@ def conv1d_backward(
             continue
         tap = (g @ params.weights[:, :, k - 1 - j]).reshape(b, t, i)
         dx[:, lo:hi] += tap[:, lo - shift : hi - shift]
+        del tap
     dx = dx.transpose(0, 2, 1)
     return (dw, db), dx[0] if x.ndim == 2 else dx
 
@@ -248,43 +271,58 @@ def init_adam(params: Sequence[Array], lr: float = 0.001) -> AdamState:
     )
 
 
+ADAM_CHUNK = 2**15  # elements per Adam scratch row: two 256 KiB scratch rows in all
+
+
 def adam_step(
     state: AdamState,
     params: Sequence[Array],
     grads: Sequence[Array],
     names: Sequence[str] | None = None,
 ) -> tuple[Sequence[Array], AdamState]:
-    """One bias-corrected Adam update, in place on params and state."""
+    """One bias-corrected Adam update, in place on params and state.
+
+    Parameter blocks must be C-contiguous: each block and its moments are
+    updated through flat views, ADAM_CHUNK elements at a time, so the
+    scratch memory is fixed whatever the block sizes.
+    """
     if len(params) != len(grads):
         raise ShapeError(f"{len(params)} parameter blocks but {len(grads)} gradient blocks")
     for i, (p, g) in enumerate(zip(params, grads)):
+        label = names[i] if names is not None else f"block {i}"
         if p.shape != g.shape:
             raise ShapeError(f"gradient shape {g.shape} does not match parameter shape {p.shape}")
+        if not p.flags.c_contiguous:
+            raise ShapeError(f"parameter {label} is not C-contiguous")
         if not np.isfinite(g).all():
-            label = names[i] if names is not None else f"block {i}"
             raise NumericError(f"non-finite gradient in {label}")
     state.t += 1
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
-    # Same operations in the same order as
+    # Same operations in the same order, element by element, as
     #   m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g*g
     #   p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
-    # but written into m, v, p and two scratch blocks.
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        tmp = np.multiply(g, 1.0 - state.beta1)
-        m *= state.beta1
-        m += tmp
-        np.multiply(g, 1.0 - state.beta2, out=tmp)
-        tmp *= g
-        v *= state.beta2
-        v += tmp
-        np.divide(m, bc1, out=tmp)
-        tmp *= state.lr
-        denom = np.divide(v, bc2)
-        np.sqrt(denom, out=denom)
-        denom += state.eps
-        tmp /= denom
-        p -= tmp
+    # but written into m, v, p and two scratch rows.
+    scratch = np.empty((2, ADAM_CHUNK))
+    for blocks in zip(params, grads, state.m, state.v):
+        p, g, m, v = (a.reshape(-1) for a in blocks)
+        for lo in range(0, p.size, ADAM_CHUNK):
+            pc, gc, mc, vc = (a[lo : lo + ADAM_CHUNK] for a in (p, g, m, v))
+            tmp, denom = scratch[:, : pc.size]
+            np.multiply(gc, 1.0 - state.beta1, out=tmp)
+            mc *= state.beta1
+            mc += tmp
+            np.multiply(gc, 1.0 - state.beta2, out=tmp)
+            tmp *= gc
+            vc *= state.beta2
+            vc += tmp
+            np.divide(mc, bc1, out=tmp)
+            tmp *= state.lr
+            np.divide(vc, bc2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += state.eps
+            tmp /= denom
+            pc -= tmp
     return params, state
 
 

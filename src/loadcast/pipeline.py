@@ -72,7 +72,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         sizes = ("batch", "max_epochs", "patience", "hidden", "trunk_channels", "ue_channels",
-                 "kernel_width")
+                 "kernel_width", "w", "period_seconds")
         for name in sizes:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -83,6 +83,12 @@ class RunConfig:
             raise ConfigError(
                 f"forecaster_kind must be one of {fc.FORECASTER_KINDS}, "
                 f"got {self.forecaster_kind!r}"
+            )
+        if self.min_s < msp.MIN_CLASSES:
+            raise ConfigError(f"min_s must be >= {msp.MIN_CLASSES}, got {self.min_s}")
+        if not self.min_s <= self.max_s <= msp.MAX_CLASSES:
+            raise ConfigError(
+                f"max_s must lie in [min_s={self.min_s}, {msp.MAX_CLASSES}], got {self.max_s}"
             )
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")

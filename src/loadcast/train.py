@@ -15,7 +15,7 @@ import numpy as np
 
 from . import nn
 from .data import WindowSet
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 
 DEFAULT_LR = 0.001
 DEFAULT_BATCH = 128
@@ -58,7 +58,9 @@ def train_loop(
     val_fn scores the current model on the validation set (lower is
     better). Stops once validation fails to improve for `patience`
     consecutive epochs, or at max_epochs. Tail batches smaller than
-    batch_size are used as-is.
+    batch_size are used as-is. The snapshot is allocated at the first
+    improving epoch and overwritten in place after that; a validation
+    loss that is never finite raises NumericError.
     """
     if n_train < 1:
         raise ConfigError("training set is empty")
@@ -72,7 +74,7 @@ def train_loop(
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 101)))
     history = TrainHistory()
     best_val = np.inf
-    best_params = [p.copy() for p in params]
+    best_params = None
     bad_epochs = 0
     for epoch in range(1, max_epochs + 1):
         perm = rng.permutation(n_train)
@@ -81,6 +83,7 @@ def train_loop(
             idx = perm[start : start + batch_size]
             loss, grads = batch_fn(idx)
             nn.adam_step(state, params, grads, names)
+            del grads  # else they stay alive through the next batch's backward pass
             epoch_losses.append(loss)
         val = val_fn()
         history.train_loss.append(float(np.mean(epoch_losses)))
@@ -88,13 +91,22 @@ def train_loop(
         history.stopped_epoch = epoch
         if val < best_val:
             best_val = val
-            best_params = [p.copy() for p in params]
+            if best_params is None:
+                best_params = [p.copy() for p in params]
+            else:
+                for best, p in zip(best_params, params):
+                    best[...] = p
             history.best_epoch = epoch
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs >= patience:
                 break
+    if best_params is None:
+        raise NumericError(
+            f"validation loss was never finite in {history.stopped_epoch} epoch(s), "
+            f"last {history.val_loss[-1]}"
+        )
     for p, best in zip(params, best_params):
         p[...] = best
     return history

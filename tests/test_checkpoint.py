@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loadcast import checkpoint, cli
+from loadcast.errors import ConfigError
 from loadcast.forecaster import ForecasterConfig, load_forecaster, make_forecaster
 from loadcast.msp import MspConfig, MspModel, load_msp, save_msp
 
@@ -53,6 +54,29 @@ def test_two_saves_of_one_model_are_byte_identical(tmp_path):
     back = load_msp(tmp_path / "a.json")
     for p, q in zip(back.params(), model.params()):
         np.testing.assert_array_equal(bits(p), bits(q))
+
+
+def test_writer_emits_what_json_dump_would(tmp_path):
+    rng = np.random.default_rng(5)
+    arrays = [rng.normal(size=(3, 4)), np.zeros(0), np.array(2.5)]
+    names = ["w", "empty", "caf\u00e9 \"q\""]
+    config = {"counts": [2, 3], "name": "\u00fc\n", "nested": {"x": None, "y": 1.5}}
+    path = tmp_path / "c.json"
+    checkpoint.save_container(path, "test", config, names, arrays)
+    doc = {
+        "format": checkpoint.FORMAT,
+        "version": checkpoint.VERSION,
+        "kind": "test",
+        "config": config,
+        "params": [
+            {"name": n, "shape": list(a.shape), "dtype": "<f8",
+             "data": base64.b64encode(a.astype("<f8").tobytes()).decode("ascii")}
+            for n, a in zip(names, arrays)
+        ],
+    }
+    assert path.read_bytes() == (json.dumps(doc, indent=1) + "\n").encode("ascii")
+    with pytest.raises(ConfigError, match="contain"):
+        checkpoint.save_container(tmp_path / "d.json", "test", {"k": "\x00"}, ["w"], arrays[:1])
 
 
 def test_v1_document_still_loads_bit_identically(tmp_path):

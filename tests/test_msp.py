@@ -354,6 +354,47 @@ def test_forward_with_and_without_cache_bit_equal():
     np.testing.assert_array_equal(z, model.forward_batch(x))
 
 
+def _owned_bytes(arrays) -> int:
+    """Bytes of the distinct buffers that the arrays view."""
+    owners = {}
+    for a in arrays:
+        while a.base is not None:
+            a = a.base
+        owners[id(a)] = a.nbytes
+    return sum(owners.values())
+
+
+def test_teacher_step_memory_is_bounded_by_the_fused_activation():
+    import tracemalloc
+
+    config = MspConfig(
+        lookback=64, horizon=1, n_variables=4, class_counts=[2, 3, 2, 4],
+        trunk_channels=4, ue_channels=16, kernel_width=3, seed=0,
+    )
+    model = MspModel(config)
+    rng = np.random.default_rng(0)
+    b = 32
+    x = rng.normal(size=(b, 64, 4))
+    targets = rng.integers(0, 2, size=(b, 1, 4))
+    a1_bytes = 8 * b * 64 * 4  # the trunk's output
+    r_bytes = 8 * b * 64 * 4 * 16  # the fused extractor conv's output
+    tracemalloc.start()
+    try:
+        z, cache = model.forward_batch(x, want_cache=True)
+        # the cache holds the fused activation once, not a copy per head
+        assert _owned_bytes(cache) == x.nbytes + a1_bytes + r_bytes + z.nbytes
+        _, dz = msp_loss(z, targets, config.class_counts)
+        grads = model.backward_batch(cache, dz)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cache == []  # consumed
+    # per-head copies next to r, or a separate upstream-gradient buffer,
+    # would take the peak above 2.4 r
+    assert peak < 2 * r_bytes, peak / r_bytes
+    assert [g.shape for g in grads] == [p.shape for p in model.params()]
+
+
 # -- oracle: the extractor heads one conv at a time ---------------------------
 
 

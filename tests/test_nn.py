@@ -182,6 +182,21 @@ def test_conv_channels_last_views_match_contiguous():
     assert none is None and dx.shape == x.shape
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("batch", [None, 1, 7, 33])  # None: one 2-D sample
+def test_conv_per_tap_weight_gradient_matches_patch_matrix_product(k, batch):
+    rng = np.random.default_rng(20 + k)
+    conv = nn.init_conv1d(rng, 5, 6, k)
+    shape = (5, 11) if batch is None else (batch, 5, 11)
+    x = rng.normal(size=shape)
+    g = rng.normal(size=shape[:-2] + (6, 11))
+    (dw, _), _ = nn.conv1d_backward(conv, x, g)
+    xb, gb = (x[None], g[None]) if batch is None else (x, g)
+    g2 = gb.transpose(0, 2, 1).reshape(-1, 6)
+    ref = (nn.im2col(xb, k).T @ g2).reshape(5, k, 6).transpose(2, 0, 1)[:, :, ::-1]
+    np.testing.assert_allclose(dw, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
 def test_linear_backward_without_input_grad_is_bit_identical():
     rng = np.random.default_rng(7)
     lin = nn.init_linear(rng, 6, 5)
@@ -276,3 +291,27 @@ def test_adam_in_place_is_bit_identical_to_fresh_arrays():
         for a, b in zip(ours + state.m + state.v, ref + ref_state.m + ref_state.v):
             np.testing.assert_array_equal(a, b)
     assert [id(a) for a in state.m + state.v] == moments  # updated in place
+
+
+def test_adam_scratch_is_fixed_whatever_the_block_size():
+    import tracemalloc
+
+    rng = np.random.default_rng(9)
+    w = rng.normal(size=10**6)
+    g = rng.normal(size=10**6)
+    state = nn.init_adam([w])
+    tracemalloc.start()
+    try:
+        nn.adam_step(state, [w], [g])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the finiteness mask is 1 MB; two whole-block temporaries would be 16 MB
+    assert peak < 2 * 2**20, peak
+
+
+def test_adam_rejects_non_contiguous_parameters():
+    w = np.zeros((4, 3)).T
+    state = nn.init_adam([w])
+    with pytest.raises(ShapeError, match="bias is not C-contiguous"):
+        nn.adam_step(state, [w], [np.zeros((3, 4))], names=["bias"])
