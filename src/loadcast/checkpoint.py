@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, reading
 
 FORMAT = "loadcast-checkpoint"
 VERSION = 2
@@ -105,12 +105,8 @@ def _read_block(path: Path, version: int, index: int, block) -> tuple[str, np.nd
 def load_container(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]:
     """Read a container; returns (kind, config, read-only arrays by block name)."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such checkpoint: {path}")
-    try:
+    with reading(path):
         doc = json.loads(path.read_bytes())
-    except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError, UnicodeDecodeError
-        raise DataError(f"{path}: not a readable checkpoint: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise DataError(f"{path}: not a {FORMAT} container")
     version = doc.get("version")

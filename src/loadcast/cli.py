@@ -18,7 +18,7 @@ from pathlib import Path
 from . import forecaster as fc
 from . import labeling, metrics, msp, synth
 from .data import SeriesFrame, align_and_downsample, load_csv, save_csv
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError, reading
 from .pipeline import (
     RunConfig,
     evaluate_forecaster,
@@ -43,15 +43,8 @@ def _parse_horizons(text: str) -> list[int]:
 
 
 def _load_config_file(path: str) -> dict[str, str]:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"no such config file: {path}")
-    try:
-        text = p.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from None
+    with reading(path, error=ConfigError):
+        text = Path(path).read_text(encoding="utf-8")
     values: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -111,15 +104,14 @@ def merge_run_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"{args.config}: {exc}") from None
 
 
-def _add_run_flags(p: argparse.ArgumentParser, include_horizon_sweep: bool = True) -> None:
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file; flags override it")
     p.add_argument("--data", dest="data_csv", help="load series CSV")
     p.add_argument("--states", dest="states_csv", help="state labels CSV")
     p.add_argument("--checkpoint-dir", dest="checkpoint_dir")
     p.add_argument("--report-dir", dest="report_dir")
     p.add_argument("--lookback", type=int, dest="lookback")
-    if include_horizon_sweep:
-        p.add_argument("--horizons", type=_parse_horizons, dest="horizons")
+    p.add_argument("--horizons", type=_parse_horizons, dest="horizons")
     p.add_argument("--lr", type=float, dest="lr")
     p.add_argument("--batch", type=int, dest="batch")
     p.add_argument("--patience", type=int, dest="patience")
@@ -235,7 +227,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     baseline = metrics.load_report_csv(args.baseline)
     treated = metrics.load_report_csv(args.treated)
-    improvement = metrics.percent_improvement(baseline, treated)
+    with prefix_errors(f"{args.baseline} vs {args.treated}: "):
+        improvement = metrics.percent_improvement(baseline, treated)
     metrics.save_comparison_csv(baseline, treated, improvement, args.out)
     print(
         f"wrote {args.out} (avg improvement: mae {improvement.average['mae']:.3f}%, "
@@ -340,6 +333,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:  # input files are read under errors.reading; this is an output
+        print(f"configuration error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError, ShapeError
+from .errors import DataError, ShapeError, reading
 
 TRAIN_FRACTION = 0.6
 VAL_FRACTION = 0.2
@@ -137,16 +137,8 @@ class WindowSet(Sequence[WindowSample]):
 def load_csv(path: str | Path) -> SeriesFrame:
     """Parse a load-series CSV into a SeriesFrame, sorting rows by timestamp."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    try:
+    with reading(path):
         timestamps, rows, names = _read_rows(path)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    except csv.Error as exc:
-        raise DataError(f"{path}: {exc}") from None
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read: {exc.strerror}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     ts_arr = np.asarray(timestamps, dtype=np.int64)

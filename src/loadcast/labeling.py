@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import SeriesFrame
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError, reading
 
 DEFAULT_WINDOW = 24
 DEFAULT_MIN_STATES = 2
@@ -381,30 +381,21 @@ def save_states_csv(profile: StateProfile, frame: SeriesFrame, path: str | Path)
 def load_states_csv(path: str | Path) -> tuple[StateProfile, np.ndarray, list[str]]:
     """Read a state CSV and its sidecar; returns (profile, timestamps, names)."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
+    with reading(path), path.open(newline="", encoding="utf-8") as f:
+        header = f.readline().rstrip("\n").split(",")
+        if header[:1] != ["timestamp"]:
+            raise DataError(f"{path}: header must start with 'timestamp'")
+        names = header[1:]
+        body = np.loadtxt(f, delimiter=",", dtype=np.int64, ndmin=2)
+    if body.size == 0:
+        raise DataError(f"{path}: no data rows")
     sidecar = path.with_suffix(path.suffix + ".meta.json")
-    if not sidecar.exists():
-        raise DataError(f"missing sidecar metadata: {sidecar}")
-    try:  # ValueError covers bad JSON and bad UTF-8
+    with reading(sidecar):
         meta = json.loads(sidecar.read_text(encoding="utf-8"))
         meta_names = [m["name"] for m in meta]
         counts = np.asarray([m["states"] for m in meta], dtype=np.int64)
-    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"{sidecar}: malformed state metadata: {exc!r}") from None
-    try:  # ValueError covers bad UTF-8, unparsable cells and ragged rows
-        with path.open(newline="", encoding="utf-8") as f:
-            header = f.readline().rstrip("\n").split(",")
-            if header[:1] != ["timestamp"]:
-                raise DataError(f"{path}: header must start with 'timestamp'")
-            names = header[1:]
-            body = np.loadtxt(f, delimiter=",", dtype=np.int64, ndmin=2)
-    except (OSError, ValueError, OverflowError) as exc:
-        raise DataError(f"{path}: malformed state labels: {exc}") from None
-    if body.size == 0:
-        raise DataError(f"{path}: no data rows")
     if meta_names != names:
-        raise DataError(f"{path}: sidecar names {meta_names} do not match header {names}")
+        raise DataError(f"{sidecar}: names {meta_names} do not match {path}'s header {names}")
     try:
         profile = StateProfile(body[:, 1:], counts)
     except ShapeError as exc:  # label columns or values that disagree with the sidecar

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import DataError, ShapeError, reading
 
 
 def mae(yhat: np.ndarray, y: np.ndarray) -> float:
@@ -107,23 +107,13 @@ def save_report_csv(report: EvalReport, path: str | Path) -> None:
 
 def load_report_csv(path: str | Path) -> EvalReport:
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        rows = list(reader)
-    if not rows:
-        raise DataError(f"{path}: no report rows")
-    has_raw = "mae_raw" in rows[0]
-    report = EvalReport(horizons=[], mae=[], mape_sym=[])
-    for row in rows:
-        report.horizons.append(int(row["horizon"]))
-        report.mae.append(float(row["mae"]))
-        report.mape_sym.append(float(row["mape_sym"]))
-        if has_raw:
-            report.mae_raw.append(float(row["mae_raw"]))
-            report.mape_sym_raw.append(float(row["mape_sym_raw"]))
-    return report
+    with reading(path), path.open(newline="", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+        if not rows:
+            raise DataError(f"{path}: no report rows")
+        raw = ["mae_raw", "mape_sym_raw"] if "mae_raw" in rows[0] else []
+        columns = {name: [float(row[name]) for row in rows] for name in ["mae", "mape_sym", *raw]}
+        return EvalReport([int(row["horizon"]) for row in rows], **columns)
 
 
 def save_comparison_csv(

@@ -133,39 +133,36 @@ def im2col(x: Array, k: int) -> Array:
 def conv1d_forward(params: LayerParams, x: Array) -> Array:
     """True 1-D convolution, stride 1, output length equals input length.
 
-    x is (in_channels, T) for one sample or (batch, in_channels, T);
-    the output swaps in_channels for out_channels. Single-channel
-    output agrees with np.convolve(x, kernel, mode="same").
+    x is (batch, in_channels, T); the output swaps in_channels for
+    out_channels. Single-channel output agrees with
+    np.convolve(x, kernel, mode="same").
 
-    The output is a (.., out_channels, T) view of a channels-last buffer,
+    The output is a (batch, out_channels, T) view of a channels-last buffer,
     one row of out_channels values per time step, and x may be such a view
     itself: chained convolutions then never transpose their activations.
     """
     if params.kind != "conv1d":
         raise ShapeError(f"expected conv1d params, got kind={params.kind!r}")
-    if x.ndim not in (2, 3) or x.shape[-2] != params.in_channels:
+    if x.ndim != 3 or x.shape[1] != params.in_channels:
         raise ShapeError(
             f"conv1d input shape {x.shape} incompatible with weights {params.weights.shape}"
         )
-    t = x.shape[-1]
+    b, _, t = x.shape
     k = params.kernel_width
     if k > 2 * t + 1:
         raise ShapeError(f"kernel width {k} exceeds 2*time+1 = {2 * t + 1}")
     _require_finite(x, "conv1d input")
-    xb = x[None] if x.ndim == 2 else x
-    b = xb.shape[0]
     # flipped kernel as an (in_channels*k, out_channels) matrix
     w = params.weights[:, :, ::-1].transpose(1, 2, 0).reshape(-1, params.out_channels)
-    out = im2col(xb, k) @ w
+    out = im2col(x, k) @ w
     out += params.bias
-    out = out.reshape(b, t, params.out_channels).transpose(0, 2, 1)
-    return out[0] if x.ndim == 2 else out
+    return out.reshape(b, t, params.out_channels).transpose(0, 2, 1)
 
 
 def conv1d_backward(
     params: LayerParams, x: Array, grad_out: Array, input_grad: bool = True
 ) -> tuple[tuple[Array, Array], Array | None]:
-    """Analytic gradients of conv1d_forward for 2-D or batched 3-D input.
+    """Analytic gradients of conv1d_forward for a (batch, in_channels, T) input.
 
     grad_out is read fastest as a channels-last view, like the output of
     conv1d_forward, and the input gradient is returned as one.
@@ -181,21 +178,18 @@ def conv1d_backward(
     entry). Full batches of 128 at the teacher's channel counts give the
     same bits with one BLAS thread. The bias and input gradients do not move.
     """
-    t = x.shape[-1]
     k = params.kernel_width
     o, i = params.out_channels, params.in_channels
-    expected = x.shape[:-2] + (o, t)
-    if grad_out.shape != expected:
-        raise ShapeError(f"upstream grad shape {grad_out.shape} does not match output {expected}")
-    xb, gb = (x[None], grad_out[None]) if x.ndim == 2 else (x, grad_out)
-    b = xb.shape[0]
-    g = gb.transpose(0, 2, 1).reshape(b * t, o)  # (batch*T, out_channels)
+    if x.ndim != 3 or grad_out.shape != (x.shape[0], o, x.shape[2]):
+        raise ShapeError(f"upstream grad shape {grad_out.shape} does not fit input {x.shape}")
+    b, _, t = x.shape
+    g = grad_out.transpose(0, 2, 1).reshape(b * t, o)  # (batch*T, out_channels)
     left = _left_pad(k)
 
     # Tap j reads x[t + j - left] at output step t through kernel column
     # k-1-j (see im2col): its weight gradient is that shifted copy of x,
     # zero outside the series, against g.
-    src = xb.transpose(0, 2, 1)  # (batch, T, in_channels)
+    src = x.transpose(0, 2, 1)  # (batch, T, in_channels)
     shifted = np.empty((b, t, i))
     dw = np.empty((o, i, k))
     for j in range(k):
@@ -222,8 +216,7 @@ def conv1d_backward(
         tap = (g @ params.weights[:, :, k - 1 - j]).reshape(b, t, i)
         dx[:, lo:hi] += tap[:, lo - shift : hi - shift]
         del tap
-    dx = dx.transpose(0, 2, 1)
-    return (dw, db), dx[0] if x.ndim == 2 else dx
+    return (dw, db), dx.transpose(0, 2, 1)
 
 
 def relu(x: Array) -> Array:
@@ -282,9 +275,10 @@ def adam_step(
 ) -> tuple[Sequence[Array], AdamState]:
     """One bias-corrected Adam update, in place on params and state.
 
-    Parameter blocks must be C-contiguous: each block and its moments are
-    updated through flat views, ADAM_CHUNK elements at a time, so the
-    scratch memory is fixed whatever the block sizes.
+    Parameter blocks must be C-contiguous: gradients are checked, then
+    blocks and moments updated, through flat views ADAM_CHUNK elements at
+    a time, so the scratch memory is fixed whatever the block sizes. A
+    non-finite gradient raises NumericError before any parameter moves.
     """
     if len(params) != len(grads):
         raise ShapeError(f"{len(params)} parameter blocks but {len(grads)} gradient blocks")
@@ -294,8 +288,10 @@ def adam_step(
             raise ShapeError(f"gradient shape {g.shape} does not match parameter shape {p.shape}")
         if not p.flags.c_contiguous:
             raise ShapeError(f"parameter {label} is not C-contiguous")
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient in {label}")
+        flat = g.reshape(-1)
+        for lo in range(0, flat.size, ADAM_CHUNK):  # a mask the size of one scratch row
+            if not np.isfinite(flat[lo : lo + ADAM_CHUNK]).all():
+                raise NumericError(f"non-finite gradient in {label}")
     state.t += 1
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t

@@ -18,7 +18,7 @@ import json
 import numpy as np
 
 from .data import SeriesFrame
-from .errors import ConfigError
+from .errors import ConfigError, reading
 from .labeling import StateProfile
 
 HOUSEHOLD_COLUMN = "household"
@@ -68,6 +68,8 @@ def validate_config(config: SynthConfig) -> None:
     if not config.appliances:
         raise ConfigError("at least one appliance is required")
     names = [a.name for a in config.appliances]
+    if not all(isinstance(name, str) for name in names):
+        raise ConfigError(f"appliance names must be strings, got {names}")
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate appliance names in {names}")
     if config.include_household_total and HOUSEHOLD_COLUMN in names:
@@ -235,16 +237,22 @@ def benchmark_household(seed: int = 0, length: int = 20000) -> SynthConfig:
     )
 
 
+# The JSON types of an appliance file's scalar fields (true is not an int here).
+_SCALAR_TYPES = {"length": (int,), "noise_sigma": (int, float), "spike_rate": (int, float),
+                 "include_household_total": (bool,), "seed": (int,)}
+
+
 def config_from_json(path: str | Path, **overrides) -> SynthConfig:
     """Build a SynthConfig from a JSON appliance file.
 
     Schema: {"appliances": [{"name", "state_levels", "dwell_means",
     "trigger"?: {"source", "source_state", "lag", "probability"}}, ...],
     "length"?, "noise_sigma"?, "spike_rate"?,
-    "include_household_total"?, "seed"?}. Keyword overrides win.
+    "include_household_total"?, "seed"?}. Keyword overrides win. A file
+    that cannot be read, parsed or validated raises ConfigError naming it.
     """
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    try:
+    with reading(path, error=ConfigError):
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
         apps = [
             ApplianceSpec(
                 name=a["name"],
@@ -261,12 +269,18 @@ def config_from_json(path: str | Path, **overrides) -> SynthConfig:
             )
             for a in raw["appliances"]
         ]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"{path}: malformed appliance spec: {exc}") from None
-    kwargs = {
-        key: raw[key]
-        for key in ("length", "noise_sigma", "spike_rate", "include_household_total", "seed")
-        if key in raw
-    }
-    kwargs.update(overrides)
-    return SynthConfig(appliances=apps, **kwargs)
+        kwargs = {key: raw[key] for key in _SCALAR_TYPES if key in raw}
+    for key, value in kwargs.items():
+        if type(value) not in _SCALAR_TYPES[key]:
+            names = " or ".join(t.__name__ for t in _SCALAR_TYPES[key])
+            raise ConfigError(f"{path}: {key} must be of type {names}, got {value!r}")
+    config = SynthConfig(appliances=apps, **{**kwargs, **overrides})
+    try:
+        validate_config(config)
+    except ConfigError as exc:
+        try:  # is the file at fault, or only the flags that override its values?
+            validate_config(SynthConfig(appliances=apps, **kwargs))
+        except ConfigError:
+            raise ConfigError(f"{path}: {exc}") from None
+        raise
+    return config

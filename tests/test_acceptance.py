@@ -53,8 +53,8 @@ def test_criterion_1_gradient_integrity():
         assert rep.max_rel_error < 1e-5
 
         conv = nn.init_conv1d(rng, 2, 3, 3)
-        xc = rng.normal(size=(2, 8))
-        upc = rng.normal(size=(3, 8))
+        xc = rng.normal(size=(1, 2, 8))
+        upc = rng.normal(size=(1, 3, 8))
         (dwc, dbc), dxc = nn.conv1d_backward(conv, xc, upc)
         rep = nn.grad_check(
             lambda: float((nn.conv1d_forward(conv, xc) * upc).sum()),

@@ -1,8 +1,11 @@
-"""Malformed data CSVs, state CSVs and config files: each ends in exit 2
-or 3 with a message naming the file, never in a traceback."""
+"""Malformed inputs (data CSV, state CSV and sidecar, config file,
+checkpoint, report CSV, appliance JSON) and unwritable outputs: each
+ends in exit 2 or 3 with a message naming the file, never in a traceback."""
 
 import contextlib
 import io
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +39,97 @@ def inputs(tmp_path_factory):
     labelled = run(["label", "--data", tmp / "data.csv", "--out", tmp / "states.csv", "--w", 4])
     assert labelled == (0, "")
     return tmp
+
+
+@pytest.fixture(scope="module")
+def artifacts(inputs):
+    """The inputs plus what a pipeline run writes from them (two-horizon
+    report CSVs and forecaster checkpoints) and an appliance JSON."""
+    args = ["--data", inputs / "data.csv", "--states", inputs / "states.csv", "--lookback", 8]
+    args += ["--horizons", "1,2", "--max-epochs", 1]
+    args += ["--checkpoint-dir", inputs / "ck", "--report-dir", inputs / "rep"]
+    assert run(["pipeline", *args]) == (0, "")
+    spec = {
+        "appliances": [
+            {"name": "fridge", "state_levels": [0.1, 0.7], "dwell_means": [5.0, 3.0]},
+            {"name": "washer", "state_levels": [0.0, 2.0], "dwell_means": [12.0, 4.0]},
+            {"name": "dryer", "state_levels": [0.0, 2.5], "dwell_means": [20.0, 5.0],
+             "trigger": {"source": "washer", "source_state": 1, "lag": 2, "probability": 0.9}},
+        ],
+        "length": 48, "noise_sigma": 0.05, "spike_rate": 0.01,
+        "include_household_total": True, "seed": 3,
+    }
+    (inputs / "home.json").write_text(json.dumps(spec, indent=1) + "\n", encoding="utf-8")
+    return inputs
+
+
+# each input the CLI reads, and the artifact a test starts it from
+READERS = {
+    "data CSV": "data.csv", "state CSV": "states.csv", "sidecar": "states.csv.meta.json",
+    "config": "run.cfg", "checkpoint": "ck/plain_h2.json", "report CSV": "rep/guided.csv",
+    "appliance JSON": "home.json",
+}
+
+
+def reading_command(artifacts, where, reader):
+    """(path, args, exit code): the command that reads `path` as the given
+    input, and the exit code it ends in when that file is broken. Each
+    path starts as a clean copy of the artifact, in `where`."""
+    for name in {READERS[reader], "states.csv", "states.csv.meta.json"}:
+        (where / Path(name).name).write_bytes((artifacts / name).read_bytes())
+    path = where / Path(READERS[reader]).name
+    data = ["--data", artifacts / "data.csv"]
+    out = ["--out", where / "out.csv"]
+    args = {
+        "data CSV": ["label", "--data", path, "--w", 4, *out],
+        "state CSV": ["train-msp", *data, "--states", where / "states.csv", "--lookback", 8,
+                      "--horizon", 2, "--max-epochs", 1, "--out", where / "m.json"],
+        "config": ["config", "--config", path],
+        "checkpoint": ["eval", *data, "--states", artifacts / "states.csv", "--model", path, *out],
+        "report CSV": ["compare", "--baseline", artifacts / "rep/plain.csv", "--treated", path,
+                       *out],
+        "appliance JSON": ["synth", "--appliances", path, *out, "--states-out", where / "t.csv"],
+    }
+    args["sidecar"] = args["state CSV"]
+    code = cli.EXIT_CONFIG if reader in ("config", "appliance JSON") else cli.EXIT_DATA
+    return path, args[reader], code
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_missing_or_directory_input_exits_naming_it(artifacts, tmp_path, reader, kind):
+    path, args, expected = reading_command(artifacts, tmp_path, reader)
+    path.unlink()
+    if kind == "directory":
+        path.mkdir()
+    code, err = run(args)
+    assert code == expected and str(path) in err, err
+
+
+def test_reports_of_other_horizons_exit_2_naming_both(artifacts, tmp_path):
+    baseline, treated = artifacts / "rep/plain.csv", tmp_path / "one.csv"
+    header, first_row = (artifacts / "rep/guided.csv").read_text("utf-8").splitlines()[:2]
+    treated.write_text(f"{header}\n{first_row}\n", "utf-8")
+    code, err = run(["compare", "--baseline", baseline, "--treated", treated,
+                     "--out", tmp_path / "c.csv"])
+    assert code == cli.EXIT_CONFIG and f"{baseline} vs {treated}: horizon sets differ" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["synth", "--states-out", "{tmp}/t.csv", "--length", 48],
+     ["label", "--data", "{inputs}/data.csv", "--w", 4],
+     ["pipeline", "--data", "{inputs}/data.csv", "--states", "{inputs}/states.csv",
+      "--lookback", 8, "--horizons", 2, "--max-epochs", 1, "--report-dir", "{tmp}/rep"]],
+    ids=["synth", "label", "pipeline"],
+)
+def test_unwritable_output_exits_2_naming_it(inputs, tmp_path, command):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    out = tmp_path / "file" / "out"  # under a regular file: no directory can hold it
+    flag = "--checkpoint-dir" if command[0] == "pipeline" else "--out"
+    args = [str(a).format(tmp=tmp_path, inputs=inputs) for a in command] + [flag, out]
+    code, err = run(args)
+    assert code == cli.EXIT_CONFIG and err.startswith(f"configuration error: cannot write {out}: ")
 
 
 def label(inputs, data):
@@ -158,6 +252,41 @@ def test_corrupted_config_never_escapes_as_traceback(inputs, data):
     code, err = show_config(bad)
     assert code in (cli.EXIT_CONFIG, cli.EXIT_DATA)
     assert str(bad) in err
+
+
+@st.composite
+def corrupted_json(draw, raw, flips):
+    """raw, a JSON document, with one byte changed to one of flips, or cut
+    before its last non-blank byte (no cut of an object or list parses)."""
+    if draw(st.booleans()):
+        byte = draw(st.sampled_from(flips))
+        at = draw(st.integers(0, len(raw) - 1).filter(lambda a: raw[a : a + 1] != byte))
+        return raw[:at] + byte + raw[at + 1 :]
+    return raw[: draw(st.integers(0, len(raw.rstrip()) - 1))]
+
+
+CSV_FLIPS = [(b"\xff", 0), (b"x", 0), (b";", 0)]
+CORRUPTIONS = {
+    "state CSV": lambda raw: corrupted_lines(raw.decode("utf-8"), CSV_FLIPS, csv_cut_span),
+    "report CSV": lambda raw: corrupted_lines(raw.decode("utf-8"), CSV_FLIPS, csv_cut_span),
+    "sidecar": lambda raw: corrupted_json(raw, [b"\xff", b"x", b"{"]),
+    # x or a digit in the base64 data would be a valid, different parameter
+    "checkpoint": lambda raw: corrupted_json(raw, [b"\xff", b"{", b","]),
+    "appliance JSON": lambda raw: corrupted_json(raw, [b"\xff", b"x", b"9", b"-"]),
+}
+
+
+@pytest.mark.parametrize("reader", CORRUPTIONS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_corrupted_input_never_escapes_as_traceback(artifacts, reader, data):
+    where = artifacts / "corrupt"
+    where.mkdir(exist_ok=True)
+    path, args, _ = reading_command(artifacts, where, reader)
+    path.write_bytes(data.draw(CORRUPTIONS[reader](path.read_bytes())))
+    code, err = run(args)
+    assert code in (0, cli.EXIT_CONFIG, cli.EXIT_DATA), err
+    assert code == 0 or str(path) in err, err
 
 
 @pytest.mark.parametrize(

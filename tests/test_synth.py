@@ -1,6 +1,8 @@
 """Synthetic household generator tests: determinism, noise model,
 trigger statistics, dwell statistics, validation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,51 @@ def test_config_from_json(tmp_path):
     assert config.appliances[1].trigger.lag == 2
     frame, truth = synth.generate(config)
     assert frame.length == 500 and truth.labels.shape == (500, 2)
+
+
+APPLIANCE = {"name": "washer", "state_levels": [0.0, 2.0], "dwell_means": [40, 8]}
+
+
+@pytest.mark.parametrize(
+    "field",
+    [{"length": "10"}, {"length": True}, {"length": 10.0}, {"seed": False}, {"seed": 1.5},
+     {"noise_sigma": "0.1"}, {"noise_sigma": True}, {"spike_rate": None},
+     {"include_household_total": 1}, {"include_household_total": "true"}],
+)
+def test_config_from_json_rejects_a_scalar_of_the_wrong_type(tmp_path, field):
+    path = tmp_path / "house.json"
+    path.write_text(json.dumps({"appliances": [APPLIANCE], **field}), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"{path}: {next(iter(field))} must be of type"):
+        synth.config_from_json(path)
+
+
+def test_config_from_json_accepts_an_integer_where_a_number_is_due(tmp_path):
+    path = tmp_path / "house.json"
+    spec = {"appliances": [APPLIANCE], "length": 30, "noise_sigma": 1, "spike_rate": 0}
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    config = synth.config_from_json(path)
+    assert (config.length, config.noise_sigma, config.spike_rate) == (30, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "spec, flags, named",
+    [({"length": 0}, {}, True),
+     ({"appliances": [dict(APPLIANCE, dwell_means=[0.5, 8])]}, {}, True),
+     ({"appliances": [dict(APPLIANCE, name=["washer"])]}, {}, True),
+     ({}, {"length": 0}, False)],  # only the flag is invalid
+)
+def test_invalid_values_name_the_file_when_it_holds_them(tmp_path, spec, flags, named):
+    path = tmp_path / "house.json"
+    path.write_text(json.dumps({"appliances": [APPLIANCE], **spec}), encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        synth.config_from_json(path, **flags)
+    assert str(err.value).startswith(f"{path}: ") == named
+
+
+def test_a_flag_overrides_an_invalid_file_value(tmp_path):
+    path = tmp_path / "house.json"
+    path.write_text(json.dumps({"appliances": [APPLIANCE], "length": 0}), encoding="utf-8")
+    assert synth.config_from_json(path, length=30).length == 30
 
 
 def test_benchmark_household_is_valid():
