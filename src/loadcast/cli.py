@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import Field, fields
 from pathlib import Path
+from typing import Callable
 
 from . import forecaster as fc
 from . import labeling, metrics, msp, synth
@@ -39,7 +40,13 @@ def _parse_horizons(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise ConfigError(f"horizons must be comma-separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
+
+
+def _parser(f: Field) -> Callable[[str], object]:
+    """How a RunConfig field's flag or config-file value is read: by the
+    type of its default."""
+    return _parse_horizons if f.name == "horizons" else type(f.default)
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -57,37 +64,20 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-_BOOL_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
-
-def _coerce(key: str, value: str, target_type, source: str) -> object:
-    try:
-        if target_type is bool:
-            lowered = value.lower()
-            if lowered not in _BOOL_STRINGS:
-                raise ValueError(value)
-            return _BOOL_STRINGS[lowered]
-        if target_type is int:
-            return int(value)
-        if target_type is float:
-            return float(value)
-        if target_type is list:
-            return _parse_horizons(value)
-        return value
-    except (ValueError, ConfigError):  # _parse_horizons raises ConfigError
-        raise ConfigError(f"{source}: config key {key!r}: cannot parse {value!r}") from None
-
-
 def merge_run_config(args: argparse.Namespace) -> RunConfig:
     """Defaults <- config file <- explicit flags (flags win)."""
     file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
     kwargs = {}
     for f in fields(RunConfig):
-        target_type = {"horizons": list}.get(f.name, type(getattr(RunConfig(), f.name)))
         if getattr(args, f.name, None) is not None:
             kwargs[f.name] = getattr(args, f.name)
         elif f.name in file_values:
-            kwargs[f.name] = _coerce(f.name, file_values[f.name], target_type, args.config)
+            value = file_values[f.name]
+            try:
+                kwargs[f.name] = _parser(f)(value)
+            except (ValueError, argparse.ArgumentTypeError):
+                message = f"config key {f.name!r}: cannot parse {value!r}"
+                raise ConfigError(f"{args.config}: {message}") from None
     unknown = set(file_values) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"{args.config}: unknown config keys: {sorted(unknown)}")
@@ -104,36 +94,22 @@ def merge_run_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"{args.config}: {exc}") from None
 
 
+# the flags that are not --<field with - for _>, and the help of some flags
+_FLAG_NAMES = {"data_csv": "--data", "states_csv": "--states"}
+_FLAG_HELP = {
+    "data_csv": "load series CSV",
+    "states_csv": "state labels CSV",
+    "w": "labeling window size",
+}
+
+
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """--config, then one flag per RunConfig field, read as merge_run_config
+    reads that field from a config file."""
     p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--data", dest="data_csv", help="load series CSV")
-    p.add_argument("--states", dest="states_csv", help="state labels CSV")
-    p.add_argument("--checkpoint-dir", dest="checkpoint_dir")
-    p.add_argument("--report-dir", dest="report_dir")
-    p.add_argument("--lookback", type=int, dest="lookback")
-    p.add_argument("--horizons", type=_parse_horizons, dest="horizons")
-    p.add_argument("--lr", type=float, dest="lr")
-    p.add_argument("--batch", type=int, dest="batch")
-    p.add_argument("--patience", type=int, dest="patience")
-    p.add_argument("--max-epochs", type=int, dest="max_epochs")
-    p.add_argument("--alpha", type=float, dest="alpha")
-    p.add_argument("--w", type=int, dest="w", help="labeling window size")
-    p.add_argument("--min-s", type=int, dest="min_s")
-    p.add_argument("--max-s", type=int, dest="max_s")
-    p.add_argument("--seed", type=int, dest="seed")
-    p.add_argument("--period-seconds", type=int, dest="period_seconds")
-    p.add_argument("--forecaster-kind", choices=fc.FORECASTER_KINDS, dest="forecaster_kind")
-    p.add_argument("--hidden", type=int, dest="hidden")
-    p.add_argument(
-        "--flat-linear",
-        action="store_false",
-        dest="per_variable",
-        default=None,
-        help="use one flattened linear map instead of per-variable maps",
-    )
-    p.add_argument("--trunk-channels", type=int, dest="trunk_channels")
-    p.add_argument("--ue-channels", type=int, dest="ue_channels")
-    p.add_argument("--kernel-width", type=int, dest="kernel_width")
+    for f in fields(RunConfig):
+        flag = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+        p.add_argument(flag, dest=f.name, type=_parser(f), help=_FLAG_HELP.get(f.name))
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -192,7 +168,7 @@ def cmd_train_msp(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = merge_run_config(args)
-    frame, _, _, windows = prepare_windows(config, [args.horizon])
+    frame, _, _, windows = prepare_windows(config, [args.horizon], read_states=False)
     train_w, val_w, _ = windows[args.horizon]
     teacher = msp.load_msp(args.msp) if args.msp else None
     # the forecaster is built for these windows; only a teacher's geometry can differ
@@ -214,7 +190,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     model = fc.load_forecaster(args.model)
     horizon = model.config.horizon
     config.lookback = model.config.lookback
-    _, _, stats, windows = prepare_windows(config, [horizon])
+    _, _, stats, windows = prepare_windows(config, [horizon], read_states=False)
     test_w = windows[horizon][2]
     with prefix_errors(f"checkpoint {args.model} does not fit {config.data_csv}: ", ShapeError):
         m, mp, mr, mpr = evaluate_forecaster(model, test_w, stats)

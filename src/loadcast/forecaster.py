@@ -1,8 +1,8 @@
 """Baseline load forecasters: a linear map and a two-layer MLP.
 
 Both map a lookback window (L, D) to a horizon forecast (H, D). The
-linear model defaults to one L->H map per variable; a flattened
-(L*D)->(H*D) variant and the MLP exercise cross-variable mixing.
+linear model is one L->H map per variable; the MLP mixes variables
+through its (L*D)->hidden->(H*D) layers.
 Guided training changes only the loss, never the model structure, so a
 checkpoint trained either way is interchangeable at inference.
 """
@@ -37,7 +37,6 @@ class ForecasterConfig:
     horizon: int
     n_variables: int
     hidden: int = 256
-    per_variable: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -50,24 +49,18 @@ class ForecasterConfig:
 
 
 class LinearForecaster:
-    """Per-variable L->H linear maps, or one flattened (L*D)->(H*D) map."""
+    """Per-variable L->H linear maps."""
 
     def __init__(self, config: ForecasterConfig):
         self.config = config
         c = config
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(c.seed, 23)))
-        if c.per_variable:
-            limit = np.sqrt(6.0 / (c.lookback + c.horizon))
-            self.weights = rng.uniform(-limit, limit, size=(c.n_variables, c.lookback, c.horizon))
-            self.bias = np.zeros((c.n_variables, c.horizon))
-            self.flat = None
-        else:
-            self.flat = nn.init_linear(rng, c.lookback * c.n_variables, c.horizon * c.n_variables)
+        limit = np.sqrt(6.0 / (c.lookback + c.horizon))
+        self.weights = rng.uniform(-limit, limit, size=(c.n_variables, c.lookback, c.horizon))
+        self.bias = np.zeros((c.n_variables, c.horizon))
 
     def params(self) -> list[np.ndarray]:
-        if self.flat is None:
-            return [self.weights, self.bias]
-        return [self.flat.weights, self.flat.bias]
+        return [self.weights, self.bias]
 
     def param_names(self) -> list[str]:
         return ["weights", "bias"]
@@ -78,31 +71,18 @@ class LinearForecaster:
             raise ShapeError(
                 f"input shape {x.shape} does not match (batch, {c.lookback}, {c.n_variables})"
             )
-        b = x.shape[0]
-        if self.flat is None:
-            y = np.einsum("bli,ilh->bhi", x, self.weights, optimize=True) + self.bias.T[None]
-            cache = x
-        else:
-            xf = x.reshape(b, -1)
-            y = nn.linear_forward(self.flat, xf).reshape(b, c.horizon, c.n_variables)
-            cache = xf
-        return (y, cache) if want_cache else y
+        y = np.einsum("bli,ilh->bhi", x, self.weights, optimize=True) + self.bias.T[None]
+        return (y, x) if want_cache else y
 
     def backward_batch(self, cache, dy: np.ndarray) -> list[np.ndarray]:
-        c = self.config
-        if self.flat is None:
-            x = cache
-            dw = np.einsum("bli,bhi->ilh", x, dy, optimize=True)
-            db = dy.sum(axis=0).T
-            return [dw, db]
-        (dw, db), _ = nn.linear_backward(
-            self.flat, cache, dy.reshape(dy.shape[0], -1), input_grad=False
-        )
+        x = cache
+        dw = np.einsum("bli,bhi->ilh", x, dy, optimize=True)
+        db = dy.sum(axis=0).T
         return [dw, db]
 
 
 class MlpForecaster:
-    """Flatten -> hidden (ReLU) -> flatten forecast."""
+    """(L*D) window -> hidden (ReLU) -> (H*D) forecast."""
 
     def __init__(self, config: ForecasterConfig):
         self.config = config
@@ -208,6 +188,11 @@ def save_forecaster(model, path: str | Path) -> None:
 
 
 def load_forecaster(path: str | Path):
-    return checkpoint.load_model(
-        path, "forecaster", lambda config: make_forecaster(ForecasterConfig(**config))
-    )
+    def build(config: dict):
+        # older checkpoints carry "per_variable": true; false was a
+        # flattened (L*D)->(H*D) linear map, which no longer exists
+        if config.pop("per_variable", True) is not True and config.get("kind") == "linear":
+            raise ConfigError("per_variable false: the flattened linear map was removed")
+        return make_forecaster(ForecasterConfig(**config))
+
+    return checkpoint.load_model(path, "forecaster", build)

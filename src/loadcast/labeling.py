@@ -20,8 +20,9 @@ from .data import SeriesFrame
 from .errors import ConfigError, DataError, ShapeError, reading
 
 DEFAULT_WINDOW = 24
-DEFAULT_MIN_STATES = 2
-DEFAULT_MAX_STATES = 5
+# States per variable: labeling's search range by default, the teacher's
+# class-count range and the generator's level count.
+MIN_STATES, MAX_STATES = 2, 5
 
 # Silhouette is O(n^2); k selection above this many windows runs on a
 # seeded subsample instead (labels themselves always cover every row).
@@ -40,8 +41,8 @@ class StateProfile:
     """Per-step, per-variable integer state labels plus state counts.
 
     labels: (l, D) int matrix, variable i taking values in [0, counts[i]).
-    counts: length-D state counts, each in [2, 5] when produced by
-    identify_states with the default bounds.
+    counts: length-D state counts, each in [MIN_STATES, MAX_STATES] when
+    produced by identify_states with the default bounds.
     """
 
     labels: np.ndarray
@@ -193,7 +194,7 @@ def _kmeans_pp_init(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
 def kmeans(
     embedding: np.ndarray, k: int, seed: int, max_iter: int = 100, n_distinct: int | None = None
 ) -> KMeansResult:
-    """Lloyd's algorithm with k-means++ seeding on flattened windows.
+    """Lloyd's algorithm with k-means++ seeding on window embedding rows.
 
     Converges when assignments stop changing or max_iter is hit. An
     empty cluster is reseeded to the point farthest from its assigned
@@ -300,8 +301,8 @@ def _selection_indices(n: int, cap: int, rng: np.random.Generator, assignments: 
 def identify_states(
     frame: SeriesFrame,
     w: int = DEFAULT_WINDOW,
-    min_s: int = DEFAULT_MIN_STATES,
-    max_s: int = DEFAULT_MAX_STATES,
+    min_s: int = MIN_STATES,
+    max_s: int = MAX_STATES,
     seed: int = 0,
     silhouette_cap: int = SILHOUETTE_CAP,
 ) -> StateProfile:
@@ -319,8 +320,8 @@ def identify_states(
     a variable with fewer distinct windows than min_s (say, a constant
     column) raises DataError naming it.
     """
-    if min_s < 2:
-        raise ConfigError(f"min_s must be >= 2, got {min_s}")
+    if min_s < MIN_STATES:
+        raise ConfigError(f"min_s must be >= {MIN_STATES}, got {min_s}")
     if max_s < min_s:
         raise ConfigError(f"max_s={max_s} below min_s={min_s}")
     l, d = frame.values.shape
@@ -386,9 +387,10 @@ def load_states_csv(path: str | Path) -> tuple[StateProfile, np.ndarray, list[st
         if header[:1] != ["timestamp"]:
             raise DataError(f"{path}: header must start with 'timestamp'")
         names = header[1:]
-        body = np.loadtxt(f, delimiter=",", dtype=np.int64, ndmin=2)
-    if body.size == 0:
-        raise DataError(f"{path}: no data rows")
+        rows = [line for line in f if line.strip()]
+        if not rows:  # before np.loadtxt, which would warn about it
+            raise DataError(f"{path}: no data rows")
+        body = np.loadtxt(rows, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
     sidecar = path.with_suffix(path.suffix + ".meta.json")
     with reading(sidecar):
         meta = json.loads(sidecar.read_text(encoding="utf-8"))

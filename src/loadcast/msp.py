@@ -39,6 +39,7 @@ import numpy as np
 from . import checkpoint, nn
 from .data import WindowSet
 from .errors import ConfigError, ShapeError
+from .labeling import MAX_STATES, MIN_STATES
 from .train import (
     DEFAULT_BATCH,
     DEFAULT_LR,
@@ -49,9 +50,6 @@ from .train import (
     stack_states,
     train_loop,
 )
-
-
-MIN_CLASSES, MAX_CLASSES = 2, 5  # states per variable the teacher can predict
 
 
 @dataclass
@@ -75,9 +73,9 @@ class MspConfig:
             raise ConfigError(
                 f"{len(self.class_counts)} class counts for {self.n_variables} variables"
             )
-        if any(not MIN_CLASSES <= int(n) <= MAX_CLASSES for n in self.class_counts):
+        if any(not MIN_STATES <= int(n) <= MAX_STATES for n in self.class_counts):
             raise ConfigError(
-                f"class counts must lie in [{MIN_CLASSES}, {MAX_CLASSES}], got {self.class_counts}"
+                f"class counts must lie in [{MIN_STATES}, {MAX_STATES}], got {self.class_counts}"
             )
         self.class_counts = [int(n) for n in self.class_counts]
 

@@ -276,7 +276,7 @@ def adam_step(
     """One bias-corrected Adam update, in place on params and state.
 
     Parameter blocks must be C-contiguous: gradients are checked, then
-    blocks and moments updated, through flat views ADAM_CHUNK elements at
+    blocks and moments updated, through 1-D views ADAM_CHUNK elements at
     a time, so the scratch memory is fixed whatever the block sizes. A
     non-finite gradient raises NumericError before any parameter moves.
     """
@@ -288,9 +288,9 @@ def adam_step(
             raise ShapeError(f"gradient shape {g.shape} does not match parameter shape {p.shape}")
         if not p.flags.c_contiguous:
             raise ShapeError(f"parameter {label} is not C-contiguous")
-        flat = g.reshape(-1)
-        for lo in range(0, flat.size, ADAM_CHUNK):  # a mask the size of one scratch row
-            if not np.isfinite(flat[lo : lo + ADAM_CHUNK]).all():
+        g1 = g.reshape(-1)
+        for lo in range(0, g1.size, ADAM_CHUNK):  # a mask the size of one scratch row
+            if not np.isfinite(g1[lo : lo + ADAM_CHUNK]).all():
                 raise NumericError(f"non-finite gradient in {label}")
     state.t += 1
     bc1 = 1.0 - state.beta1**state.t
@@ -351,18 +351,18 @@ def grad_check(
     worst_index = -1
     per_block: dict[str, float] = {}
     for name, p, g in zip(names, params, analytic_grads):
-        flat = p.reshape(-1)
-        gflat = np.asarray(g).reshape(-1)
+        p1 = p.reshape(-1)
+        g1 = np.asarray(g).reshape(-1)
         block_worst = 0.0
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
+        for i in range(p1.size):
+            orig = p1[i]
+            p1[i] = orig + h
             lp = loss_fn()
-            flat[i] = orig - h
+            p1[i] = orig - h
             lm = loss_fn()
-            flat[i] = orig
+            p1[i] = orig
             fd = (lp - lm) / (2.0 * h)
-            rel = abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-6)
+            rel = abs(fd - g1[i]) / max(abs(fd), abs(g1[i]), 1e-6)
             if rel > block_worst:
                 block_worst = rel
             if rel > worst:

@@ -35,8 +35,15 @@ from .data import (
     zscore_fit,
 )
 from .errors import ConfigError, DataError, LoadcastError
-from .labeling import StateProfile, load_states_csv
-from .train import TrainHistory, stack_targets
+from .labeling import DEFAULT_WINDOW, MAX_STATES, MIN_STATES, StateProfile, load_states_csv
+from .train import (
+    DEFAULT_BATCH,
+    DEFAULT_LR,
+    DEFAULT_MAX_EPOCHS,
+    DEFAULT_PATIENCE,
+    TrainHistory,
+    stack_targets,
+)
 
 DEFAULT_HORIZONS = [1, 6, 12, 24, 36, 48, 60, 72, 168, 336]
 
@@ -53,22 +60,21 @@ class RunConfig:
     report_dir: str = "reports"
     lookback: int = 336
     horizons: list[int] = field(default_factory=lambda: list(DEFAULT_HORIZONS))
-    lr: float = 0.001
-    batch: int = 128
-    patience: int = 10
-    max_epochs: int = 100
-    alpha: float = 1.0
-    w: int = 24
-    min_s: int = 2
-    max_s: int = 5
+    lr: float = DEFAULT_LR
+    batch: int = DEFAULT_BATCH
+    patience: int = DEFAULT_PATIENCE
+    max_epochs: int = DEFAULT_MAX_EPOCHS
+    alpha: float = guidance.GuidanceConfig.alpha
+    w: int = DEFAULT_WINDOW
+    min_s: int = MIN_STATES
+    max_s: int = MAX_STATES
     seed: int = 0
     period_seconds: int = 3600
     forecaster_kind: str = "linear"
-    hidden: int = 256
-    per_variable: bool = True
-    trunk_channels: int = 32
-    ue_channels: int = 16
-    kernel_width: int = 3
+    hidden: int = fc.ForecasterConfig.hidden
+    trunk_channels: int = msp.MspConfig.trunk_channels
+    ue_channels: int = msp.MspConfig.ue_channels
+    kernel_width: int = msp.MspConfig.kernel_width
 
     def __post_init__(self) -> None:
         sizes = ("batch", "max_epochs", "patience", "hidden", "trunk_channels", "ue_channels",
@@ -84,11 +90,11 @@ class RunConfig:
                 f"forecaster_kind must be one of {fc.FORECASTER_KINDS}, "
                 f"got {self.forecaster_kind!r}"
             )
-        if self.min_s < msp.MIN_CLASSES:
-            raise ConfigError(f"min_s must be >= {msp.MIN_CLASSES}, got {self.min_s}")
-        if not self.min_s <= self.max_s <= msp.MAX_CLASSES:
+        if self.min_s < MIN_STATES:
+            raise ConfigError(f"min_s must be >= {MIN_STATES}, got {self.min_s}")
+        if not self.min_s <= self.max_s <= MAX_STATES:
             raise ConfigError(
-                f"max_s must lie in [min_s={self.min_s}, {msp.MAX_CLASSES}], got {self.max_s}"
+                f"max_s must lie in [min_s={self.min_s}, {MAX_STATES}], got {self.max_s}"
             )
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
@@ -118,11 +124,15 @@ def _stage(name: str):
     return prefix_errors(f"[stage {name}] ")
 
 
+def load_data(config: RunConfig) -> SeriesFrame:
+    """Load the data CSV and downsample it to the configured period."""
+    with _stage("load-data"):
+        return align_and_downsample(load_csv(config.data_csv), config.period_seconds)
+
+
 def load_aligned(config: RunConfig) -> tuple[SeriesFrame, StateProfile]:
     """Load the data CSV, downsample it, and load matching state labels."""
-    with _stage("load-data"):
-        frame = load_csv(config.data_csv)
-        frame = align_and_downsample(frame, config.period_seconds)
+    frame = load_data(config)
     with _stage("load-states"):
         profile, ts, names = load_states_csv(config.states_csv)
         if names != frame.variable_names:
@@ -138,26 +148,40 @@ def load_aligned(config: RunConfig) -> tuple[SeriesFrame, StateProfile]:
 
 
 def split_with_states(
-    frame: SeriesFrame, profile: StateProfile
+    frame: SeriesFrame, profile: StateProfile | None
 ) -> tuple[list[SeriesFrame], list[np.ndarray], NormStats]:
-    """60/20/20 split of values and labels; values z-scored with train stats."""
+    """60/20/20 split of values and labels; values z-scored with train stats.
+    Without a profile every label is 0."""
     train, val, test = split_60_20_20(frame)
     i1, i2 = train.length, train.length + val.length
     stats = zscore_fit(train)
     frames = [zscore_apply(part, stats) for part in (train, val, test)]
-    labels = [profile.labels[:i1], profile.labels[i1:i2], profile.labels[i2:]]
+    if profile is None:
+        all_labels = np.broadcast_to(np.int64(0), frame.values.shape)
+    else:
+        all_labels = profile.labels
+    labels = [all_labels[:i1], all_labels[i1:i2], all_labels[i2:]]
     return frames, labels, stats
 
 
 def prepare_windows(
-    config: RunConfig, horizons: list[int]
-) -> tuple[SeriesFrame, StateProfile, NormStats, dict[int, tuple[WindowSet, WindowSet, WindowSet]]]:
+    config: RunConfig, horizons: list[int], read_states: bool = True
+) -> tuple[
+    SeriesFrame, StateProfile | None, NormStats, dict[int, tuple[WindowSet, WindowSet, WindowSet]]
+]:
     """The one data-prep path: load and align the inputs, split them
     60/20/20, z-score with train statistics, and cut the train,
     validation and test windows of every horizon up front. Windows are
     views of the splits (see WindowSet), so that copies nothing, and a
-    horizon too long for the series fails before any training."""
-    frame, profile = load_aligned(config)
+    horizon too long for the series fails before any training.
+
+    Only the teacher reads state labels: with read_states False the
+    state CSV is not opened, the profile is None and every label is 0.
+    """
+    if read_states:
+        frame, profile = load_aligned(config)
+    else:
+        frame, profile = load_data(config), None
     frames, labels, stats = split_with_states(frame, profile)
     windows = {}
     for horizon in horizons:
@@ -212,7 +236,6 @@ def train_forecaster(
             horizon=horizon,
             n_variables=n_variables,
             hidden=config.hidden,
-            per_variable=config.per_variable,
             seed=config.seed,
         )
     )

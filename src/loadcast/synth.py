@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import SeriesFrame
 from .errors import ConfigError, reading
-from .labeling import StateProfile
+from .labeling import MAX_STATES, MIN_STATES, StateProfile
 
 HOUSEHOLD_COLUMN = "household"
 START_EPOCH = 1672531200  # 2023-01-01T00:00:00Z, hourly steps
@@ -70,14 +70,17 @@ def validate_config(config: SynthConfig) -> None:
     names = [a.name for a in config.appliances]
     if not all(isinstance(name, str) for name in names):
         raise ConfigError(f"appliance names must be strings, got {names}")
+    for name in names:  # each name becomes a CSV header cell
+        if not name or any(c in name for c in ',"\n\r'):
+            raise ConfigError(f"appliance name {name!r} is empty or holds , \" or a line break")
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate appliance names in {names}")
     if config.include_household_total and HOUSEHOLD_COLUMN in names:
         raise ConfigError(f"appliance name {HOUSEHOLD_COLUMN!r} collides with the total column")
     for app in config.appliances:
         n = len(app.state_levels)
-        if not 2 <= n <= 5:
-            raise ConfigError(f"{app.name}: need 2-5 state levels, got {n}")
+        if not MIN_STATES <= n <= MAX_STATES:
+            raise ConfigError(f"{app.name}: need {MIN_STATES}-{MAX_STATES} state levels, got {n}")
         if len(set(app.state_levels)) != n:
             raise ConfigError(f"{app.name}: state levels must be distinct")
         if len(app.dwell_means) != n:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from loadcast import checkpoint, cli
 from loadcast.errors import ConfigError
-from loadcast.forecaster import ForecasterConfig, load_forecaster, make_forecaster
+from loadcast.forecaster import ForecasterConfig, load_forecaster, make_forecaster, save_forecaster
 from loadcast.msp import MspConfig, MspModel, load_msp, save_msp
 
 
@@ -106,6 +106,23 @@ def test_v1_document_still_loads_bit_identically(tmp_path):
         np.testing.assert_array_equal(bits(p), bits(q))
 
 
+def with_per_variable(text, value):
+    """A forecaster checkpoint as written when its config still held per_variable."""
+    return text.replace('  "seed"', f'  "per_variable": {json.dumps(value)},\n  "seed"', 1)
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_checkpoint_with_per_variable_true_predicts_bit_identically(tmp_path, kind):
+    model = make_forecaster(ForecasterConfig(kind, 5, 2, 2, hidden=6, seed=12))
+    path = tmp_path / "old.json"
+    save_forecaster(model, path)
+    path.write_text(with_per_variable(path.read_text(encoding="utf-8"), True), encoding="utf-8")
+    assert json.loads(path.read_text(encoding="utf-8"))["config"]["per_variable"] is True
+    back = load_forecaster(path)
+    x = np.random.default_rng(8).normal(size=(3, 5, 2))
+    np.testing.assert_array_equal(bits(back.forward_batch(x)), bits(model.forward_batch(x)))
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """A labelled synthetic household and a one-epoch linear forecaster."""
@@ -177,6 +194,15 @@ def test_malformed_checkpoint_exits_3_naming_file(workspace, tmp_path, case):
     code, err = run_eval(workspace, bad)
     assert code == cli.EXIT_DATA
     assert str(bad) in err
+
+
+def test_flattened_linear_checkpoint_exits_3_naming_file(workspace, tmp_path):
+    text = (workspace[0] / "model.json").read_text(encoding="utf-8")
+    bad = tmp_path / "flat.json"
+    bad.write_text(with_per_variable(text, False), encoding="utf-8")
+    code, err = run_eval(workspace, bad)
+    assert code == cli.EXIT_DATA
+    assert str(bad) in err and "per_variable" in err
 
 
 NOT_BASE64 = "!*-_.~ é"

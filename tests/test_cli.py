@@ -2,12 +2,14 @@
 pipeline reduction at alpha=0."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from loadcast import cli, metrics
 from loadcast.labeling import load_states_csv
+from loadcast.pipeline import RunConfig
 
 
 def run(args):
@@ -77,6 +79,19 @@ def test_weight_mode_flag_is_gone():
     with pytest.raises(SystemExit) as exc:
         cli.main(["config", "--weight-mode", "prob"])
     assert exc.value.code == 2
+
+
+def test_flat_linear_flag_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["config", "--flat-linear"])
+    assert exc.value.code == 2
+
+
+def test_unparsable_horizons_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["config", "--horizons", "1,x"])
+    assert exc.value.code == 2
+    assert "--horizons: not comma-separated integers: '1,x'" in capsys.readouterr().err
 
 
 def planted_csv(tmp_path):
@@ -274,6 +289,26 @@ def test_stage_commands_write_the_pipeline_outputs(small_run):
     assert len(lines) == 2 and lines == (out / "guided.csv").read_text().splitlines()
 
 
+def test_train_and_eval_never_open_the_state_csv(small_run):
+    """Only the teacher reads state labels: train, train --msp and eval
+    exit 0 when --states names a missing file, and write the same bytes
+    as with the labels."""
+    out = small_run / "no_states"
+    out.mkdir()
+    common = ["--data", small_run / "data.csv", "--lookback", 16, "--max-epochs", 4, "--seed", 5]
+    common += ["--horizon", 3]
+    labels = ["--states", small_run / "states.csv"]
+    assert run(["train-msp", *common, *labels, "--out", out / "msp.json"]) == 0
+    for name, states in (("labels", labels), ("missing", ["--states", out / "missing.csv"])):
+        guide = ["--msp", out / "msp.json"]
+        assert run(["train", *common, *states, "--out", out / f"plain_{name}.json"]) == 0
+        assert run(["train", *common, *states, *guide, "--out", out / f"guided_{name}.json"]) == 0
+        model = ["--model", out / f"guided_{name}.json"]
+        assert run(["eval", *common, *states, *model, "--out", out / f"eval_{name}.csv"]) == 0
+    for file in ("plain_{}.json", "guided_{}.json", "eval_{}.csv"):
+        assert (out / file.format("labels")).read_bytes() == (out / file.format("missing")).read_bytes()
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("lookback=48\nalpha=0.25\n# comment\nbatch=64\n", encoding="utf-8")
@@ -283,6 +318,33 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert lines["alpha"] == "0.5"  # flag wins
     assert lines["batch"] == "64"
     assert lines["lr"] == "0.001"  # default
+
+
+# a valid value, other than the default, of every RunConfig field
+NON_DEFAULT = {
+    "data_csv": "d.csv", "states_csv": "s.csv", "checkpoint_dir": "ck", "report_dir": "rep",
+    "lookback": "48", "horizons": "2,4", "lr": "0.01", "batch": "64", "patience": "3",
+    "max_epochs": "7", "alpha": "0.5", "w": "8", "min_s": "3", "max_s": "4", "seed": "9",
+    "period_seconds": "1800", "forecaster_kind": "mlp", "hidden": "32", "trunk_channels": "8",
+    "ue_channels": "4", "kernel_width": "5",
+}
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(RunConfig)])
+def test_every_setting_has_a_flag_and_a_config_key(tmp_path, capsys, key):
+    """Each RunConfig field is set by --<field with - for _> (--data and
+    --states for the two CSVs) and by its config key, alike."""
+    value = NON_DEFAULT[key]
+    flag = {"data_csv": "--data", "states_csv": "--states"}.get(key, "--" + key.replace("_", "-"))
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key}={value}\n", encoding="utf-8")
+    printed = []
+    for args in ([], [flag, value], ["--config", config]):
+        assert run(["config", *args]) == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        printed.append(dict(line.split("=", 1) for line in out)[key])
+    default, by_flag, by_file = printed
+    assert default != value and by_flag == value and by_file == value
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):

@@ -40,9 +40,9 @@ def test_linear_window_mean_weights():
     np.testing.assert_allclose(out, [[2.5, 25.0]])
 
 
-@pytest.mark.parametrize("kind,per_variable", [("linear", True), ("linear", False), ("mlp", True)])
-def test_forecast_shape_contract(kind, per_variable):
-    config = ForecasterConfig(kind, 5, 3, 2, hidden=8, per_variable=per_variable)
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_forecast_shape_contract(kind):
+    config = ForecasterConfig(kind, 5, 3, 2, hidden=8)
     model = make_forecaster(config)
     out = model.forward_batch(np.random.default_rng(1).normal(size=(1, 5, 2)))[0]
     assert out.shape == (3, 2)
@@ -96,10 +96,10 @@ def test_train_plain_best_snapshot_contract():
     assert np.abs(yhat - y).mean() == pytest.approx(history.best_val_loss, rel=1e-12)
 
 
-@pytest.mark.parametrize("kind,per_variable", [("linear", True), ("linear", False), ("mlp", True)])
-def test_forecaster_gradients_match_finite_differences(kind, per_variable):
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_forecaster_gradients_match_finite_differences(kind):
     rng = np.random.default_rng(5)
-    config = ForecasterConfig(kind, 5, 2, 2, hidden=6, per_variable=per_variable, seed=5)
+    config = ForecasterConfig(kind, 5, 2, 2, hidden=6, seed=5)
     model = make_forecaster(config)
     x = rng.normal(size=(3, 5, 2))
     y = rng.normal(size=(3, 2, 2))
@@ -116,23 +116,19 @@ def test_forecaster_gradients_match_finite_differences(kind, per_variable):
     assert report.max_rel_error < 1e-5
 
 
-@pytest.mark.parametrize("kind", ["linear", "mlp"])
+@pytest.mark.parametrize("kind", ["mlp"])  # the one forecaster built from nn.linear layers
 def test_first_layer_skips_input_gradient_bit_identically(kind):
     """The first layer's input gradient has no consumer; skipping it leaves
     every parameter gradient bit for bit as before."""
     rng = np.random.default_rng(11)
-    model = make_forecaster(ForecasterConfig(kind, 6, 3, 2, hidden=5, per_variable=False, seed=3))
+    model = make_forecaster(ForecasterConfig(kind, 6, 3, 2, hidden=5, seed=3))
     yhat, cache = model.forward_batch(rng.normal(size=(4, 6, 2)), want_cache=True)
     dy = rng.normal(size=yhat.shape)
     grads = model.backward_batch(cache, dy)
-    if kind == "linear":
-        (dw, db), _ = nn.linear_backward(model.flat, cache, dy.reshape(4, -1))
-        expected = [dw, db]
-    else:
-        xf, pre, act = cache
-        (dw2, db2), dact = nn.linear_backward(model.lin2, act, dy.reshape(4, -1))
-        (dw1, db1), _ = nn.linear_backward(model.lin1, xf, nn.relu_backward(pre, dact))
-        expected = [dw1, db1, dw2, db2]
+    xf, pre, act = cache
+    (dw2, db2), dact = nn.linear_backward(model.lin2, act, dy.reshape(4, -1))
+    (dw1, db1), _ = nn.linear_backward(model.lin1, xf, nn.relu_backward(pre, dact))
+    expected = [dw1, db1, dw2, db2]
     for g, e in zip(grads, expected, strict=True):
         np.testing.assert_array_equal(g, e)
 
@@ -246,10 +242,10 @@ def test_mae_training_affine_equivariance_directional():
 
 
 def test_forecaster_checkpoint_round_trip(tmp_path):
-    for kind, per_variable in (("linear", True), ("linear", False), ("mlp", True)):
-        config = ForecasterConfig(kind, 5, 2, 2, hidden=6, per_variable=per_variable, seed=12)
+    for kind in ("linear", "mlp"):
+        config = ForecasterConfig(kind, 5, 2, 2, hidden=6, seed=12)
         model = make_forecaster(config)
-        path = tmp_path / f"{kind}_{per_variable}.json"
+        path = tmp_path / f"{kind}.json"
         save_forecaster(model, path)
         back = load_forecaster(path)
         x = np.random.default_rng(8).normal(size=(1, 5, 2))

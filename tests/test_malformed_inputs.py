@@ -5,6 +5,7 @@ ends in exit 2 or 3 with a message naming the file, never in a traceback."""
 import contextlib
 import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,18 @@ def test_malformed_state_csv_exits_3_naming_file(inputs, tmp_path):
     assert code == cli.EXIT_DATA and str(bad) in err
 
 
+def test_header_only_state_csv_exits_3_without_a_warning(inputs, tmp_path):
+    bad = tmp_path / "states.csv"
+    header = (inputs / "states.csv").read_text(encoding="utf-8").splitlines()[0]
+    bad.write_text(header + "\n", encoding="utf-8")
+    (tmp_path / "states.csv.meta.json").write_bytes((inputs / "states.csv.meta.json").read_bytes())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = train_msp(inputs, bad)
+    assert code == cli.EXIT_DATA and f"{bad}: no data rows" in err, err
+    assert not [w for w in caught if issubclass(w.category, UserWarning)]
+
+
 @st.composite
 def corrupted_lines(draw, text, flips, cut_span):
     """The text with one corruption that no reading accepts.
@@ -295,7 +308,7 @@ def test_corrupted_input_never_escapes_as_traceback(artifacts, reader, data):
      "horizons=0", "horizons=", "alpha=-1", "alpha=nan", "alpha=inf", "weight_mode=foo",
      "weight_mode=prob", "forecaster_kind=foo", "hidden=0", "trunk_channels=0", "ue_channels=-2",
      "kernel_width=0", "seed=-1", "w=0", "min_s=1", "max_s=1", "max_s=6", "period_seconds=0",
-     "period_seconds=-5"],
+     "period_seconds=-5", "per_variable=true"],
 )
 def test_invalid_config_value_exits_2_naming_file(tmp_path, line):
     bad = tmp_path / "bad.cfg"
@@ -311,7 +324,8 @@ def test_invalid_config_value_exits_2_naming_file(tmp_path, line):
     [["--batch", 0], ["--max-epochs", 0], ["--lr", "nan"], ["--horizons", 0], ["--alpha", -1],
      ["--alpha", "nan"], ["--hidden", 0], ["--trunk-channels", 0], ["--ue-channels", -2],
      ["--kernel-width", 0], ["--horizons", ""], ["--seed", -1], ["--w", 0], ["--min-s", 1],
-     ["--max-s", 6], ["--min-s", 4, "--max-s", 3], ["--period-seconds", -5]],
+     ["--max-s", 6], ["--min-s", 4, "--max-s", 3], ["--period-seconds", -5],
+     ["--forecaster-kind", "foo"]],
 )
 def test_invalid_flag_value_exits_2_without_naming_file(inputs, flag):
     code, err = run(["config", "--config", inputs / "run.cfg", *flag])

@@ -125,6 +125,14 @@ def test_config_validation_errors(mutate, message):
         synth.validate_config(config)
 
 
+@pytest.mark.parametrize("name", ["", "a,b", 'a"b', "a\nb", "a\rb"])
+def test_names_a_csv_header_cannot_carry_are_rejected(name):
+    config = two_appliance_config()
+    config.appliances[1].name = name
+    with pytest.raises(ConfigError, match="is empty or holds"):
+        synth.validate_config(config)
+
+
 def test_duplicate_names_rejected():
     config = two_appliance_config()
     config.appliances[1].name = "washer"
@@ -186,7 +194,8 @@ def test_config_from_json_accepts_an_integer_where_a_number_is_due(tmp_path):
     [({"length": 0}, {}, True),
      ({"appliances": [dict(APPLIANCE, dwell_means=[0.5, 8])]}, {}, True),
      ({"appliances": [dict(APPLIANCE, name=["washer"])]}, {}, True),
-     ({}, {"length": 0}, False)],  # only the flag is invalid
+     ({}, {"length": 0}, False),  # only the flag is invalid
+     ({"appliances": [dict(APPLIANCE, name="a,b")]}, {}, True)],
 )
 def test_invalid_values_name_the_file_when_it_holds_them(tmp_path, spec, flags, named):
     path = tmp_path / "house.json"
