@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DataError, reading
+from .errors import ConfigError, DataError, prefix_errors, reading
 
 FORMAT = "loadcast-checkpoint"
 VERSION = 2
@@ -79,26 +79,26 @@ def save_container(
         f.write(b"\n")
 
 
-def _read_block(path: Path, version: int, index: int, block) -> tuple[str, np.ndarray]:
+def _read_block(version: int, index: int, block) -> tuple[str, np.ndarray]:
     if not isinstance(block, dict) or not {"name", "shape", "data"} <= block.keys():
-        raise DataError(f"{path}: parameter block {index} needs name, shape and data")
+        raise DataError(f"parameter block {index} needs name, shape and data")
     name, shape, data = block["name"], block["shape"], block["data"]
     if not isinstance(name, str):
-        raise DataError(f"{path}: parameter block {index} has a non-string name {name!r}")
+        raise DataError(f"parameter block {index} has a non-string name {name!r}")
     if not isinstance(shape, list) or not all(isinstance(n, int) and n >= 0 for n in shape):
-        raise DataError(f"{path}: block {name!r} has invalid shape {shape!r}")
+        raise DataError(f"block {name!r} has invalid shape {shape!r}")
     if version > 1 and block.get("dtype") != DTYPE:
-        raise DataError(f"{path}: block {name!r} has dtype {block.get('dtype')!r}, not {DTYPE!r}")
+        raise DataError(f"block {name!r} has dtype {block.get('dtype')!r}, not {DTYPE!r}")
     try:
         if version == 1:
             raw = np.asarray(data, dtype=DTYPE).tobytes()
         else:
             raw = base64.b64decode(data, validate=True)
     except (TypeError, ValueError, OverflowError) as exc:  # binascii.Error is a ValueError
-        raise DataError(f"{path}: block {name!r} has unreadable data: {exc}") from None
+        raise DataError(f"block {name!r} has unreadable data: {exc}") from None
     expected = 8 * math.prod(shape)
     if len(raw) != expected:
-        raise DataError(f"{path}: block {name!r} holds {len(raw)} bytes, shape {shape} needs {expected}")
+        raise DataError(f"block {name!r} holds {len(raw)} bytes, shape {shape} needs {expected}")
     return name, np.frombuffer(raw, dtype=DTYPE).reshape(shape)
 
 
@@ -107,17 +107,17 @@ def load_container(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]:
     path = Path(path)
     with reading(path):
         doc = json.loads(path.read_bytes())
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
-        raise DataError(f"{path}: not a {FORMAT} container")
-    version = doc.get("version")
-    if version not in (1, VERSION):
-        raise DataError(f"{path}: unsupported container version {version!r}")
-    missing = [key for key in ("kind", "config", "params") if key not in doc]
-    if missing:
-        raise DataError(f"{path}: container lacks {', '.join(missing)}")
-    if not isinstance(doc["config"], dict) or not isinstance(doc["params"], list):
-        raise DataError(f"{path}: config must be an object and params a list")
-    arrays = dict(_read_block(path, version, i, block) for i, block in enumerate(doc["params"]))
+        if not isinstance(doc, dict) or doc.get("format") != FORMAT:
+            raise DataError(f"not a {FORMAT} container")
+        version = doc.get("version")
+        if version not in (1, VERSION):
+            raise DataError(f"unsupported container version {version!r}")
+        missing = [key for key in ("kind", "config", "params") if key not in doc]
+        if missing:
+            raise DataError(f"container lacks {', '.join(missing)}")
+        if not isinstance(doc["config"], dict) or not isinstance(doc["params"], list):
+            raise DataError("config must be an object and params a list")
+        arrays = dict(_read_block(version, i, block) for i, block in enumerate(doc["params"]))
     return doc["kind"], doc["config"], arrays
 
 
@@ -125,15 +125,16 @@ def load_model(path: str | Path, kind: str, build: Callable[[dict], object]):
     """Read a container of the given kind, build its model with
     build(config) and copy every parameter block into the model."""
     found, config, arrays = load_container(path)
-    if found != kind:
-        raise ConfigError(f"{path}: checkpoint kind {found!r} is not {kind!r}")
-    try:
-        model = build(config)
-    except (ConfigError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: invalid {kind} config: {exc}") from None
-    for name, param in zip(model.param_names(), model.params()):
-        stored = arrays.get(name)
-        if stored is None or stored.shape != param.shape:
-            raise DataError(f"{path}: checkpoint block {name!r} missing or mis-shaped")
-        param[...] = stored
+    with prefix_errors(f"{path}: "):
+        if found != kind:
+            raise ConfigError(f"checkpoint kind {found!r} is not {kind!r}")
+        try:
+            model = build(config)
+        except (ConfigError, TypeError, ValueError) as exc:
+            raise DataError(f"invalid {kind} config: {exc}") from None
+        for name, param in zip(model.param_names(), model.params()):
+            stored = arrays.get(name)
+            if stored is None or stored.shape != param.shape:
+                raise DataError(f"checkpoint block {name!r} missing or mis-shaped")
+            param[...] = stored
     return model

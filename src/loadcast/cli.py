@@ -18,12 +18,12 @@ from typing import Callable
 
 from . import forecaster as fc
 from . import labeling, metrics, msp, synth
-from .data import SeriesFrame, align_and_downsample, load_csv, save_csv
-from .errors import ConfigError, DataError, NumericError, ShapeError, reading
+from .data import SeriesFrame, save_csv
+from .errors import ConfigError, DataError, NumericError, ShapeError, prefix_errors, reading
 from .pipeline import (
     RunConfig,
     evaluate_forecaster,
-    prefix_errors,
+    load_data,
     prepare_windows,
     run_pipeline,
     train_forecaster,
@@ -50,17 +50,17 @@ def _parser(f: Field) -> Callable[[str], object]:
 
 
 def _load_config_file(path: str) -> dict[str, str]:
+    values: dict[str, str] = {}
     with reading(path, error=ConfigError):
         text = Path(path).read_text(encoding="utf-8")
-    values: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
-        key, _, value = stripped.partition("=")
-        values[key.strip()] = value.strip()
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            if "=" not in stripped:
+                raise ConfigError(f"line {lineno}: expected key=value, got {stripped!r}")
+            key, _, value = stripped.partition("=")
+            values[key.strip()] = value.strip()
     return values
 
 
@@ -139,14 +139,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_label(args: argparse.Namespace) -> int:
     config = merge_run_config(args)
-    frame = load_csv(config.data_csv)
-    frame = align_and_downsample(frame, config.period_seconds)
-    try:
+    frame = load_data(config)
+    with prefix_errors(f"{config.data_csv}: "):
         profile = labeling.identify_states(
             frame, w=config.w, min_s=config.min_s, max_s=config.max_s, seed=config.seed
         )
-    except DataError as exc:
-        raise DataError(f"{config.data_csv}: {exc}") from None
     labeling.save_states_csv(profile, frame, args.out)
     counts = ",".join(str(int(n)) for n in profile.counts)
     print(f"wrote {args.out} (+ sidecar); states per variable: {counts}")

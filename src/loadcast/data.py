@@ -139,16 +139,16 @@ def load_csv(path: str | Path) -> SeriesFrame:
     path = Path(path)
     with reading(path):
         timestamps, rows, names = _read_rows(path)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    ts_arr = np.asarray(timestamps, dtype=np.int64)
-    val_arr = np.asarray(rows, dtype=np.float64)
-    order = np.argsort(ts_arr, kind="stable")
-    ts_arr = ts_arr[order]
-    val_arr = val_arr[order]
-    dupes = np.nonzero(np.diff(ts_arr) == 0)[0]
-    if dupes.size:
-        raise DataError(f"{path}: duplicate timestamp {ts_arr[dupes[0]]}")
+        if not rows:
+            raise DataError("no data rows")
+        ts_arr = np.asarray(timestamps, dtype=np.int64)
+        val_arr = np.asarray(rows, dtype=np.float64)
+        order = np.argsort(ts_arr, kind="stable")
+        ts_arr = ts_arr[order]
+        val_arr = val_arr[order]
+        dupes = np.nonzero(np.diff(ts_arr) == 0)[0]
+        if dupes.size:
+            raise DataError(f"duplicate timestamp {ts_arr[dupes[0]]}")
     return SeriesFrame(ts_arr, val_arr, list(names))
 
 
@@ -159,39 +159,37 @@ def _read_rows(path: Path) -> tuple[list[int], list[list[float]], list[str]]:
         try:
             header = next(reader)
         except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+            raise DataError("empty file") from None
         if not header or header[0] != "timestamp":
-            raise DataError(f"{path}: header must start with 'timestamp', got {header[:1]}")
+            raise DataError(f"header must start with 'timestamp', got {header[:1]}")
         names = header[1:]
         if not names:
-            raise DataError(f"{path}: no variable columns in header")
+            raise DataError("no variable columns in header")
         timestamps: list[int] = []
         rows: list[list[float]] = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
-                raise DataError(
-                    f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}"
-                )
+                raise DataError(f"line {lineno}: expected {len(header)} cells, got {len(row)}")
             try:
                 ts = int(row[0])
             except ValueError:
                 raise DataError(
-                    f"{path}:{lineno}: column 'timestamp': not an integer: {row[0]!r}"
+                    f"line {lineno}: column 'timestamp': not an integer: {row[0]!r}"
                 ) from None
             if not -(2**63) <= ts < 2**63:
-                raise DataError(f"{path}:{lineno}: column 'timestamp': out of range: {row[0]!r}")
+                raise DataError(f"line {lineno}: column 'timestamp': out of range: {row[0]!r}")
             vals = []
             for name, cell in zip(names, row[1:]):
                 if cell == "":
-                    raise DataError(f"{path}:{lineno}: column {name!r}: empty cell")
+                    raise DataError(f"line {lineno}: column {name!r}: empty cell")
                 try:
                     v = float(cell)
                 except ValueError:
                     raise DataError(
-                        f"{path}:{lineno}: column {name!r}: not a number: {cell!r}"
+                        f"line {lineno}: column {name!r}: not a number: {cell!r}"
                     ) from None
                 if not math.isfinite(v):
-                    raise DataError(f"{path}:{lineno}: column {name!r}: non-finite value {cell!r}")
+                    raise DataError(f"line {lineno}: column {name!r}: non-finite value {cell!r}")
                 vals.append(v)
             timestamps.append(ts)
             rows.append(vals)
@@ -291,14 +289,13 @@ def _runs(a: np.ndarray, width: int) -> np.ndarray:
     return sliding_window_view(a, width, axis=0).transpose(0, 2, 1)
 
 
-def sliding_windows(frame: SeriesFrame, states, lookback: int, horizon: int) -> WindowSet:
+def sliding_windows(frame: SeriesFrame, labels: np.ndarray, lookback: int, horizon: int) -> WindowSet:
     """Cut every (lookback, horizon) sample from the frame, one step apart.
 
-    states is a StateProfile (or a bare (l, D) int matrix) aligned with
-    the frame; yields exactly l - lookback - horizon + 1 samples, as
-    views of the frame's values and the labels (see WindowSet).
+    labels is the (l, D) int matrix of state labels aligned with the
+    frame; yields exactly l - lookback - horizon + 1 samples, as views
+    of the frame's values and the labels (see WindowSet).
     """
-    labels = np.asarray(getattr(states, "labels", states))
     l = frame.length
     if lookback < 1 or horizon < 1:
         raise ShapeError(f"lookback and horizon must be >= 1, got L={lookback}, H={horizon}")

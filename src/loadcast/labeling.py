@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import SeriesFrame
-from .errors import ConfigError, DataError, ShapeError, reading
+from .errors import ConfigError, DataError, ShapeError, prefix_errors, reading
 
 DEFAULT_WINDOW = 24
 # States per variable: labeling's search range by default, the teacher's
@@ -385,21 +385,22 @@ def load_states_csv(path: str | Path) -> tuple[StateProfile, np.ndarray, list[st
     with reading(path), path.open(newline="", encoding="utf-8") as f:
         header = f.readline().rstrip("\n").split(",")
         if header[:1] != ["timestamp"]:
-            raise DataError(f"{path}: header must start with 'timestamp'")
+            raise DataError("header must start with 'timestamp'")
         names = header[1:]
         rows = [line for line in f if line.strip()]
         if not rows:  # before np.loadtxt, which would warn about it
-            raise DataError(f"{path}: no data rows")
+            raise DataError("no data rows")
         body = np.loadtxt(rows, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
     sidecar = path.with_suffix(path.suffix + ".meta.json")
     with reading(sidecar):
         meta = json.loads(sidecar.read_text(encoding="utf-8"))
         meta_names = [m["name"] for m in meta]
         counts = np.asarray([m["states"] for m in meta], dtype=np.int64)
-    if meta_names != names:
-        raise DataError(f"{sidecar}: names {meta_names} do not match {path}'s header {names}")
-    try:
-        profile = StateProfile(body[:, 1:], counts)
-    except ShapeError as exc:  # label columns or values that disagree with the sidecar
-        raise DataError(f"{path}: {exc}") from None
+        if meta_names != names:
+            raise DataError(f"names {meta_names} do not match {path}'s header {names}")
+    with prefix_errors(f"{path}: "):
+        try:
+            profile = StateProfile(body[:, 1:], counts)
+        except ShapeError as exc:  # label columns or values that disagree with the sidecar
+            raise DataError(str(exc)) from None
     return profile, body[:, 0], names

@@ -110,7 +110,7 @@ def load_report_csv(path: str | Path) -> EvalReport:
     with reading(path), path.open(newline="", encoding="utf-8") as f:
         rows = list(csv.DictReader(f))
         if not rows:
-            raise DataError(f"{path}: no report rows")
+            raise DataError("no report rows")
         raw = ["mae_raw", "mape_sym_raw"] if "mae_raw" in rows[0] else []
         columns = {name: [float(row[name]) for row in rows] for name in ["mae", "mape_sym", *raw]}
         return EvalReport([int(row["horizon"]) for row in rows], **columns)

@@ -13,8 +13,6 @@ run_pipeline and the train-msp / train commands all train through them.
 
 from __future__ import annotations
 
-import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
@@ -34,7 +32,7 @@ from .data import (
     zscore_apply,
     zscore_fit,
 )
-from .errors import ConfigError, DataError, LoadcastError
+from .errors import ConfigError, DataError, prefix_errors
 from .labeling import DEFAULT_WINDOW, MAX_STATES, MIN_STATES, StateProfile, load_states_csv
 from .train import (
     DEFAULT_BATCH,
@@ -42,6 +40,7 @@ from .train import (
     DEFAULT_MAX_EPOCHS,
     DEFAULT_PATIENCE,
     TrainHistory,
+    check_lr,
     stack_targets,
 )
 
@@ -82,8 +81,7 @@ class RunConfig:
         for name in sizes:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        check_lr(self.lr)
         guidance.check_alpha(self.alpha)
         if self.forecaster_kind not in fc.FORECASTER_KINDS:
             raise ConfigError(
@@ -110,15 +108,6 @@ class RunConfig:
             )
 
 
-@contextmanager
-def prefix_errors(prefix: str, errors: type[LoadcastError] = LoadcastError):
-    """Re-raise a failure of the given types with prefix put before its message."""
-    try:
-        yield
-    except errors as exc:
-        raise type(exc)(f"{prefix}{exc}") from exc
-
-
 def _stage(name: str):
     """Re-raise stage failures with a stage-tagged message."""
     return prefix_errors(f"[stage {name}] ")
@@ -127,7 +116,9 @@ def _stage(name: str):
 def load_data(config: RunConfig) -> SeriesFrame:
     """Load the data CSV and downsample it to the configured period."""
     with _stage("load-data"):
-        return align_and_downsample(load_csv(config.data_csv), config.period_seconds)
+        frame = load_csv(config.data_csv)
+        with prefix_errors(f"{config.data_csv}: "):
+            return align_and_downsample(frame, config.period_seconds)
 
 
 def load_aligned(config: RunConfig) -> tuple[SeriesFrame, StateProfile]:
@@ -135,15 +126,17 @@ def load_aligned(config: RunConfig) -> tuple[SeriesFrame, StateProfile]:
     frame = load_data(config)
     with _stage("load-states"):
         profile, ts, names = load_states_csv(config.states_csv)
-        if names != frame.variable_names:
-            raise DataError(
-                f"state columns {names} do not match data columns {frame.variable_names}"
-            )
-        if profile.labels.shape[0] != frame.length or not (ts == frame.timestamps).all():
-            raise DataError(
-                "state timestamps do not align with the downsampled data; "
-                "re-run labeling on this data file"
-            )
+        with prefix_errors(f"{config.states_csv}: "):
+            if names != frame.variable_names:
+                raise DataError(
+                    f"state columns {names} do not match {config.data_csv}'s columns "
+                    f"{frame.variable_names}"
+                )
+            if profile.labels.shape[0] != frame.length or not (ts == frame.timestamps).all():
+                raise DataError(
+                    f"state timestamps do not align with the downsampled {config.data_csv}; "
+                    "re-run labeling on this data file"
+                )
     return frame, profile
 
 
@@ -182,10 +175,11 @@ def prepare_windows(
         frame, profile = load_aligned(config)
     else:
         frame, profile = load_data(config), None
-    frames, labels, stats = split_with_states(frame, profile)
+    with _stage("split"), prefix_errors(f"{config.data_csv}: "):
+        frames, labels, stats = split_with_states(frame, profile)
     windows = {}
     for horizon in horizons:
-        with _stage(f"windows H={horizon}"):
+        with _stage(f"windows H={horizon}"), prefix_errors(f"{config.data_csv}: "):
             windows[horizon] = tuple(
                 sliding_windows(f, lab, config.lookback, horizon) for f, lab in zip(frames, labels)
             )

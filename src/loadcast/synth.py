@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import json
+import math
 import numpy as np
 
 from .data import SeriesFrame
@@ -59,8 +60,8 @@ class SynthConfig:
 def validate_config(config: SynthConfig) -> None:
     if config.length < 1:
         raise ConfigError(f"length must be >= 1, got {config.length}")
-    if config.noise_sigma < 0:
-        raise ConfigError(f"noise_sigma must be >= 0, got {config.noise_sigma}")
+    if not 0 <= config.noise_sigma < math.inf:
+        raise ConfigError(f"noise_sigma must be finite and >= 0, got {config.noise_sigma}")
     if not 0.0 <= config.spike_rate <= 1.0:
         raise ConfigError(f"spike_rate must be in [0, 1], got {config.spike_rate}")
     if config.seed < 0:
@@ -81,12 +82,14 @@ def validate_config(config: SynthConfig) -> None:
         n = len(app.state_levels)
         if not MIN_STATES <= n <= MAX_STATES:
             raise ConfigError(f"{app.name}: need {MIN_STATES}-{MAX_STATES} state levels, got {n}")
+        if not all(math.isfinite(v) for v in app.state_levels):
+            raise ConfigError(f"{app.name}: state levels must be finite, got {app.state_levels}")
         if len(set(app.state_levels)) != n:
             raise ConfigError(f"{app.name}: state levels must be distinct")
         if len(app.dwell_means) != n:
             raise ConfigError(f"{app.name}: {len(app.dwell_means)} dwell means for {n} states")
-        if any(m < 1.0 for m in app.dwell_means):
-            raise ConfigError(f"{app.name}: dwell means must be >= 1 step")
+        if not all(1.0 <= m < math.inf for m in app.dwell_means):
+            raise ConfigError(f"{app.name}: dwell means must be finite and >= 1 step")
         if app.trigger is not None:
             tr = app.trigger
             if tr.source not in names:
@@ -273,10 +276,10 @@ def config_from_json(path: str | Path, **overrides) -> SynthConfig:
             for a in raw["appliances"]
         ]
         kwargs = {key: raw[key] for key in _SCALAR_TYPES if key in raw}
-    for key, value in kwargs.items():
-        if type(value) not in _SCALAR_TYPES[key]:
-            names = " or ".join(t.__name__ for t in _SCALAR_TYPES[key])
-            raise ConfigError(f"{path}: {key} must be of type {names}, got {value!r}")
+        for key, value in kwargs.items():
+            if type(value) not in _SCALAR_TYPES[key]:
+                names = " or ".join(t.__name__ for t in _SCALAR_TYPES[key])
+                raise ConfigError(f"{key} must be of type {names}, got {value!r}")
     config = SynthConfig(appliances=apps, **{**kwargs, **overrides})
     try:
         validate_config(config)

@@ -8,6 +8,7 @@ with alpha=0 versus plain training under the same seed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
@@ -21,6 +22,12 @@ DEFAULT_LR = 0.001
 DEFAULT_BATCH = 128
 DEFAULT_PATIENCE = 10
 DEFAULT_MAX_EPOCHS = 100
+
+
+def check_lr(lr: float) -> None:
+    """An Adam step size must be a finite number > 0."""
+    if not 0 < lr < math.inf:
+        raise ConfigError(f"lr must be finite and > 0, got {lr}")
 
 
 class Trainable(Protocol):
@@ -68,6 +75,7 @@ def train_loop(
     for name, value in limits.items():
         if value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")
+    check_lr(lr)
     params = model.params()
     names = model.param_names()
     state = nn.init_adam(params, lr=lr)

@@ -54,7 +54,7 @@ def test_load_csv_sorts_rows(tmp_path):
 
 def test_load_csv_reports_bad_cell_position(tmp_path):
     path = write_csv(tmp_path, "timestamp,a,b\n0,1.0,2.0\n60,oops,4.0\n")
-    with pytest.raises(DataError, match=r":3: column 'a'"):
+    with pytest.raises(DataError, match=r"line 3: column 'a'"):
         data.load_csv(path)
 
 
@@ -67,7 +67,7 @@ def test_load_csv_rejects_duplicate_timestamp(tmp_path):
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
 def test_load_csv_rejects_non_finite_cell(tmp_path, cell):
     path = write_csv(tmp_path, f"timestamp,a,b\n0,1.0,2.0\n60,3.0,{cell}\n")
-    with pytest.raises(DataError, match=f":3: column 'b': non-finite value '{cell}'"):
+    with pytest.raises(DataError, match=f"line 3: column 'b': non-finite value '{cell}'"):
         data.load_csv(path)
 
 

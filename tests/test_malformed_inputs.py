@@ -107,6 +107,40 @@ def test_missing_or_directory_input_exits_naming_it(artifacts, tmp_path, reader,
     assert code == expected and str(path) in err, err
 
 
+def shifted(rows):
+    return [rows[0]] + [f"{int(t) + 3600},{rest}" for t, rest in (r.split(",", 1) for r in rows[1:])]
+
+
+# (command and flags, the data CSV's rows -> a data CSV that fails after it is read)
+PIPELINE = ["pipeline", "--states", "{inputs}/states.csv", "--lookback", 8, "--horizons", 1,
+            "--max-epochs", 1, "--checkpoint-dir", "{tmp}/ck", "--report-dir", "{tmp}/rep"]
+AFTER_READ = {
+    "label, empty bucket": (["label", "--w", 4, "--out", "{tmp}/s.csv"],
+                            lambda rows: rows[:11] + rows[12:]),
+    "pipeline, empty bucket": (PIPELINE, lambda rows: rows[:11] + rows[12:]),
+    "pipeline, states of other columns": (PIPELINE,
+                                          lambda rows: [rows[0].replace("oven", "hob"), *rows[1:]]),
+    "pipeline, misaligned states": (PIPELINE, shifted),
+    "train, 3 rows": (["train", "--horizon", 1, "--out", "{tmp}/f.json"], lambda rows: rows[:4]),
+    "train, lookback 3 on 6 rows": (["train", "--horizon", 1, "--lookback", 3,
+                                     "--out", "{tmp}/f.json"], lambda rows: rows[:7]),
+}
+
+
+@pytest.mark.parametrize("case", AFTER_READ)
+def test_error_found_after_reading_names_the_file_once(inputs, tmp_path, case):
+    command, rewrite = AFTER_READ[case]
+    data = tmp_path / "data.csv"
+    rows = (inputs / "data.csv").read_text(encoding="utf-8").splitlines()
+    data.write_text("\n".join(rewrite(rows)) + "\n", encoding="utf-8")
+    args = [str(a).format(tmp=tmp_path, inputs=inputs) for a in command] + ["--data", data]
+    code, err = run(args)
+    assert code == cli.EXIT_DATA, err
+    named = [data, inputs / "states.csv"] if "states" in case else [data]
+    for path in named:
+        assert err.count(str(path)) == 1 and f"{path}: {path}" not in err, err
+
+
 def test_reports_of_other_horizons_exit_2_naming_both(artifacts, tmp_path):
     baseline, treated = artifacts / "rep/plain.csv", tmp_path / "one.csv"
     header, first_row = (artifacts / "rep/guided.csv").read_text("utf-8").splitlines()[:2]
@@ -254,7 +288,7 @@ def test_corrupted_data_csv_never_escapes_as_traceback(inputs, data):
     bad.write_bytes(data.draw(corrupted_lines(text, flips, csv_cut_span)))
     code, err = label(inputs, bad)
     assert code in (cli.EXIT_CONFIG, cli.EXIT_DATA)
-    assert str(bad) in err
+    assert str(bad) in err and f"{bad}: {bad}" not in err
 
 
 @settings(max_examples=60, deadline=None)
@@ -264,7 +298,7 @@ def test_corrupted_config_never_escapes_as_traceback(inputs, data):
     bad.write_bytes(data.draw(corrupted_lines(CONFIG, [(b"\xff", 0), (b"x", 0)], config_cut_span)))
     code, err = show_config(bad)
     assert code in (cli.EXIT_CONFIG, cli.EXIT_DATA)
-    assert str(bad) in err
+    assert str(bad) in err and f"{bad}: {bad}" not in err
 
 
 @st.composite
@@ -300,6 +334,7 @@ def test_corrupted_input_never_escapes_as_traceback(artifacts, reader, data):
     code, err = run(args)
     assert code in (0, cli.EXIT_CONFIG, cli.EXIT_DATA), err
     assert code == 0 or str(path) in err, err
+    assert f"{path}: {path}" not in err, err
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from loadcast import synth
+from loadcast import cli, synth
 from loadcast.errors import ConfigError
+
+NAN, INF = float("nan"), float("inf")
 
 
 def two_appliance_config(**kwargs):
@@ -116,6 +118,12 @@ def test_cycle_detection_names_the_cycle():
         (lambda c: setattr(c.appliances[1].trigger, "lag", 0), "lag"),
         (lambda c: setattr(c.appliances[1].trigger, "probability", 2.0), "probability"),
         (lambda c: setattr(c.appliances[1].trigger, "source", "ghost"), "ghost"),
+        (lambda c: setattr(c, "noise_sigma", NAN), "noise_sigma must be finite"),
+        (lambda c: setattr(c, "noise_sigma", INF), "noise_sigma must be finite"),
+        (lambda c: setattr(c.appliances[0], "state_levels", [0.0, NAN]), "levels must be finite"),
+        (lambda c: setattr(c.appliances[0], "state_levels", [0.0, INF]), "levels must be finite"),
+        (lambda c: setattr(c.appliances[0], "dwell_means", [NAN, 8.0]), "means must be finite"),
+        (lambda c: setattr(c.appliances[0], "dwell_means", [INF, 8.0]), "means must be finite"),
     ],
 )
 def test_config_validation_errors(mutate, message):
@@ -195,7 +203,13 @@ def test_config_from_json_accepts_an_integer_where_a_number_is_due(tmp_path):
      ({"appliances": [dict(APPLIANCE, dwell_means=[0.5, 8])]}, {}, True),
      ({"appliances": [dict(APPLIANCE, name=["washer"])]}, {}, True),
      ({}, {"length": 0}, False),  # only the flag is invalid
-     ({"appliances": [dict(APPLIANCE, name="a,b")]}, {}, True)],
+     ({"appliances": [dict(APPLIANCE, name="a,b")]}, {}, True),
+     ({"appliances": [dict(APPLIANCE, dwell_means=[NAN, 8])]}, {}, True),
+     ({"appliances": [dict(APPLIANCE, dwell_means=[40, INF])]}, {}, True),
+     ({"appliances": [dict(APPLIANCE, state_levels=[0.0, NAN])]}, {}, True),
+     ({"appliances": [dict(APPLIANCE, state_levels=[-INF, 2.0])]}, {}, True),
+     ({"noise_sigma": NAN}, {}, True),
+     ({}, {"noise_sigma": INF}, False)],
 )
 def test_invalid_values_name_the_file_when_it_holds_them(tmp_path, spec, flags, named):
     path = tmp_path / "house.json"
@@ -203,6 +217,25 @@ def test_invalid_values_name_the_file_when_it_holds_them(tmp_path, spec, flags, 
     with pytest.raises(ConfigError) as err:
         synth.config_from_json(path, **flags)
     assert str(err.value).startswith(f"{path}: ") == named
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--noise-sigma", "nan"], ["--noise-sigma", "inf"], "dwell_means", "state_levels"],
+)
+def test_synth_rejects_non_finite_values_with_exit_2(tmp_path, capsys, args):
+    if isinstance(args, str):  # one non-finite value in an appliance file
+        spec = {"appliances": [dict(APPLIANCE, **{args: [40, NAN]})]}
+        path = tmp_path / "house.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        args = ["--appliances", path]
+    out = tmp_path / "data.csv"
+    code = cli.main(["synth", *map(str, args), "--out", str(out),
+                     "--states-out", str(tmp_path / "truth.csv")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG and "must be finite" in err, err
+    assert args[0] != "--appliances" or f"{path}: " in err
+    assert not out.exists()
 
 
 def test_a_flag_overrides_an_invalid_file_value(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from loadcast.errors import NumericError
+from loadcast.errors import ConfigError, NumericError
 from loadcast.train import train_loop
 
 
@@ -58,3 +58,13 @@ def test_never_finite_validation_loss_raises_numeric_error():
         fit(model, [np.nan, np.nan, np.nan])
     with pytest.raises(NumericError, match="never finite"):
         fit(OneBlock(), [np.inf])
+
+
+@pytest.mark.parametrize("lr", [-0.1, 0.0, np.nan, np.inf])
+def test_train_loop_rejects_a_step_size_that_is_not_finite_and_positive(lr):
+    """-0.1 used to climb the loss, 0 to train nothing, nan and inf to end
+    in a NumericError about the gradient."""
+    model = OneBlock()
+    with pytest.raises(ConfigError, match=f"lr must be finite and > 0, got {lr}"):
+        train_loop(model, 4, lambda idx: (0.0, [-np.ones(3)]), lambda: 1.0, lr=lr)
+    np.testing.assert_array_equal(model.w, 0.0)
