@@ -99,8 +99,8 @@ class WindowSet(Sequence[WindowSample]):
     split's values and labels, one sliding_window_view per field, so no
     window is copied and a stray write raises. Window k is x[k], y[k],
     s[k] with origin first_origin + k; x[idx] gathers a batch of them.
-    A WindowSample is made only on item access or iteration, and a slice
-    (step 1) is a WindowSet over the same memory.
+    A WindowSample is made only on item access or iteration. A pass over
+    the split slices these arrays (train.forward_batches), not the set.
     """
 
     __slots__ = ("x", "y", "s", "first_origin")
@@ -115,12 +115,6 @@ class WindowSet(Sequence[WindowSample]):
         return self.x.shape[0]
 
     def __getitem__(self, key):
-        if isinstance(key, slice):
-            start, stop, step = key.indices(len(self))
-            if step != 1:
-                raise ValueError(f"window slices must have step 1, got {step}")
-            part = slice(start, stop)
-            return WindowSet(self.x[part], self.y[part], self.s[part], self.first_origin + start)
         k = operator.index(key)
         n = len(self)
         if k < 0:
@@ -132,6 +126,14 @@ class WindowSet(Sequence[WindowSample]):
     def __iter__(self) -> Iterator[WindowSample]:
         for k, (x, y, s) in enumerate(zip(self.x, self.y, self.s)):
             yield WindowSample(x, y, s, self.first_origin + k)
+
+
+def check_window_batch(x: np.ndarray, lookback: int, n_variables: int) -> None:
+    """A model's input must be a (batch, lookback, n_variables) array."""
+    if x.ndim != 3 or x.shape[1:] != (lookback, n_variables):
+        raise ShapeError(
+            f"input shape {x.shape} does not match (batch, {lookback}, {n_variables})"
+        )
 
 
 def load_csv(path: str | Path) -> SeriesFrame:

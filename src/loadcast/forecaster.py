@@ -15,14 +15,15 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint, guidance, nn
-from .data import WindowSet
-from .errors import ConfigError, ShapeError
+from .data import WindowSet, check_window_batch
+from .errors import ConfigError
 from .train import (
     DEFAULT_BATCH,
     DEFAULT_LR,
     DEFAULT_MAX_EPOCHS,
     DEFAULT_PATIENCE,
     TrainHistory,
+    forward_batches,
     stack_inputs,
 )
 
@@ -67,10 +68,7 @@ class LinearForecaster:
 
     def forward_batch(self, x: np.ndarray, want_cache: bool = False):
         c = self.config
-        if x.ndim != 3 or x.shape[1:] != (c.lookback, c.n_variables):
-            raise ShapeError(
-                f"input shape {x.shape} does not match (batch, {c.lookback}, {c.n_variables})"
-            )
+        check_window_batch(x, c.lookback, c.n_variables)
         y = np.einsum("bli,ilh->bhi", x, self.weights, optimize=True) + self.bias.T[None]
         return (y, x) if want_cache else y
 
@@ -99,10 +97,7 @@ class MlpForecaster:
 
     def forward_batch(self, x: np.ndarray, want_cache: bool = False):
         c = self.config
-        if x.ndim != 3 or x.shape[1:] != (c.lookback, c.n_variables):
-            raise ShapeError(
-                f"input shape {x.shape} does not match (batch, {c.lookback}, {c.n_variables})"
-            )
+        check_window_batch(x, c.lookback, c.n_variables)
         b = x.shape[0]
         xf = x.reshape(b, -1)
         pre = nn.linear_forward(self.lin1, xf)
@@ -124,13 +119,14 @@ def make_forecaster(config: ForecasterConfig):
     return MlpForecaster(config)
 
 
-def predict_samples(model, samples: WindowSet, batch_size: int = 256) -> np.ndarray:
+# rows per prediction pass; the MLP's forecasts depend on it in the last bits
+PREDICT_BATCH = 256
+
+
+def predict_samples(model, samples: WindowSet) -> np.ndarray:
     """Stacked forecasts (n, H, D) over a split's windows."""
-    outs = []
-    for start in range(0, len(samples), batch_size):
-        xb = stack_inputs(samples[start : start + batch_size])
-        outs.append(model.forward_batch(xb))
-    return np.concatenate(outs, axis=0)
+    batches = forward_batches(model, stack_inputs(samples), PREDICT_BATCH)
+    return np.concatenate([yhat for _, yhat in batches], axis=0)
 
 
 def train_plain(

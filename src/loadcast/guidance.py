@@ -11,8 +11,9 @@ attention than cells the teacher finds noisy. The
 teacher is read-only throughout; validation and model selection use
 plain MAE so guidance shapes optimization only.
 
-event_weights and guided_loss take whole batches; teacher_weights and
-train_guided call them once per batch of windows.
+event_weights and guided_loss take whole batches. teacher_weights and
+train_guided's validation run a model over a split with
+train.forward_batches.
 """
 
 from __future__ import annotations
@@ -26,12 +27,14 @@ import numpy as np
 from . import nn
 from .data import WindowSet
 from .errors import ConfigError, ShapeError
+from .msp import split_groups
 from .train import (
     DEFAULT_BATCH,
     DEFAULT_LR,
     DEFAULT_MAX_EPOCHS,
     DEFAULT_PATIENCE,
     TrainHistory,
+    forward_batches,
     stack_inputs,
     stack_targets,
     train_loop,
@@ -59,12 +62,7 @@ def event_weights(z: np.ndarray, counts: Sequence[int]) -> np.ndarray:
     variable's group. Every weight lies in [1/n_i, 1] for a variable
     with n_i classes (softmax max is at least uniform).
     """
-    cols = []
-    start = 0
-    for n in counts:
-        cols.append(nn.softmax_rows(z[..., start : start + n]).max(axis=-1))
-        start += n
-    return np.stack(cols, axis=-1)
+    return np.stack([nn.softmax_rows(g).max(axis=-1) for g in split_groups(z, counts)], axis=-1)
 
 
 def guided_loss(
@@ -99,12 +97,8 @@ def teacher_weights(
     """Weights for every sample's future block, (n, H, D). The teacher
     is frozen, so these are computed once and reused across epochs."""
     counts = msp_model.config.class_counts
-    out = []
-    for start in range(0, len(samples), batch_size):
-        xb = stack_inputs(samples[start : start + batch_size])
-        z = msp_model.forward_batch(xb)
-        out.append(event_weights(z, counts))
-    return np.concatenate(out, axis=0)
+    batches = forward_batches(msp_model, stack_inputs(samples), batch_size)
+    return np.concatenate([event_weights(z, counts) for _, z in batches], axis=0)
 
 
 def train_guided(
@@ -164,9 +158,8 @@ def train_guided(
 
     def val_fn() -> float:
         total = 0.0
-        for start in range(0, x_val.shape[0], batch_size):
-            yhat = model.forward_batch(x_val[start : start + batch_size])
-            total += float(np.abs(yhat - y_val[start : start + batch_size]).sum())
+        for rows, yhat in forward_batches(model, x_val, batch_size):
+            total += float(np.abs(yhat - y_val[rows]).sum())
         return total / (x_val.shape[0] * size_per)
 
     return train_loop(

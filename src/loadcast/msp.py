@@ -10,9 +10,10 @@ becomes the frozen teacher whose class probabilities weight the
 forecaster's training loss.
 
 Logits are (batch, H, sum of class counts) arrays, one column group per
-variable. The loss (msp_loss) and the argmax decoding (decode_states)
-take such a batch directly; train_msp and state_accuracy call them once
-per batch, and a single window is a batch of one.
+variable; split_groups gives each variable's group as a view. The loss
+(msp_loss) and the argmax decoding (decode_states) take such a batch
+directly, and a single window is a batch of one. train_msp's validation
+and state_accuracy run the model over a split with train.forward_batches.
 
 The D extractor convs run as one fused conv from trunk_channels to
 D*ue_channels channels, on channels-last activations (one row of
@@ -37,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from . import checkpoint, nn
-from .data import WindowSet
+from .data import WindowSet, check_window_batch
 from .errors import ConfigError, ShapeError
 from .labeling import MAX_STATES, MIN_STATES
 from .train import (
@@ -46,6 +47,7 @@ from .train import (
     DEFAULT_MAX_EPOCHS,
     DEFAULT_PATIENCE,
     TrainHistory,
+    forward_batches,
     stack_inputs,
     stack_states,
     train_loop,
@@ -69,6 +71,10 @@ class MspConfig:
         for name in ("trunk_channels", "ue_channels", "kernel_width"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.lookback < self.kernel_width:
+            raise ConfigError(
+                f"lookback {self.lookback} is below the kernel width {self.kernel_width}"
+            )
         if len(self.class_counts) != self.n_variables:
             raise ConfigError(
                 f"{len(self.class_counts)} class counts for {self.n_variables} variables"
@@ -139,10 +145,7 @@ class MspModel:
     def forward_batch(self, x: np.ndarray, want_cache: bool = False):
         """Logits for a batch of windows; x is (B, L, D) -> (B, H, sumN)."""
         c = self.config
-        if x.ndim != 3 or x.shape[1:] != (c.lookback, c.n_variables):
-            raise ShapeError(
-                f"input shape {x.shape} does not match (batch, {c.lookback}, {c.n_variables})"
-            )
+        check_window_batch(x, c.lookback, c.n_variables)
         b = x.shape[0]
         ue = c.ue_channels
         xc = x.transpose(0, 2, 1)  # (B, D, L) view of the channels-last input
@@ -183,10 +186,9 @@ class MspModel:
         )
         dzu = dzf.reshape(b, c.horizon, c.total_classes)
         linear_grads = []
-        start = 0
-        for i, (lin, n) in enumerate(zip(self.extractor_linears, c.class_counts)):
-            dg = np.ascontiguousarray(dzu[:, :, start : start + n]).reshape(b, -1)
-            start += n
+        groups = split_groups(dzu, c.class_counts)
+        for i, (lin, dzi) in enumerate(zip(self.extractor_linears, groups)):
+            dg = np.ascontiguousarray(dzi).reshape(b, -1)
             ri = r[:, i * ue : (i + 1) * ue]
             f = ri.reshape(b, -1)  # (channel, time) order, as in forward_batch
             dlin, df = nn.linear_backward(lin, f, dg)
@@ -206,15 +208,16 @@ class MspModel:
         return grads + [dwf, dbf]
 
 
+def split_groups(z: np.ndarray, counts: Sequence[int]) -> list[np.ndarray]:
+    """Per-variable views of logits z (..., sumN): group i holds the
+    counts[i] columns of variable i."""
+    return np.split(z, np.cumsum(counts)[:-1], axis=-1)
+
+
 def decode_states(z: np.ndarray, counts: Sequence[int]) -> np.ndarray:
     """Argmax class per (step, variable) of logits z (..., H, sumN) ->
     (..., H, D); ties go to the lowest class id."""
-    cols = []
-    start = 0
-    for n in counts:
-        cols.append(z[..., start : start + n].argmax(axis=-1))
-        start += n
-    return np.stack(cols, axis=-1)
+    return np.stack([g.argmax(axis=-1) for g in split_groups(z, counts)], axis=-1)
 
 
 def msp_loss(z: np.ndarray, targets: np.ndarray, counts: Sequence[int]):
@@ -237,10 +240,10 @@ def msp_loss(z: np.ndarray, targets: np.ndarray, counts: Sequence[int]):
         raise ShapeError(f"targets shape {targets.shape} does not match ({b}, {h}, {d})")
     grad = np.empty_like(z)
     loss = 0.0
-    start = 0
     bidx = np.arange(b)[:, None]
     hidx = np.arange(h)[None, :]
-    for i, n in enumerate(counts):
+    groups = zip(counts, split_groups(z, counts), split_groups(grad, counts))
+    for i, (n, g, dg) in enumerate(groups):
         t = targets[:, :, i]
         if t.min() < 0 or t.max() >= n:
             sample, tau = np.argwhere((t < 0) | (t >= n))[0]
@@ -248,34 +251,25 @@ def msp_loss(z: np.ndarray, targets: np.ndarray, counts: Sequence[int]):
                 f"state target {t[sample, tau]} out of range [0, {n}) "
                 f"at sample {sample}, step {tau}, variable {i}"
             )
-        g = z[:, :, start : start + n]
         zs = g - g.max(axis=-1, keepdims=True)
         e = np.exp(zs)
         s = e.sum(axis=-1, keepdims=True)
-        grad[:, :, start : start + n] = e / s
+        dg[...] = e / s
         loss += -(zs[bidx, hidx, t] - np.log(s)[:, :, 0]).sum()
-        grad[bidx, hidx, start + t] -= 1.0
-        start += n
+        dg[bidx, hidx, t] -= 1.0
     scale = b * h * d
     return loss / scale, grad / scale
 
 
-def state_accuracy(
-    model: MspModel, samples: WindowSet, batch_size: int = DEFAULT_BATCH
-) -> float:
+def state_accuracy(model: MspModel, samples: WindowSet) -> float:
     """Fraction of (step, variable) cells whose decoded state matches."""
     if not samples:
         raise ConfigError("no samples to score")
-    correct = 0
-    total = 0
     counts = model.config.class_counts
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start : start + batch_size]
-        z = model.forward_batch(stack_inputs(chunk))
-        targets = stack_states(chunk)
-        correct += int((decode_states(z, counts) == targets).sum())
-        total += targets.size
-    return correct / total
+    targets = stack_states(samples)
+    batches = forward_batches(model, stack_inputs(samples), DEFAULT_BATCH)
+    correct = sum(int((decode_states(z, counts) == targets[rows]).sum()) for rows, z in batches)
+    return correct / targets.size
 
 
 def _check_states(samples: WindowSet, counts: Sequence[int], split: str) -> None:
@@ -324,14 +318,10 @@ def train_msp(
 
     def val_fn() -> float:
         total = 0.0
-        rows = 0
-        for start in range(0, x_val.shape[0], batch_size):
-            xb = x_val[start : start + batch_size]
-            z = model.forward_batch(xb)
-            loss, _ = msp_loss(z, s_val[start : start + batch_size], counts)
-            total += loss * xb.shape[0]
-            rows += xb.shape[0]
-        return total / rows
+        for rows, z in forward_batches(model, x_val, batch_size):
+            loss, _ = msp_loss(z, s_val[rows], counts)
+            total += loss * z.shape[0]
+        return total / x_val.shape[0]
 
     return train_loop(
         model,
@@ -353,8 +343,3 @@ def save_msp(model: MspModel, path: str | Path) -> None:
 
 def load_msp(path: str | Path) -> MspModel:
     return checkpoint.load_model(path, "msp", lambda config: MspModel(MspConfig(**config)))
-
-
-def param_checksum(model) -> float:
-    """Cheap fingerprint of all parameter values (teacher-frozen checks)."""
-    return float(sum(np.abs(p).sum() for p in model.params()))

@@ -100,12 +100,8 @@ class RunConfig:
             raise ConfigError("horizons must name at least one horizon")
         if any(h < 1 for h in self.horizons):
             raise ConfigError(f"horizons must be positive, got {self.horizons}")
-        if list(self.horizons) != sorted(self.horizons):
-            raise ConfigError(f"horizons must be ascending, got {self.horizons}")
-        if self.lookback < self.kernel_width:
-            raise ConfigError(
-                f"lookback {self.lookback} is below the kernel width {self.kernel_width}"
-            )
+        if any(a >= b for a, b in zip(self.horizons, self.horizons[1:])):
+            raise ConfigError(f"horizons must be strictly ascending, got {self.horizons}")
 
 
 def _stage(name: str):

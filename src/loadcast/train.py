@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Callable, Iterator, Protocol
 
 import numpy as np
 
@@ -87,8 +87,7 @@ def train_loop(
     for epoch in range(1, max_epochs + 1):
         perm = rng.permutation(n_train)
         epoch_losses = []
-        for start in range(0, n_train, batch_size):
-            idx = perm[start : start + batch_size]
+        for idx in np.split(perm, range(batch_size, n_train, batch_size)):
             loss, grads = batch_fn(idx)
             nn.adam_step(state, params, grads, names)
             del grads  # else they stay alive through the next batch's backward pass
@@ -118,6 +117,15 @@ def train_loop(
     for p, best in zip(params, best_params):
         p[...] = best
     return history
+
+
+def forward_batches(model, x: np.ndarray, batch_size: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """Run a model over x (n, L, D) in row order, batch_size rows at a
+    time (the last batch may be shorter): yields the slice rows and
+    model.forward_batch(x[rows]), so y[rows] picks the batch's targets."""
+    for start in range(0, x.shape[0], batch_size):
+        rows = slice(start, start + batch_size)
+        yield rows, model.forward_batch(x[rows])
 
 
 def stack_inputs(windows: WindowSet) -> np.ndarray:

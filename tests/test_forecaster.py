@@ -8,6 +8,7 @@ from loadcast import nn
 from loadcast.data import SeriesFrame, sliding_windows, split_60_20_20, zscore_apply, zscore_fit
 from loadcast.errors import ConfigError, ShapeError
 from loadcast.forecaster import (
+    FORECASTER_KINDS,
     ForecasterConfig,
     LinearForecaster,
     MlpForecaster,
@@ -49,9 +50,10 @@ def test_forecast_shape_contract(kind):
 
 
 def test_forecast_shape_mismatch():
-    model = make_forecaster(ForecasterConfig("linear", 5, 3, 2))
-    with pytest.raises(ShapeError):
-        model.forward_batch(np.zeros((1, 4, 2)))
+    for kind in FORECASTER_KINDS:
+        model = make_forecaster(ForecasterConfig(kind, 5, 3, 2, hidden=8))
+        with pytest.raises(ShapeError, match=r"\(1, 4, 2\) does not match \(batch, 5, 2\)"):
+            model.forward_batch(np.zeros((1, 4, 2)))
 
 
 def sine_parts(l=480):

@@ -14,7 +14,7 @@ from loadcast.guidance import (
     teacher_weights,
     train_guided,
 )
-from loadcast.msp import MspConfig, MspModel, param_checksum
+from loadcast.msp import MspConfig, MspModel
 from tests.test_msp import wave_splits
 
 
@@ -159,13 +159,10 @@ def test_alpha_zero_training_is_bit_identical_to_plain():
 def test_teacher_parameters_frozen_during_guided_training():
     train_w, val_w, _ = wave_splits(l=200)
     teacher = trained_teacher(train_w, val_w)
-    before = param_checksum(teacher)
-    before_blocks = [p.copy() for p in teacher.params()]
+    before = [p.tobytes() for p in teacher.params()]
     student = make_forecaster(ForecasterConfig("linear", 8, 4, 1, seed=8))
     train_guided(student, teacher, train_w, val_w, GuidanceConfig(alpha=1.0), max_epochs=10)
-    assert param_checksum(teacher) == before
-    for now, saved in zip(teacher.params(), before_blocks):
-        np.testing.assert_array_equal(now, saved)
+    assert [p.tobytes() for p in teacher.params()] == before
 
 
 def test_teacher_weights_rejects_unknown_mode():

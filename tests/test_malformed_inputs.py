@@ -343,7 +343,7 @@ def test_corrupted_input_never_escapes_as_traceback(artifacts, reader, data):
      "horizons=0", "horizons=", "alpha=-1", "alpha=nan", "alpha=inf", "weight_mode=foo",
      "weight_mode=prob", "forecaster_kind=foo", "hidden=0", "trunk_channels=0", "ue_channels=-2",
      "kernel_width=0", "seed=-1", "w=0", "min_s=1", "max_s=1", "max_s=6", "period_seconds=0",
-     "period_seconds=-5", "per_variable=true"],
+     "period_seconds=-5", "per_variable=true", "horizons=6,6"],
 )
 def test_invalid_config_value_exits_2_naming_file(tmp_path, line):
     bad = tmp_path / "bad.cfg"
@@ -360,7 +360,7 @@ def test_invalid_config_value_exits_2_naming_file(tmp_path, line):
      ["--alpha", "nan"], ["--hidden", 0], ["--trunk-channels", 0], ["--ue-channels", -2],
      ["--kernel-width", 0], ["--horizons", ""], ["--seed", -1], ["--w", 0], ["--min-s", 1],
      ["--max-s", 6], ["--min-s", 4, "--max-s", 3], ["--period-seconds", -5],
-     ["--forecaster-kind", "foo"]],
+     ["--forecaster-kind", "foo"], ["--horizons", "6,6"]],
 )
 def test_invalid_flag_value_exits_2_without_naming_file(inputs, flag):
     code, err = run(["config", "--config", inputs / "run.cfg", *flag])
@@ -388,6 +388,21 @@ def test_invalid_model_value_exits_2_before_any_checkpoint(inputs, tmp_path, bad
     if isinstance(bad, str):
         assert str(cfg) in err
     assert not (tmp_path / "ck").exists()
+
+
+def test_lookback_below_the_kernel_width_exits_2_only_where_a_teacher_is_built(inputs, tmp_path):
+    args = ["--data", inputs / "data.csv", "--states", inputs / "states.csv", "--max-epochs", 1]
+    forecaster = tmp_path / "f.json"
+    assert run(["train", *args, "--lookback", 1, "--horizon", 1, "--out", forecaster]) == (0, "")
+    teacher = tmp_path / "m.json"
+    code, err = run(["train-msp", *args, "--lookback", 2, "--horizon", 1, "--out", teacher])
+    assert code == cli.EXIT_CONFIG and "lookback 2 is below the kernel width 3" in err, err
+    assert not teacher.exists()
+    args += ["--lookback", 2, "--horizons", 1]
+    args += ["--checkpoint-dir", tmp_path / "ck", "--report-dir", tmp_path / "rep"]
+    code, err = run(["pipeline", *args])
+    assert code == cli.EXIT_CONFIG and "lookback 2 is below the kernel width 3" in err, err
+    assert [f.name for f in tmp_path.rglob("*") if f.is_file()] == ["f.json"]
 
 
 def test_flag_overriding_a_bad_file_value_is_accepted(tmp_path):

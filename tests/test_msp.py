@@ -17,7 +17,7 @@ from loadcast.msp import (
     MspModel,
     decode_states,
     msp_loss,
-    param_checksum,
+    split_groups,
     state_accuracy,
     train_msp,
 )
@@ -52,6 +52,21 @@ def test_config_rejects_channels_and_kernel_width_below_one(field, value):
         MspConfig(lookback=8, horizon=2, n_variables=1, class_counts=[2], **{field: value})
 
 
+def test_config_rejects_a_lookback_below_the_kernel_width():
+    with pytest.raises(ConfigError, match="lookback 2 is below the kernel width 3"):
+        MspConfig(lookback=2, horizon=1, n_variables=1, class_counts=[2], kernel_width=3)
+    assert MspConfig(lookback=3, horizon=1, n_variables=1, class_counts=[2]).kernel_width == 3
+
+
+def test_split_groups_are_views_of_each_variables_columns():
+    z = np.arange(2 * 3 * 9, dtype=np.float64).reshape(2, 3, 9)
+    groups = split_groups(z, [2, 3, 4])
+    assert [g.shape for g in groups] == [(2, 3, 2), (2, 3, 3), (2, 3, 4)]
+    for g, cols in zip(groups, (slice(0, 2), slice(2, 5), slice(5, 9))):
+        np.testing.assert_array_equal(g, z[..., cols])
+        assert np.shares_memory(g, z)
+
+
 def test_forward_deterministic():
     model = tiny_model()
     x = np.random.default_rng(1).normal(size=(1, 8, 2))
@@ -60,7 +75,7 @@ def test_forward_deterministic():
 
 def test_forward_shape_mismatch():
     model = tiny_model()
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=r"\(1, 7, 2\) does not match \(batch, 8, 2\)"):
         model.forward_batch(np.zeros((1, 7, 2)))
 
 
@@ -342,7 +357,7 @@ def test_checkpoint_round_trip(tmp_path):
     path = tmp_path / "msp.json"
     save_msp(model, path)
     back = load_msp(path)
-    assert param_checksum(back) == param_checksum(model)
+    assert [p.tobytes() for p in back.params()] == [p.tobytes() for p in model.params()]
     x = np.random.default_rng(6).normal(size=(1, 8, 2))
     np.testing.assert_array_equal(back.forward_batch(x), model.forward_batch(x))
 

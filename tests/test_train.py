@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from loadcast.errors import ConfigError, NumericError
-from loadcast.train import train_loop
+from loadcast.train import forward_batches, train_loop
 
 
 class OneBlock:
@@ -68,3 +68,27 @@ def test_train_loop_rejects_a_step_size_that_is_not_finite_and_positive(lr):
     with pytest.raises(ConfigError, match=f"lr must be finite and > 0, got {lr}"):
         train_loop(model, 4, lambda idx: (0.0, [-np.ones(3)]), lambda: 1.0, lr=lr)
     np.testing.assert_array_equal(model.w, 0.0)
+
+
+class RowSums:
+    """forward_batch returns each row's sum and records the batch it saw."""
+
+    def __init__(self):
+        self.batches = []
+
+    def forward_batch(self, x):
+        self.batches.append(x)
+        return x.sum(axis=(1, 2))
+
+
+@pytest.mark.parametrize("n, batch_size", [(10, 4), (8, 4), (3, 5), (1, 1), (0, 3)])
+def test_forward_batches_covers_every_row_once_in_order(n, batch_size):
+    x = np.arange(n * 6, dtype=np.float64).reshape(n, 3, 2)
+    model = RowSums()
+    out = list(forward_batches(model, x, batch_size))
+    assert [k for rows, _ in out for k in range(n)[rows]] == list(range(n))
+    tail = [n % batch_size] if n % batch_size else []
+    assert [len(range(n)[rows]) for rows, _ in out] == [batch_size] * (n // batch_size) + tail
+    for (rows, y), seen in zip(out, model.batches, strict=True):
+        assert np.shares_memory(seen, x)  # a view of x's rows, not a gathered copy
+        np.testing.assert_array_equal(y, x[rows].sum(axis=(1, 2)))
