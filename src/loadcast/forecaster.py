@@ -17,15 +17,7 @@ import numpy as np
 from . import checkpoint, guidance, nn
 from .data import WindowSet, check_window_batch
 from .errors import ConfigError
-from .train import (
-    DEFAULT_BATCH,
-    DEFAULT_LR,
-    DEFAULT_MAX_EPOCHS,
-    DEFAULT_PATIENCE,
-    TrainHistory,
-    forward_batches,
-    stack_inputs,
-)
+from .train import TrainHistory, forward_batches, stack_inputs
 
 
 FORECASTER_KINDS = ("linear", "mlp")
@@ -129,26 +121,11 @@ def predict_samples(model, samples: WindowSet) -> np.ndarray:
     return np.concatenate([yhat for _, yhat in batches], axis=0)
 
 
-def train_plain(
-    model,
-    train_samples: WindowSet,
-    val_samples: WindowSet,
-    lr: float = DEFAULT_LR,
-    batch_size: int = DEFAULT_BATCH,
-    patience: int = DEFAULT_PATIENCE,
-    max_epochs: int = DEFAULT_MAX_EPOCHS,
-) -> TrainHistory:
-    """Minimize plain MAE; best-validation snapshot is restored."""
+def train_plain(model, train_samples: WindowSet, val_samples: WindowSet, **fit) -> TrainHistory:
+    """Minimize plain MAE; best-validation snapshot is restored. fit carries
+    batch_size, lr, patience and max_epochs; train_loop holds their defaults."""
     return guidance.train_guided(
-        model,
-        None,
-        train_samples,
-        val_samples,
-        guidance.GuidanceConfig(alpha=0.0),
-        lr=lr,
-        batch_size=batch_size,
-        patience=patience,
-        max_epochs=max_epochs,
+        model, None, train_samples, val_samples, guidance.GuidanceConfig(alpha=0.0), **fit
     )
 
 
@@ -158,23 +135,13 @@ def train_with_guidance(
     train_samples: WindowSet,
     val_samples: WindowSet,
     config: guidance.GuidanceConfig | None = None,
-    lr: float = DEFAULT_LR,
-    batch_size: int = DEFAULT_BATCH,
-    patience: int = DEFAULT_PATIENCE,
-    max_epochs: int = DEFAULT_MAX_EPOCHS,
+    **fit,
 ) -> TrainHistory:
     """Event-guided training: same model, same inference path, the loss
-    reweighted by the frozen state predictor's class probabilities."""
+    reweighted by the frozen state predictor's class probabilities. fit carries
+    batch_size, lr, patience and max_epochs; train_loop holds their defaults."""
     return guidance.train_guided(
-        model,
-        msp_model,
-        train_samples,
-        val_samples,
-        config or guidance.GuidanceConfig(),
-        lr=lr,
-        batch_size=batch_size,
-        patience=patience,
-        max_epochs=max_epochs,
+        model, msp_model, train_samples, val_samples, config or guidance.GuidanceConfig(), **fit
     )
 
 

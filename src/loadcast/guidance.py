@@ -28,17 +28,7 @@ from . import nn
 from .data import WindowSet
 from .errors import ConfigError, ShapeError
 from .msp import split_groups
-from .train import (
-    DEFAULT_BATCH,
-    DEFAULT_LR,
-    DEFAULT_MAX_EPOCHS,
-    DEFAULT_PATIENCE,
-    TrainHistory,
-    forward_batches,
-    stack_inputs,
-    stack_targets,
-    train_loop,
-)
+from .train import DEFAULT_BATCH, TrainHistory, forward_batches, stack_inputs, stack_targets, train_loop
 
 def check_alpha(alpha: float) -> None:
     """A guidance strength must be a finite number >= 0."""
@@ -107,11 +97,10 @@ def train_guided(
     train_samples: WindowSet,
     val_samples: WindowSet,
     config: GuidanceConfig,
-    lr: float = DEFAULT_LR,
+    *,
     batch_size: int = DEFAULT_BATCH,
-    patience: int = DEFAULT_PATIENCE,
-    max_epochs: int = DEFAULT_MAX_EPOCHS,
     precomputed_weights: np.ndarray | None = None,
+    **fit,
 ) -> TrainHistory:
     """Train a forecaster under the guided objective.
 
@@ -121,7 +110,9 @@ def train_guided(
     precomputed_weights may carry teacher_weights() output for the
     train samples to share one weight pass across runs (the teacher is
     frozen, so recomputation is pure overhead). A teacher must share
-    the forecaster's lookback, horizon and variable count.
+    the forecaster's lookback, horizon and variable count. batch_size
+    also sizes the validation and teacher-weight batches; fit carries lr,
+    patience and max_epochs, whose defaults train_loop holds.
     """
     if not train_samples or not val_samples:
         raise ConfigError("train and validation sets must both be nonempty")
@@ -167,9 +158,7 @@ def train_guided(
         n_train=x_train.shape[0],
         batch_fn=batch_fn,
         val_fn=val_fn,
-        lr=lr,
         batch_size=batch_size,
-        patience=patience,
-        max_epochs=max_epochs,
         seed=model.config.seed,
+        **fit,
     )

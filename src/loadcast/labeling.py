@@ -395,9 +395,15 @@ def load_states_csv(path: str | Path) -> tuple[StateProfile, np.ndarray, list[st
     with reading(sidecar):
         meta = json.loads(sidecar.read_text(encoding="utf-8"))
         meta_names = [m["name"] for m in meta]
-        counts = np.asarray([m["states"] for m in meta], dtype=np.int64)
+        counts = [m["states"] for m in meta]
         if meta_names != names:
             raise DataError(f"names {meta_names} do not match {path}'s header {names}")
+        for name, n in zip(names, counts):
+            if type(n) is not int or not MIN_STATES <= n <= MAX_STATES:
+                raise DataError(
+                    f"variable {name!r}: states must be an integer in "
+                    f"[{MIN_STATES}, {MAX_STATES}], got {json.dumps(n)}"
+                )
     with prefix_errors(f"{path}: "):
         try:
             profile = StateProfile(body[:, 1:], counts)

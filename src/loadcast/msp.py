@@ -41,17 +41,7 @@ from . import checkpoint, nn
 from .data import WindowSet, check_window_batch
 from .errors import ConfigError, ShapeError
 from .labeling import MAX_STATES, MIN_STATES
-from .train import (
-    DEFAULT_BATCH,
-    DEFAULT_LR,
-    DEFAULT_MAX_EPOCHS,
-    DEFAULT_PATIENCE,
-    TrainHistory,
-    forward_batches,
-    stack_inputs,
-    stack_states,
-    train_loop,
-)
+from .train import DEFAULT_BATCH, TrainHistory, forward_batches, stack_inputs, stack_states, train_loop
 
 
 @dataclass
@@ -294,13 +284,14 @@ def train_msp(
     model: MspModel,
     train_samples: WindowSet,
     val_samples: WindowSet,
-    lr: float = DEFAULT_LR,
+    *,
     batch_size: int = DEFAULT_BATCH,
-    patience: int = DEFAULT_PATIENCE,
-    max_epochs: int = DEFAULT_MAX_EPOCHS,
+    **fit,
 ) -> TrainHistory:
     """Stage-1 training: minimize multitask cross-entropy with Adam and
-    early stopping; the model is left at its best-validation snapshot."""
+    early stopping; the model is left at its best-validation snapshot.
+    batch_size also sizes the validation batches; fit carries lr,
+    patience and max_epochs, whose defaults train_loop holds."""
     if not train_samples or not val_samples:
         raise ConfigError("train and validation sets must both be nonempty")
     counts = model.config.class_counts
@@ -328,11 +319,9 @@ def train_msp(
         n_train=x_train.shape[0],
         batch_fn=batch_fn,
         val_fn=val_fn,
-        lr=lr,
         batch_size=batch_size,
-        patience=patience,
-        max_epochs=max_epochs,
         seed=model.config.seed,
+        **fit,
     )
 
 

@@ -188,24 +188,27 @@ def _fit_args(config: RunConfig) -> dict:
             "max_epochs": config.max_epochs}
 
 
+def teacher_config(config: RunConfig, horizon: int, counts: Sequence[int]) -> msp.MspConfig:
+    """The state predictor's settings at one horizon, over len(counts)
+    variables (counts[i] states for variable i)."""
+    return msp.MspConfig(
+        lookback=config.lookback,
+        horizon=horizon,
+        n_variables=len(counts),
+        class_counts=counts,
+        trunk_channels=config.trunk_channels,
+        ue_channels=config.ue_channels,
+        kernel_width=config.kernel_width,
+        seed=config.seed,
+    )
+
+
 def train_teacher(
     config: RunConfig, horizon: int, counts: Sequence[int], train_w: WindowSet, val_w: WindowSet
 ) -> tuple[msp.MspModel, TrainHistory]:
-    """Stage 1 at one horizon: a state predictor over len(counts)
-    variables (counts[i] states for variable i), trained on the
-    windows' state labels."""
-    teacher = msp.MspModel(
-        msp.MspConfig(
-            lookback=config.lookback,
-            horizon=horizon,
-            n_variables=len(counts),
-            class_counts=counts,
-            trunk_channels=config.trunk_channels,
-            ue_channels=config.ue_channels,
-            kernel_width=config.kernel_width,
-            seed=config.seed,
-        )
-    )
+    """Stage 1 at one horizon: a state predictor (see teacher_config),
+    trained on the windows' state labels."""
+    teacher = msp.MspModel(teacher_config(config, horizon, counts))
     return teacher, msp.train_msp(teacher, train_w, val_w, **_fit_args(config))
 
 
@@ -264,6 +267,9 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     checkpoints, returns the loaded results."""
     frame, profile, stats, windows = prepare_windows(config, config.horizons)
     d = frame.n_variables
+    for horizon in config.horizons:  # a bad teacher setting fails before any directory is made
+        with _stage(f"train-msp H={horizon}"):
+            teacher_config(config, horizon, profile.counts)
     ckpt_dir = Path(config.checkpoint_dir)
     report_dir = Path(config.report_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loadcast import cli
+from loadcast import cli, labeling
+from loadcast.errors import DataError
 
 CONFIG = "lookback=48\nalpha=0.25\nbatch=64\nseed=7\nmax_epochs=3\n"
 
@@ -237,6 +238,30 @@ def test_header_only_state_csv_exits_3_without_a_warning(inputs, tmp_path):
     assert not [w for w in caught if issubclass(w.category, UserWarning)]
 
 
+@pytest.mark.parametrize("states", [7, 1, "2", 2.5, True])
+def test_sidecar_state_count_outside_the_integers_2_to_5_exits_3_naming_it(
+    inputs, tmp_path, states
+):
+    """Each is rejected while the sidecar is read. Before that check, 7
+    failed as a configuration error naming no file, "2" and 2.5 were read
+    as 2 states, and 1 and true were blamed on the state CSV."""
+    (tmp_path / "states.csv").write_bytes((inputs / "states.csv").read_bytes())
+    meta = json.loads((inputs / "states.csv.meta.json").read_text(encoding="utf-8"))
+    meta[1]["states"] = states
+    sidecar = tmp_path / "states.csv.meta.json"
+    sidecar.write_text(json.dumps(meta), encoding="utf-8")
+    message = (f"{sidecar}: variable 'oven': states must be an integer in [2, 5], "
+               f"got {json.dumps(states)}")
+    with pytest.raises(DataError) as caught:
+        labeling.load_states_csv(tmp_path / "states.csv")
+    assert str(caught.value) == message
+    args = ["--lookback", 8, "--horizon", 2, "--max-epochs", 1, "--out", tmp_path / "m.json"]
+    code, err = run(["train-msp", "--data", inputs / "data.csv", "--states",
+                     tmp_path / "states.csv", *args])
+    assert code == cli.EXIT_DATA and message in err, err
+    assert not (tmp_path / "m.json").exists()
+
+
 @st.composite
 def corrupted_lines(draw, text, flips, cut_span):
     """The text with one corruption that no reading accepts.
@@ -403,6 +428,7 @@ def test_lookback_below_the_kernel_width_exits_2_only_where_a_teacher_is_built(i
     code, err = run(["pipeline", *args])
     assert code == cli.EXIT_CONFIG and "lookback 2 is below the kernel width 3" in err, err
     assert [f.name for f in tmp_path.rglob("*") if f.is_file()] == ["f.json"]
+    assert not (tmp_path / "ck").exists() and not (tmp_path / "rep").exists()
 
 
 def test_flag_overriding_a_bad_file_value_is_accepted(tmp_path):

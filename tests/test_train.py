@@ -1,10 +1,18 @@
-"""The shared training loop: which parameters it leaves behind."""
+"""The shared training loop: which parameters it leaves behind, and
+which settings the four trainers above it pass down."""
+
+import inspect
 
 import numpy as np
 import pytest
 
+from loadcast import forecaster, guidance, msp, train
 from loadcast.errors import ConfigError, NumericError
+from loadcast.forecaster import ForecasterConfig, make_forecaster
+from loadcast.guidance import GuidanceConfig
+from loadcast.msp import MspConfig, MspModel
 from loadcast.train import forward_batches, train_loop
+from tests.test_forecaster import sine_splits
 
 
 class OneBlock:
@@ -92,3 +100,53 @@ def test_forward_batches_covers_every_row_once_in_order(n, batch_size):
     for (rows, y), seen in zip(out, model.batches, strict=True):
         assert np.shares_memory(seen, x)  # a view of x's rows, not a gathered copy
         np.testing.assert_array_equal(y, x[rows].sum(axis=(1, 2)))
+
+
+SETTINGS = {"lr": 0.02, "batch_size": 7, "patience": 3, "max_epochs": 5}
+DEFAULTS = {"lr": train.DEFAULT_LR, "batch_size": train.DEFAULT_BATCH,
+            "patience": train.DEFAULT_PATIENCE, "max_epochs": train.DEFAULT_MAX_EPOCHS}
+
+
+@pytest.fixture(scope="module")
+def trainer_args():
+    """Each trainer and the positional arguments of one call to it."""
+    train_w, val_w, _ = sine_splits(l=60, lookback=4, horizon=2)
+    teacher = MspModel(MspConfig(4, 2, 2, [2, 2]))
+    student = make_forecaster(ForecasterConfig("linear", 4, 2, 2))
+    return {
+        "train_msp": (msp.train_msp, (teacher, train_w, val_w)),
+        "train_guided": (guidance.train_guided,
+                         (student, teacher, train_w, val_w, GuidanceConfig())),
+        "train_plain": (forecaster.train_plain, (student, train_w, val_w)),
+        "train_with_guidance": (forecaster.train_with_guidance,
+                                (student, teacher, train_w, val_w, GuidanceConfig())),
+    }
+
+
+@pytest.mark.parametrize(
+    "trainer", ["train_msp", "train_guided", "train_plain", "train_with_guidance"]
+)
+def test_trainers_pass_every_setting_to_train_loop(trainer_args, monkeypatch, trainer):
+    """train_loop gets the settings a trainer was given, and its own
+    defaults for those it was not; a misspelled setting and a positional
+    lr are errors, not a silently ignored or misplaced value."""
+    received = []
+
+    def record(*args, **kwargs):
+        bound = inspect.signature(train_loop).bind(*args, **kwargs)
+        bound.apply_defaults()
+        received.append({name: bound.arguments[name] for name in SETTINGS})
+        return train.TrainHistory()
+
+    monkeypatch.setattr(msp, "train_loop", record)
+    monkeypatch.setattr(guidance, "train_loop", record)
+    fn, args = trainer_args[trainer]
+    assert all(SETTINGS[name] != DEFAULTS[name] for name in SETTINGS)
+    fn(*args, **SETTINGS)
+    fn(*args)
+    assert received == [SETTINGS, DEFAULTS]
+    with pytest.raises(TypeError, match="max_epoch"):
+        fn(*args, max_epoch=3)
+    with pytest.raises(TypeError):
+        fn(*args, 0.01)
+    assert len(received) == 2
