@@ -112,6 +112,14 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(flag, dest=f.name, type=_parser(f), help=_FLAG_HELP.get(f.name))
 
 
+def _check_out(path: str) -> None:
+    """Fail before any work when --out cannot be written for want of its
+    directory."""
+    parent = Path(path).parent
+    if not parent.is_dir():
+        raise ConfigError(f"cannot write {path}: no directory {parent}")
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     overrides = {}
     for key in ("length", "noise_sigma", "spike_rate", "seed"):
@@ -139,6 +147,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_label(args: argparse.Namespace) -> int:
     config = merge_run_config(args)
+    _check_out(args.out)
     frame = load_data(config)
     with prefix_errors(f"{config.data_csv}: "):
         profile = labeling.identify_states(
@@ -152,6 +161,7 @@ def cmd_label(args: argparse.Namespace) -> int:
 
 def cmd_train_msp(args: argparse.Namespace) -> int:
     config = merge_run_config(args)
+    _check_out(args.out)
     _, profile, _, windows = prepare_windows(config, [args.horizon])
     train_w, val_w, _ = windows[args.horizon]
     model, history = train_teacher(config, args.horizon, profile.counts, train_w, val_w)
@@ -165,6 +175,7 @@ def cmd_train_msp(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = merge_run_config(args)
+    _check_out(args.out)
     frame, _, _, windows = prepare_windows(config, [args.horizon], read_states=False)
     train_w, val_w, _ = windows[args.horizon]
     teacher = msp.load_msp(args.msp) if args.msp else None
@@ -184,8 +195,17 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     config = merge_run_config(args)
+    _check_out(args.out)
     model = fc.load_forecaster(args.model)
     horizon = model.config.horizon
+    # the checkpoint fixes both; a flag that names others is a mistake
+    if args.lookback is not None and args.lookback != model.config.lookback:
+        raise ConfigError(
+            f"--lookback {args.lookback} does not match {args.model} (lookback {model.config.lookback})"
+        )
+    if args.horizons is not None and args.horizons != [horizon]:
+        flag = ",".join(str(h) for h in args.horizons)
+        raise ConfigError(f"--horizons {flag} does not match {args.model} (horizon {horizon})")
     config.lookback = model.config.lookback
     _, _, stats, windows = prepare_windows(config, [horizon], read_states=False)
     test_w = windows[horizon][2]
@@ -233,14 +253,20 @@ def cmd_config(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False everywhere: a prefix such as --horizon must not
+    # be read as another command's --horizons
     parser = argparse.ArgumentParser(
         prog="loadcast",
         description="Residential load forecasting with appliance-state labeling "
         "and event-guided training",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic household data + truth CSV pair")
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=help, allow_abbrev=False)
+
+    p = command("synth", "generate a synthetic household data + truth CSV pair")
     p.add_argument("--out", default="data.csv")
     p.add_argument("--states-out", default="truth_states.csv")
     p.add_argument("--appliances", help="JSON appliance spec file (default: built-in household)")
@@ -251,41 +277,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-household-total", action="store_true")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("label", help="cluster per-variable states and write the label CSV")
+    p = command("label", "cluster per-variable states and write the label CSV")
     _add_run_flags(p)
     p.add_argument("--out", default="states.csv")
     p.set_defaults(func=cmd_label)
 
-    p = sub.add_parser("train-msp", help="train the state predictor at one horizon")
+    p = command("train-msp", "train the state predictor at one horizon")
     _add_run_flags(p)
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--out", default="msp.json")
     p.set_defaults(func=cmd_train_msp)
 
-    p = sub.add_parser("train", help="train a forecaster (guided when --msp is given)")
+    p = command("train", "train a forecaster (guided when --msp is given)")
     _add_run_flags(p)
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--msp", help="frozen state-predictor checkpoint for guided training")
     p.add_argument("--out", default="forecaster.json")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a forecaster checkpoint on the test split")
+    p = command("eval", "evaluate a forecaster checkpoint on the test split")
     _add_run_flags(p)
     p.add_argument("--model", required=True)
     p.add_argument("--out", default="report.csv")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("compare", help="percent improvement between two report CSVs")
+    p = command("compare", "percent improvement between two report CSVs")
     p.add_argument("--baseline", required=True)
     p.add_argument("--treated", required=True)
     p.add_argument("--out", default="comparison.csv")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("pipeline", help="full run: teacher + plain/guided forecasters per horizon")
+    p = command("pipeline", "full run: teacher + plain/guided forecasters per horizon")
     _add_run_flags(p)
     p.set_defaults(func=cmd_pipeline)
 
-    p = sub.add_parser("config", help="print the effective configuration")
+    p = command("config", "print the effective configuration")
     _add_run_flags(p)
     p.set_defaults(func=cmd_config)
 

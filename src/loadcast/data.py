@@ -95,18 +95,25 @@ class WindowSample:
 class WindowSet(Sequence[WindowSample]):
     """Every (lookback, horizon) window of one split, one step apart.
 
-    x (n, L, D), y (n, H, D) and s (n, H, D) are read-only views of the
-    split's values and labels, one sliding_window_view per field, so no
-    window is copied and a stray write raises. Window k is x[k], y[k],
-    s[k] with origin first_origin + k; x[idx] gathers a batch of them.
-    A WindowSample is made only on item access or iteration. A pass over
-    the split slices these arrays (train.forward_batches), not the set.
+    series (n + L - 1, D) holds the split's rows that the lookbacks cover,
+    and window k's lookback is series[k : k + L]; the state predictor
+    takes these rows and each batch's window starts
+    (MspModel.forward_batch). x (n, L, D), y (n, H, D) and s (n, H, D) are
+    read-only views of the split's values and labels, one
+    sliding_window_view per field, so no window is copied and a stray
+    write raises. Window k is x[k], y[k], s[k] with origin first_origin + k;
+    x[idx] gathers a batch of them. A WindowSample is made only on item
+    access or iteration. A pass over the split slices these arrays
+    (train.forward_batches), not the set.
     """
 
-    __slots__ = ("x", "y", "s", "first_origin")
+    __slots__ = ("series", "x", "y", "s", "first_origin")
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, s: np.ndarray, first_origin: int):
-        self.x = x
+    def __init__(
+        self, series: np.ndarray, lookback: int, y: np.ndarray, s: np.ndarray, first_origin: int
+    ):
+        self.series = series
+        self.x = _runs(series, lookback)
         self.y = y
         self.s = s
         self.first_origin = first_origin
@@ -133,6 +140,28 @@ def check_window_batch(x: np.ndarray, lookback: int, n_variables: int) -> None:
     if x.ndim != 3 or x.shape[1:] != (lookback, n_variables):
         raise ShapeError(
             f"input shape {x.shape} does not match (batch, {lookback}, {n_variables})"
+        )
+
+
+def check_window_starts(
+    series: np.ndarray, starts: np.ndarray, lookback: int, n_variables: int
+) -> None:
+    """A model's series input must be an (n, n_variables) array, and starts
+    a nonempty 1-D integer array of rows at which lookback rows begin."""
+    if series.ndim != 2 or series.shape[1] != n_variables:
+        raise ShapeError(f"series shape {series.shape} does not match (rows, {n_variables})")
+    if starts.ndim != 1 or not np.issubdtype(starts.dtype, np.integer):
+        raise ShapeError(
+            f"window starts must be a 1-D integer array, got {starts.dtype} {starts.shape}"
+        )
+    if starts.size == 0:
+        raise ShapeError("the batch holds no windows")
+    last = series.shape[0] - lookback
+    if starts.min() < 0 or starts.max() > last:
+        bad = starts[(starts < 0) | (starts > last)][0]
+        raise ShapeError(
+            f"window start {bad} outside [0, {last}] "
+            f"for {series.shape[0]} rows and lookback {lookback}"
         )
 
 
@@ -309,10 +338,12 @@ def sliding_windows(frame: SeriesFrame, labels: np.ndarray, lookback: int, horiz
         raise DataError(
             f"series length {l} is below the minimum L+H = {lookback + horizon}"
         )
-    values = frame.values
+    series = frame.values[: l - horizon]
+    series.flags.writeable = False
     return WindowSet(
-        _runs(values[: l - horizon], lookback),
-        _runs(values[lookback:], horizon),
+        series,
+        lookback,
+        _runs(frame.values[lookback:], horizon),
         _runs(labels[lookback:], horizon),
         first_origin=lookback,
     )

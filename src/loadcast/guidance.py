@@ -87,7 +87,7 @@ def teacher_weights(
     """Weights for every sample's future block, (n, H, D). The teacher
     is frozen, so these are computed once and reused across epochs."""
     counts = msp_model.config.class_counts
-    batches = forward_batches(msp_model, stack_inputs(samples), batch_size)
+    batches = forward_batches(msp_model, samples, batch_size, series=True)
     return np.concatenate([event_weights(z, counts) for _, z in batches], axis=0)
 
 

@@ -22,11 +22,25 @@ D. The parameter blocks stay per head: names, shapes and checkpoints
 are those of D separate convs, whose weights are concatenated at call
 time and whose gradient is split back per head.
 
-A training step keeps that fused conv's output r, (B, L, D*ue) floats,
-as its only per-head activation: the forward pass caches r itself, not
-a copy of each head's input, and the backward pass writes each head's
-input gradient back over the head's channels of r, so r becomes the
-fused conv's upstream gradient.
+Windows one step apart share L - 1 of their L rows, so the trunk and
+the fused conv run once over the series rows that a batch's windows
+cover (the runs of overlapping windows, concatenated), not over B*L
+stacked rows, and each head gathers its (ue, L) input per window from
+that output. Only the rows that see a window's own zero padding differ
+from the series-level values: the first 2*left and last 2*right rows of
+the second conv, left = k-1-(k-1)//2 and right = (k-1)//2 for kernel
+width k. They come from strips of 2*(k-1) rows at each window's ends,
+convolved on their own, so the logits equal those of per-window convs.
+The junctions between concatenated runs disturb only such rows. A
+stacked (B, L, D) batch is B runs of one window each.
+
+A training step keeps the fused conv's output over the covered rows and
+the strips as its only per-head activation: the backward pass gathers
+each head's input from it again and overlap-adds the head's input
+gradient back over the head's channels, so it becomes the fused conv's
+upstream gradient. Each conv's weight and bias gradient is one product
+over the covered rows plus one over the strips; that sum differs from
+the per-window one in its last bits.
 """
 
 from __future__ import annotations
@@ -36,12 +50,13 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import checkpoint, nn
-from .data import WindowSet, check_window_batch
+from .data import WindowSet, check_window_batch, check_window_starts
 from .errors import ConfigError, ShapeError
 from .labeling import MAX_STATES, MIN_STATES
-from .train import DEFAULT_BATCH, TrainHistory, forward_batches, stack_inputs, stack_states, train_loop
+from .train import DEFAULT_BATCH, TrainHistory, forward_batches, stack_states, train_loop
 
 
 @dataclass
@@ -132,45 +147,90 @@ class MspModel:
             np.concatenate([conv.bias for conv in convs]),
         )
 
-    def forward_batch(self, x: np.ndarray, want_cache: bool = False):
-        """Logits for a batch of windows; x is (B, L, D) -> (B, H, sumN)."""
+    def forward_batch(self, x: np.ndarray, want_cache: bool = False, *, starts=None):
+        """Logits (B, H, sumN) for a batch of windows. x is the windows,
+        (B, L, D); or, with starts, the (n, D) series rows they are cut
+        from, window b being x[starts[b] : starts[b] + L]."""
         c = self.config
-        check_window_batch(x, c.lookback, c.n_variables)
-        b = x.shape[0]
-        ue = c.ue_channels
-        xc = x.transpose(0, 2, 1)  # (B, D, L) view of the channels-last input
-        a1 = nn.conv1d_forward(self.trunk, xc)
-        np.maximum(a1, 0.0, out=a1)  # ReLU in place
-        # (B, D*ue, L) view of the channels-last (B*L, D*ue) activation matrix
-        r = nn.conv1d_forward(self._fused_conv(), a1)
-        np.maximum(r, 0.0, out=r)
+        series, starts = _series_batch(x, starts, c.lookback, c.n_variables)
+        rows, pos = _covered_rows(starts, c.lookback, series.shape[0])
+        w, _, _ = _edge_strips(c.lookback, c.kernel_width)
+        ends = np.concatenate([starts, starts + c.lookback - w])  # head strips, then tail strips
+        parts = [_take_rows(series, rows)[None], series[ends[:, None] + np.arange(w)]]
+        fused = self._fused_conv()
+        acts = []  # (input, trunk output, fused output) over the covered rows, then the strips
+        for part in parts:  # (1, R, D), then (2B, w, D)
+            xc = part.transpose(0, 2, 1)  # (batch, D, T) view of the channels-last rows
+            a1 = nn.conv1d_forward(self.trunk, xc)
+            np.maximum(a1, 0.0, out=a1)  # ReLU in place
+            # (batch, D*ue, T) view of the channels-last (batch*T, D*ue) activations
+            r = nn.conv1d_forward(fused, a1)
+            np.maximum(r, 0.0, out=r)
+            acts.append((xc, a1, r))
+        b = starts.size
         group_logits = []
         for i, (lin, n) in enumerate(zip(self.extractor_linears, c.class_counts)):
-            f = r[:, i * ue : (i + 1) * ue].reshape(b, -1)  # (channel, time) order
+            f = self._head_input(i, acts, pos).reshape(b, -1)  # (channel, time) order
             group_logits.append(nn.linear_forward(lin, f).reshape(b, c.horizon, n))
+            del f  # before the next head's input is gathered
         zu = np.concatenate(group_logits, axis=2)
         zf = zu.reshape(b * c.horizon, c.total_classes)
         z = nn.linear_forward(self.fusion, zf).reshape(b, c.horizon, c.total_classes)
         if want_cache:
-            return z, [xc, a1, r, zf]
+            return z, [acts, pos, zf]
         return z
+
+    def _head_input(self, i: int, acts, pos: np.ndarray) -> np.ndarray:
+        """Head i's input, (B, ue, L), per window: the fused conv's output
+        at the covered rows the window spans, with its edge rows taken
+        from the window's own strips."""
+        c = self.config
+        ue, lb = c.ue_channels, c.lookback
+        head = slice(i * ue, (i + 1) * ue)
+        covered = np.ascontiguousarray(acts[0][2][0, head])  # (ue, R), time contiguous
+        f = sliding_window_view(covered, lb, axis=1).transpose(1, 0, 2)[pos]
+        w, head_n, tail_n = _edge_strips(lb, c.kernel_width)
+        strips = acts[1][2][:, head]  # (2B, ue, w)
+        f[:, :, :head_n] = strips[: pos.size, :, :head_n]
+        f[:, :, lb - tail_n :] = strips[pos.size :, :, w - tail_n :]
+        return f
+
+    def _scatter_head(self, i: int, acts, pos: np.ndarray, df: np.ndarray) -> None:
+        """Write head i's input gradient df, (B, ue, L) per window, over
+        head i's channels of the activations it was read from: the
+        interior rows overlap-added onto the covered rows, the edge rows
+        onto the strips (the adjoint of _head_input)."""
+        c = self.config
+        ue, lb = c.ue_channels, c.lookback
+        head = slice(i * ue, (i + 1) * ue)
+        w, head_n, tail_n = _edge_strips(lb, c.kernel_width)
+        covered = acts[0][2][0, head]  # (ue, R)
+        acc = np.zeros(covered.shape)
+        lo, hi = head_n, lb - tail_n
+        for p, d in zip(pos, df):
+            acc[:, p + lo : p + hi] += d[:, lo:hi]
+        covered[...] = acc
+        strips = acts[1][2][:, head]
+        strips[...] = 0.0
+        strips[: pos.size, :, :head_n] = df[:, :, :head_n]
+        strips[pos.size :, :, w - tail_n :] = df[:, :, lb - tail_n :]
 
     def backward_batch(self, cache, dz: np.ndarray) -> list[np.ndarray]:
         """Gradients for every parameter block, in params() order.
 
-        Empties the cache. The fused conv's activation r becomes its own
-        upstream gradient: head i's input is rebuilt from r's channels
-        [i*ue, (i+1)*ue), and the head's masked input gradient is written
-        back over those channels. After the last head r holds the fused
-        conv's grad_out, and no per-head copy outlives its head. The ReLU
-        masks are read off the cached activations, which are positive
-        exactly where their pre-activations were.
+        Empties the cache. The fused conv's activations become their own
+        upstream gradient: head i's input is gathered from its channels,
+        and the head's masked input gradient is scattered back over those
+        channels. After the last head they hold the fused conv's grad_out,
+        and no per-head copy outlives its head. The ReLU masks are read
+        off the cached activations, which are positive exactly where their
+        pre-activations were. Each conv's weight and bias gradient is the
+        sum of one product over the covered rows and one over the strips.
         """
         c = self.config
-        xc, a1, r, zf = cache
+        acts, pos, zf = cache
         cache.clear()
         b = dz.shape[0]
-        ue = c.ue_channels
         (dwf, dbf), dzf = nn.linear_backward(
             self.fusion, zf, dz.reshape(b * c.horizon, c.total_classes)
         )
@@ -179,23 +239,74 @@ class MspModel:
         groups = split_groups(dzu, c.class_counts)
         for i, (lin, dzi) in enumerate(zip(self.extractor_linears, groups)):
             dg = np.ascontiguousarray(dzi).reshape(b, -1)
-            ri = r[:, i * ue : (i + 1) * ue]
-            f = ri.reshape(b, -1)  # (channel, time) order, as in forward_batch
+            f = self._head_input(i, acts, pos).reshape(b, -1)
             dlin, df = nn.linear_backward(lin, f, dg)
             linear_grads.append(dlin)
             df *= f > 0
             del f
-            ri[...] = df.reshape(b, ue, c.lookback)
+            self._scatter_head(i, acts, pos, df.reshape(b, c.ue_channels, c.lookback))
             del df
-        (dwc, dbc), da1 = nn.conv1d_backward(self._fused_conv(), a1, r)
-        del r, ri
-        da1 *= a1 > 0
-        (dwt, dbt), _ = nn.conv1d_backward(self.trunk, xc, da1, input_grad=False)
+        fused = self._fused_conv()
+        conv_grads = []
+        for xc, a1, r in acts:
+            (dwc, dbc), da1 = nn.conv1d_backward(fused, a1, r)
+            da1 *= a1 > 0
+            (dwt, dbt), _ = nn.conv1d_backward(self.trunk, xc, da1, input_grad=False)
+            conv_grads.append((dwt, dbt, dwc, dbc))
+        del acts, da1
+        dwt, dbt, dwc, dbc = (covered + strips for covered, strips in zip(*conv_grads))
         grads = [dwt, dbt]
+        ue = c.ue_channels
         for i, (dwl, dbl) in enumerate(linear_grads):
             head = slice(i * ue, (i + 1) * ue)
             grads += [dwc[head], dbc[head], dwl, dbl]
         return grads + [dwf, dbf]
+
+
+def _series_batch(x: np.ndarray, starts, lookback: int, n_variables: int):
+    """(series, starts) of a batch: a stacked (B, L, D) batch is B runs of
+    one window each; otherwise x holds the rows and starts the first row
+    of each window."""
+    if starts is None:
+        check_window_batch(x, lookback, n_variables)
+        b = x.shape[0]
+        x, starts = x.reshape(b * lookback, n_variables), np.arange(b) * lookback
+    starts = np.asarray(starts)
+    check_window_starts(x, starts, lookback, n_variables)
+    return x, starts
+
+
+def _covered_rows(starts: np.ndarray, lookback: int, n: int):
+    """The rows of an n-row series that windows starting at starts cover,
+    in order, and where each window's first row sits among them. A
+    window's rows are consecutive there too, because every row between
+    its first and last is covered."""
+    depth = np.cumsum(
+        np.bincount(starts, minlength=n + 1) - np.bincount(starts + lookback, minlength=n + 1)
+    )
+    covered = depth[:n] > 0
+    return np.flatnonzero(covered), (np.cumsum(covered) - 1)[starts]
+
+
+def _take_rows(series: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """series[rows], as a view when the rows are one run."""
+    if rows[-1] - rows[0] + 1 == rows.size:
+        return series[rows[0] : rows[-1] + 1]
+    return series[rows]
+
+
+def _edge_strips(lookback: int, k: int) -> tuple[int, int, int]:
+    """(w, head_n, tail_n) of two stacked width-k convs over windows of
+    lookback rows. The first head_n and last tail_n output rows of a
+    window see its zero padding; they are taken from w-row strips at the
+    window's ends, convolved on their own. Every other row is the value
+    the convs give over the series' rows. With no such interior row the
+    strip is the whole window."""
+    left, right = k - 1 - (k - 1) // 2, (k - 1) // 2
+    w = min(lookback, 2 * (k - 1))
+    if w == lookback:
+        return w, lookback, 0
+    return w, 2 * left, 2 * right
 
 
 def split_groups(z: np.ndarray, counts: Sequence[int]) -> list[np.ndarray]:
@@ -257,7 +368,7 @@ def state_accuracy(model: MspModel, samples: WindowSet) -> float:
         raise ConfigError("no samples to score")
     counts = model.config.class_counts
     targets = stack_states(samples)
-    batches = forward_batches(model, stack_inputs(samples), DEFAULT_BATCH)
+    batches = forward_batches(model, samples, DEFAULT_BATCH, series=True)
     correct = sum(int((decode_states(z, counts) == targets[rows]).sum()) for rows, z in batches)
     return correct / targets.size
 
@@ -294,29 +405,31 @@ def train_msp(
     patience and max_epochs, whose defaults train_loop holds."""
     if not train_samples or not val_samples:
         raise ConfigError("train and validation sets must both be nonempty")
-    counts = model.config.class_counts
+    c = model.config
+    counts = c.class_counts
     _check_states(train_samples, counts, "train")
     _check_states(val_samples, counts, "validation")
-    x_train = stack_inputs(train_samples)
+    for samples in (train_samples, val_samples):
+        check_window_batch(samples.x, c.lookback, c.n_variables)
+    x_train = train_samples.series
     s_train = stack_states(train_samples)
-    x_val = stack_inputs(val_samples)
     s_val = stack_states(val_samples)
 
     def batch_fn(idx: np.ndarray):
-        z, cache = model.forward_batch(x_train[idx], want_cache=True)
+        z, cache = model.forward_batch(x_train, want_cache=True, starts=idx)
         loss, dz = msp_loss(z, s_train[idx], counts)
         return loss, model.backward_batch(cache, dz)
 
     def val_fn() -> float:
         total = 0.0
-        for rows, z in forward_batches(model, x_val, batch_size):
+        for rows, z in forward_batches(model, val_samples, batch_size, series=True):
             loss, _ = msp_loss(z, s_val[rows], counts)
             total += loss * z.shape[0]
-        return total / x_val.shape[0]
+        return total / len(val_samples)
 
     return train_loop(
         model,
-        n_train=x_train.shape[0],
+        n_train=len(train_samples),
         batch_fn=batch_fn,
         val_fn=val_fn,
         batch_size=batch_size,

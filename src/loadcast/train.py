@@ -15,7 +15,7 @@ from typing import Callable, Iterator, Protocol
 import numpy as np
 
 from . import nn
-from .data import WindowSet
+from .data import WindowSet, check_window_batch
 from .errors import ConfigError, NumericError
 
 DEFAULT_LR = 0.001
@@ -119,13 +119,26 @@ def train_loop(
     return history
 
 
-def forward_batches(model, x: np.ndarray, batch_size: int) -> Iterator[tuple[slice, np.ndarray]]:
-    """Run a model over x (n, L, D) in row order, batch_size rows at a
-    time (the last batch may be shorter): yields the slice rows and
-    model.forward_batch(x[rows]), so y[rows] picks the batch's targets."""
-    for start in range(0, x.shape[0], batch_size):
-        rows = slice(start, start + batch_size)
-        yield rows, model.forward_batch(x[rows])
+def forward_batches(
+    model, windows, batch_size: int, *, series: bool = False
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Run a model over every window in order, batch_size windows at a
+    time (the last batch may be shorter): yields the slice rows of the
+    batch's windows and the model's output for them, so y[rows] picks the
+    batch's targets. windows is an (n, L, D) array, and each batch is the
+    view windows[rows]; with series, windows is a WindowSet that must fit
+    the model, and each batch is its series rows with the windows' starts
+    (MspModel.forward_batch).
+    """
+    if series:
+        check_window_batch(windows.x, model.config.lookback, model.config.n_variables)
+    n = len(windows)
+    for start in range(0, n, batch_size):
+        rows = slice(start, min(start + batch_size, n))
+        if series:
+            yield rows, model.forward_batch(windows.series, starts=np.arange(rows.start, rows.stop))
+        else:
+            yield rows, model.forward_batch(windows[rows])
 
 
 def stack_inputs(windows: WindowSet) -> np.ndarray:

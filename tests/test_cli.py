@@ -247,12 +247,11 @@ def test_train_eval_compare_round_trip(small_run):
         "--data", small_run / "data.csv",
         "--states", small_run / "states.csv",
         "--lookback", 16,
-        "--horizon", 3,
         "--max-epochs", 4,
         "--seed", 5,
     ]
-    assert run(["train", *common, "--out", plain_ckpt]) == 0
-    assert run(["train", *common, "--msp", ckpt, "--out", guided_ckpt]) == 0
+    assert run(["train", *common, "--horizon", 3, "--out", plain_ckpt]) == 0
+    assert run(["train", *common, "--horizon", 3, "--msp", ckpt, "--out", guided_ckpt]) == 0
     plain_rep = small_run / "plain_rep.csv"
     guided_rep = small_run / "guided_rep.csv"
     assert run(["eval", *common, "--model", plain_ckpt, "--out", plain_rep]) == 0
@@ -296,17 +295,85 @@ def test_train_and_eval_never_open_the_state_csv(small_run):
     out = small_run / "no_states"
     out.mkdir()
     common = ["--data", small_run / "data.csv", "--lookback", 16, "--max-epochs", 4, "--seed", 5]
-    common += ["--horizon", 3]
+    train = [*common, "--horizon", 3]
     labels = ["--states", small_run / "states.csv"]
-    assert run(["train-msp", *common, *labels, "--out", out / "msp.json"]) == 0
+    assert run(["train-msp", *train, *labels, "--out", out / "msp.json"]) == 0
     for name, states in (("labels", labels), ("missing", ["--states", out / "missing.csv"])):
         guide = ["--msp", out / "msp.json"]
-        assert run(["train", *common, *states, "--out", out / f"plain_{name}.json"]) == 0
-        assert run(["train", *common, *states, *guide, "--out", out / f"guided_{name}.json"]) == 0
+        assert run(["train", *train, *states, "--out", out / f"plain_{name}.json"]) == 0
+        assert run(["train", *train, *states, *guide, "--out", out / f"guided_{name}.json"]) == 0
         model = ["--model", out / f"guided_{name}.json"]
         assert run(["eval", *common, *states, *model, "--out", out / f"eval_{name}.csv"]) == 0
     for file in ("plain_{}.json", "guided_{}.json", "eval_{}.csv"):
         assert (out / file.format("labels")).read_bytes() == (out / file.format("missing")).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def h2_forecaster(small_run):
+    """A plain forecaster checkpoint at lookback 16, horizon 2."""
+    path = small_run / "h2.json"
+    args = ["--data", small_run / "data.csv", "--lookback", 16, "--max-epochs", 1, "--seed", 5]
+    assert run(["train", *args, "--horizon", 2, "--out", path]) == 0
+    return path
+
+
+def test_flags_are_not_matched_by_prefix(small_run, h2_forecaster, capsys):
+    """eval has no --horizon; it used to be read as --horizons and ignored."""
+    report = small_run / "prefix.csv"
+    args = ["--data", small_run / "data.csv", "--model", h2_forecaster, "--out", report]
+    with pytest.raises(SystemExit) as exc:
+        run(["eval", "--horizon", 3, *args])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --horizon 3" in capsys.readouterr().err
+    assert not report.exists()
+    with pytest.raises(SystemExit) as exc:
+        run(["config", "--look", 16])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["--hel"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--lookback", 12], "--lookback 12 does not match {} (lookback 16)"),
+        (["--horizons", 3], "--horizons 3 does not match {} (horizon 2)"),
+        (["--horizons", "2,4"], "--horizons 2,4 does not match {} (horizon 2)"),
+    ],
+)
+def test_eval_rejects_flags_that_disagree_with_the_checkpoint(
+    small_run, h2_forecaster, tmp_path, capsys, flags, message
+):
+    report = tmp_path / "report.csv"
+    args = ["eval", "--data", small_run / "data.csv", "--model", h2_forecaster, "--out", report]
+    assert run([*args, *flags]) == cli.EXIT_CONFIG
+    assert message.format(h2_forecaster) in capsys.readouterr().err
+    assert not report.exists()
+    assert run([*args, "--lookback", 16, "--horizons", 2]) == 0  # agreeing flags are fine
+    assert report.exists()
+
+
+@pytest.mark.parametrize("command", ["label", "train-msp", "train", "eval"])
+def test_missing_out_directory_fails_before_any_work(
+    small_run, h2_forecaster, monkeypatch, capsys, command
+):
+    from loadcast import guidance, labeling, msp
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for module, name in ((msp, "train_loop"), (guidance, "train_loop"),
+                         (labeling, "identify_states"), (cli, "evaluate_forecaster")):
+        monkeypatch.setattr(module, name, never)
+    out = small_run / "nodir" / "x" / "out.file"
+    args = ["--data", small_run / "data.csv", "--states", small_run / "states.csv",
+            "--lookback", 16, "--max-epochs", 1, "--out", out]
+    extra = {"train-msp": ["--horizon", 2], "train": ["--horizon", 2],
+             "eval": ["--model", h2_forecaster]}
+    assert run([command, *args, *extra.get(command, [])]) == cli.EXIT_CONFIG
+    assert f"cannot write {out}: no directory {out.parent}" in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):

@@ -266,6 +266,10 @@ def test_window_items_equal_per_window_slices(window_case):
 
 def test_window_batches_equal_per_window_slices(window_case):
     windows, want = window_case
+    # the lookback rows, each window's lookback starting one row after the last
+    assert windows.series.shape == (len(want) + 8, 3)
+    for k, (x, *_rest) in enumerate(want):
+        assert windows.series[k : k + 9].tobytes() == x.tobytes()
     rng = np.random.default_rng(0)
     for stack, field in ((stack_inputs, 0), (stack_targets, 1), (stack_states, 2)):
         full = stack(windows)
@@ -280,7 +284,7 @@ def test_windows_are_read_only(window_case):
     windows, _ = window_case
     first = windows[0]
     views = [stack(windows) for stack in (stack_inputs, stack_targets, stack_states)]
-    views += [first.x, first.y, first.s]
+    views += [first.x, first.y, first.s, windows.series]
     for view in views:
         with pytest.raises(ValueError, match="read-only"):
             view[...] = 0

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from loadcast import nn
@@ -370,9 +372,15 @@ def test_forward_with_and_without_cache_bit_equal():
 
 
 def _owned_bytes(arrays) -> int:
-    """Bytes of the distinct buffers that the arrays view."""
+    """Bytes of the distinct buffers that the arrays view; nested lists
+    and tuples of arrays count too."""
     owners = {}
-    for a in arrays:
+    stack = list(arrays)
+    while stack:
+        a = stack.pop()
+        if isinstance(a, (list, tuple)):
+            stack.extend(a)
+            continue
         while a.base is not None:
             a = a.base
         owners[id(a)] = a.nbytes
@@ -389,25 +397,43 @@ def test_teacher_step_memory_is_bounded_by_the_fused_activation():
     model = MspModel(config)
     rng = np.random.default_rng(0)
     b = 32
-    x = rng.normal(size=(b, 64, 4))
     targets = rng.integers(0, 2, size=(b, 1, 4))
-    a1_bytes = 8 * b * 64 * 4  # the trunk's output
-    r_bytes = 8 * b * 64 * 4 * 16  # the fused extractor conv's output
-    tracemalloc.start()
-    try:
-        z, cache = model.forward_batch(x, want_cache=True)
-        # the cache holds the fused activation once, not a copy per head
-        assert _owned_bytes(cache) == x.nbytes + a1_bytes + r_bytes + z.nbytes
-        _, dz = msp_loss(z, targets, config.class_counts)
-        grads = model.backward_batch(cache, dz)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert cache == []  # consumed
-    # per-head copies next to r, or a separate upstream-gradient buffer,
-    # would take the peak above 2.4 r
+    r_bytes = 8 * b * 64 * 4 * 16  # the fused extractor conv's output over B*L rows
+    row_bytes = 8 * (4 + 4 + 4 * 16)  # per conv row: input, trunk output, fused output
+    strip_rows = b * 2 * 4  # a 2(k-1)-row strip at each end of every window
+
+    def step(x, starts=None):
+        tracemalloc.start()
+        try:
+            z, cache = model.forward_batch(x, want_cache=True, starts=starts)
+            cached = _owned_bytes(cache)
+            _, dz = msp_loss(z, targets, config.class_counts)
+            grads = model.backward_batch(cache, dz)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cache == []  # consumed
+        assert [g.shape for g in grads] == [p.shape for p in model.params()]
+        # the window starts (int64) and the fusion layer's input
+        return cached - 8 * b - z.nbytes, peak
+
+    # A stacked batch is B runs of one window each. The cache holds the
+    # activations once over its B*L rows (the input itself, not a copy)
+    # and once over the strips, not a copy per head.
+    x = rng.normal(size=(b, 64, 4))
+    cached, peak = step(x)
+    assert cached == x.nbytes + r_bytes + 8 * b * 64 * 4 + strip_rows * row_bytes
+    # per-head copies next to the fused output, or a separate
+    # upstream-gradient buffer, would take the peak above 2.4 r
     assert peak < 2 * r_bytes, peak / r_bytes
-    assert [g.shape for g in grads] == [p.shape for p in model.params()]
+
+    # Overlapping windows in two runs: rows 0-78 and 120-198 of a
+    # 200-row series. The convs run over those 158 rows once.
+    series = rng.normal(size=(200, 4))
+    starts = rng.permutation(np.r_[0:16, 120:136])
+    cached, peak = step(series, starts)
+    assert cached == (158 + strip_rows) * row_bytes
+    assert peak < r_bytes, peak / r_bytes
 
 
 # -- oracle: the extractor heads one conv at a time ---------------------------
@@ -468,11 +494,18 @@ def _per_head_forward_backward(model, x, dz):
     return z, [dwt, dbt] + head_grads + [zf.T @ dzf, dzf.sum(axis=0)]
 
 
-def _check_against_per_head(model, x, seed):
+def _windows(series, starts, lookback):
+    """The stacked (B, L, D) windows that start at the given rows."""
+    return np.stack([series[s : s + lookback] for s in starts])
+
+
+def _check_against_per_head(model, x, seed, starts=None):
+    """x is a stacked batch, or with starts the series the windows start in."""
     c = model.config
-    dz = np.random.default_rng(seed).normal(size=(x.shape[0], c.horizon, c.total_classes))
-    z_ref, grads_ref = _per_head_forward_backward(model, x, dz)
-    z, cache = model.forward_batch(x, want_cache=True)
+    windows = x if starts is None else _windows(x, starts, c.lookback)
+    dz = np.random.default_rng(seed).normal(size=(windows.shape[0], c.horizon, c.total_classes))
+    z_ref, grads_ref = _per_head_forward_backward(model, windows, dz)
+    z, cache = model.forward_batch(x, want_cache=True, starts=starts)
     grads = model.backward_batch(cache, dz)
 
     def close(a, ref, what):
@@ -503,6 +536,168 @@ def test_fused_heads_match_per_head_oracle_benchmark_geometry():
     assert (config.trunk_channels, config.ue_channels) == (32, 16)
     x = np.random.default_rng(1).normal(size=(16, 96, 9))
     _check_against_per_head(MspModel(config), x, seed=1)
+
+
+# -- shared rows: the convs run once over the rows that windows share --------
+
+
+def _per_window_logits(model, x):
+    """Logits with the trunk and the fused conv run over each stacked
+    window on its own, B*L rows with per-window zero padding: the forward
+    pass as it was before the convs ran over shared rows."""
+    c = model.config
+    b, ue = x.shape[0], c.ue_channels
+    a1 = np.maximum(nn.conv1d_forward(model.trunk, x.transpose(0, 2, 1)), 0.0)
+    r = np.maximum(nn.conv1d_forward(model._fused_conv(), a1), 0.0)
+    heads = zip(model.extractor_linears, c.class_counts)
+    zu = np.concatenate(
+        [
+            nn.linear_forward(lin, r[:, i * ue : (i + 1) * ue].reshape(b, -1)).reshape(b, c.horizon, n)
+            for i, (lin, n) in enumerate(heads)
+        ],
+        axis=2,
+    )
+    z = nn.linear_forward(model.fusion, zu.reshape(b * c.horizon, c.total_classes))
+    return z.reshape(b, c.horizon, c.total_classes)
+
+
+def shared_model(lookback=20, kernel_width=3, seed=0):
+    # 4 trunk channels and 3*4 fused channels: column counts at which a
+    # row of a BLAS matrix product has the same bits wherever it sits
+    config = MspConfig(
+        lookback=lookback, horizon=3, n_variables=3, class_counts=[2, 3, 4],
+        trunk_channels=4, ue_channels=4, kernel_width=kernel_width, seed=seed,
+    )
+    return MspModel(config)
+
+
+STARTS = {  # window starts in an 80-row series, lookback 20 (last start 60)
+    "random overlapping": np.random.default_rng(3).integers(0, 61, size=12),
+    "consecutive": np.arange(5, 37),
+    "one window": np.array([17]),
+    "first and last": np.array([60, 0]),
+    "two disjoint runs": np.r_[50:56, 3:9],
+}
+
+
+@pytest.mark.parametrize("case", list(STARTS))
+def test_series_logits_equal_per_window_convs_bit_for_bit(case):
+    model = shared_model()
+    series = np.random.default_rng(1).normal(size=(80, 3))
+    starts = STARTS[case]
+    windows = _windows(series, starts, 20)
+    z = model.forward_batch(series, starts=starts)
+    assert z.tobytes() == model.forward_batch(windows).tobytes()
+    assert z.tobytes() == _per_window_logits(model, windows).tobytes()
+
+
+@pytest.mark.parametrize(
+    "k, lookback",
+    # L = k: every row is an edge row; L < 2(k-1): no row is interior
+    [(1, 1), (1, 12), (2, 2), (2, 12), (3, 3), (3, 12), (4, 4), (4, 5), (4, 12),
+     (5, 5), (5, 7), (5, 12)],
+)
+def test_series_gradients_match_per_head_oracle(k, lookback):
+    model = shared_model(lookback=lookback, kernel_width=k, seed=k)
+    series = np.random.default_rng(k).normal(size=(lookback + 15, 3))
+    starts = np.random.default_rng(lookback).permutation(16)[:6]
+    _check_against_per_head(model, series, seed=k, starts=starts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_series_form_matches_per_window_convs_for_any_starts(data):
+    k = data.draw(st.integers(1, 5), label="k")
+    lookback = data.draw(st.integers(k, 14), label="lookback")
+    n = data.draw(st.integers(lookback, lookback + 30), label="rows")
+    starts = np.array(
+        data.draw(st.lists(st.integers(0, n - lookback), min_size=1, max_size=8), label="starts")
+    )
+    model = shared_model(lookback=lookback, kernel_width=k, seed=n)
+    series = np.random.default_rng(n).normal(size=(n, 3))
+    windows = _windows(series, starts, lookback)
+    z = model.forward_batch(series, starts=starts)
+    ref = _per_window_logits(model, windows)
+    if lookback == 1 and len(set(starts.tolist())) == 1 < len(starts):
+        # One covered row against B > 1 stacked ones: numpy hands a
+        # one-row matrix product to BLAS's matrix-vector routine, which
+        # sums in another order than the matrix-matrix one.
+        np.testing.assert_allclose(z, ref, rtol=1e-14, atol=1e-14)
+    else:
+        assert z.tobytes() == ref.tobytes()
+    _check_against_per_head(model, series, seed=k, starts=starts)
+
+
+def test_convs_run_once_over_the_covered_rows(monkeypatch):
+    """Each conv call's rows (batch * time), per layer and direction: the
+    covered rows plus 2(k-1)-row strips at both ends of every window, at
+    most min(B*L, covered rows) plus the edge rows."""
+    model = shared_model(lookback=32)
+    rows = {}
+
+    def counting(name, fn):
+        def wrapper(params, x, *args, **kwargs):
+            key = (name, "trunk" if params is model.trunk else "fused")
+            rows[key] = rows.get(key, 0) + x.shape[0] * x.shape[2]
+            return fn(params, x, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(nn, "conv1d_forward", counting("forward", nn.conv1d_forward))
+    monkeypatch.setattr(nn, "conv1d_backward", counting("backward", nn.conv1d_backward))
+    series = np.random.default_rng(0).normal(size=(120, 3))
+    b, edge_rows = 24, 24 * 2 * 4
+    for starts, x in (
+        (np.random.default_rng(1).permutation(89)[:b], series),
+        (None, np.random.default_rng(2).normal(size=(b, 32, 3))),  # B runs of one window
+    ):
+        rows.clear()
+        z, cache = model.forward_batch(x, want_cache=True, starts=starts)
+        model.backward_batch(cache, np.ones_like(z))
+        if starts is None:
+            covered = b * 32
+        else:
+            covered = len(set().union(*(range(s, s + 32) for s in starts)))
+            assert covered <= 120 < b * 32
+        layers = [(d, layer) for d in ("forward", "backward") for layer in ("trunk", "fused")]
+        assert rows == dict.fromkeys(layers, covered + edge_rows)
+
+
+def test_series_batch_is_checked():
+    model = shared_model()
+    series = np.zeros((30, 3))
+    with pytest.raises(ShapeError, match=r"window start 11 outside \[0, 10\]"):
+        model.forward_batch(series, starts=[0, 11])
+    with pytest.raises(ShapeError, match=r"window start -1 outside"):
+        model.forward_batch(series, starts=[-1])
+    with pytest.raises(ShapeError, match="no windows"):
+        model.forward_batch(series, starts=np.array([], dtype=np.int64))
+    with pytest.raises(ShapeError, match="integer"):
+        model.forward_batch(series, starts=[0.0])
+    with pytest.raises(ShapeError, match=r"series shape \(30, 2\) does not match \(rows, 3\)"):
+        model.forward_batch(np.zeros((30, 2)), starts=[0])
+    from loadcast.errors import NumericError
+
+    series[5, 1] = np.nan
+    with pytest.raises(NumericError, match="non-finite"):
+        model.forward_batch(series, starts=[0])
+    model.forward_batch(series, starts=[6])  # no window covers row 5
+
+
+def test_teacher_passes_over_a_split_check_its_lookback():
+    """The series form cannot see a window's length, so every pass over a
+    split checks the split's windows against the model first."""
+    train_w, val_w, _ = wave_splits(lookback=12)
+    model = MspModel(MspConfig(lookback=8, horizon=4, n_variables=1, class_counts=[2], **TINY))
+    message = r"input shape \(\d+, 12, 1\) does not match \(batch, 8, 1\)"
+    with pytest.raises(ShapeError, match=message):
+        state_accuracy(model, val_w)
+    with pytest.raises(ShapeError, match=message):
+        train_msp(model, train_w, val_w, max_epochs=1)
+    from loadcast.guidance import teacher_weights
+
+    with pytest.raises(ShapeError, match=message):
+        teacher_weights(model, train_w)
 
 
 def test_checkpoint_saved_before_fusion_predicts_the_same(tmp_path):
