@@ -121,6 +121,8 @@ def _check_out(path: str) -> None:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    _check_out(args.out)
+    _check_out(args.states_out)
     overrides = {}
     for key in ("length", "noise_sigma", "spike_rate", "seed"):
         if getattr(args, key) is not None:

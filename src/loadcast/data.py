@@ -96,15 +96,16 @@ class WindowSet(Sequence[WindowSample]):
     """Every (lookback, horizon) window of one split, one step apart.
 
     series (n + L - 1, D) holds the split's rows that the lookbacks cover,
-    and window k's lookback is series[k : k + L]; the state predictor
-    takes these rows and each batch's window starts
-    (MspModel.forward_batch). x (n, L, D), y (n, H, D) and s (n, H, D) are
-    read-only views of the split's values and labels, one
-    sliding_window_view per field, so no window is copied and a stray
-    write raises. Window k is x[k], y[k], s[k] with origin first_origin + k;
-    x[idx] gathers a batch of them. A WindowSample is made only on item
-    access or iteration. A pass over the split slices these arrays
-    (train.forward_batches), not the set.
+    and window k's lookback is series[k : k + L], so a batch's window
+    indices are also its starts: every model takes a batch as
+    forward_batch(series, starts) (see window_batch). x (n, L, D),
+    y (n, H, D) and s (n, H, D) are read-only views of the split's values
+    and labels, one sliding_window_view per field, so no window is copied
+    and a stray write raises; x is what checks the split's lookback
+    against a model. Window k is x[k], y[k], s[k] with origin
+    first_origin + k. A WindowSample is made only on item access or
+    iteration. A pass over the split hands the model series and slices
+    y and s (train.forward_batches), not the set.
     """
 
     __slots__ = ("series", "x", "y", "s", "first_origin")
@@ -163,6 +164,14 @@ def check_window_starts(
             f"window start {bad} outside [0, {last}] "
             f"for {series.shape[0]} rows and lookback {lookback}"
         )
+
+
+def window_batch(series: np.ndarray, starts, lookback: int, n_variables: int) -> np.ndarray:
+    """The (B, L, D) windows series[starts[b] : starts[b] + L] of a batch,
+    gathered into one array after check_window_starts."""
+    starts = np.asarray(starts)
+    check_window_starts(series, starts, lookback, n_variables)
+    return _runs(series, lookback)[starts]
 
 
 def load_csv(path: str | Path) -> SeriesFrame:

@@ -1,8 +1,9 @@
 """Baseline load forecasters: a linear map and a two-layer MLP.
 
-Both map a lookback window (L, D) to a horizon forecast (H, D). The
-linear model is one L->H map per variable; the MLP mixes variables
-through its (L*D)->hidden->(H*D) layers.
+Both map a lookback window (L, D) to a horizon forecast (H, D), and
+take a batch as the series rows plus each window's start (see
+data.window_batch). The linear model is one L->H map per variable; the
+MLP mixes variables through its (L*D)->hidden->(H*D) layers.
 Guided training changes only the loss, never the model structure, so a
 checkpoint trained either way is interchangeable at inference.
 """
@@ -15,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint, guidance, nn
-from .data import WindowSet, check_window_batch
+from .data import WindowSet, window_batch
 from .errors import ConfigError
-from .train import TrainHistory, forward_batches, stack_inputs
+from .train import TrainHistory, forward_batches
 
 
 FORECASTER_KINDS = ("linear", "mlp")
@@ -58,9 +59,9 @@ class LinearForecaster:
     def param_names(self) -> list[str]:
         return ["weights", "bias"]
 
-    def forward_batch(self, x: np.ndarray, want_cache: bool = False):
+    def forward_batch(self, series: np.ndarray, starts, want_cache: bool = False):
         c = self.config
-        check_window_batch(x, c.lookback, c.n_variables)
+        x = window_batch(series, starts, c.lookback, c.n_variables)
         y = np.einsum("bli,ilh->bhi", x, self.weights, optimize=True) + self.bias.T[None]
         return (y, x) if want_cache else y
 
@@ -87,9 +88,9 @@ class MlpForecaster:
     def param_names(self) -> list[str]:
         return ["lin1.weights", "lin1.bias", "lin2.weights", "lin2.bias"]
 
-    def forward_batch(self, x: np.ndarray, want_cache: bool = False):
+    def forward_batch(self, series: np.ndarray, starts, want_cache: bool = False):
         c = self.config
-        check_window_batch(x, c.lookback, c.n_variables)
+        x = window_batch(series, starts, c.lookback, c.n_variables)
         b = x.shape[0]
         xf = x.reshape(b, -1)
         pre = nn.linear_forward(self.lin1, xf)
@@ -117,7 +118,7 @@ PREDICT_BATCH = 256
 
 def predict_samples(model, samples: WindowSet) -> np.ndarray:
     """Stacked forecasts (n, H, D) over a split's windows."""
-    batches = forward_batches(model, stack_inputs(samples), PREDICT_BATCH)
+    batches = forward_batches(model, samples, PREDICT_BATCH)
     return np.concatenate([yhat for _, yhat in batches], axis=0)
 
 

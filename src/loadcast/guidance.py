@@ -25,10 +25,10 @@ from typing import Sequence
 import numpy as np
 
 from . import nn
-from .data import WindowSet
+from .data import WindowSet, check_window_batch
 from .errors import ConfigError, ShapeError
 from .msp import split_groups
-from .train import DEFAULT_BATCH, TrainHistory, forward_batches, stack_inputs, stack_targets, train_loop
+from .train import DEFAULT_BATCH, TrainHistory, forward_batches, stack_targets, train_loop
 
 def check_alpha(alpha: float) -> None:
     """A guidance strength must be a finite number >= 0."""
@@ -87,7 +87,7 @@ def teacher_weights(
     """Weights for every sample's future block, (n, H, D). The teacher
     is frozen, so these are computed once and reused across epochs."""
     counts = msp_model.config.class_counts
-    batches = forward_batches(msp_model, samples, batch_size, series=True)
+    batches = forward_batches(msp_model, samples, batch_size)
     return np.concatenate([event_weights(z, counts) for _, z in batches], axis=0)
 
 
@@ -110,23 +110,27 @@ def train_guided(
     precomputed_weights may carry teacher_weights() output for the
     train samples to share one weight pass across runs (the teacher is
     frozen, so recomputation is pure overhead). A teacher must share
-    the forecaster's lookback, horizon and variable count. batch_size
-    also sizes the validation and teacher-weight batches; fit carries lr,
-    patience and max_epochs, whose defaults train_loop holds.
+    the forecaster's lookback, horizon and variable count. Both splits'
+    windows are checked against the forecaster before the first step: a
+    batch of series rows and window starts cannot show their lookback.
+    batch_size also sizes the validation and teacher-weight batches; fit
+    carries lr, patience and max_epochs, whose defaults train_loop holds.
     """
     if not train_samples or not val_samples:
         raise ConfigError("train and validation sets must both be nonempty")
+    fc = model.config
     if msp_model is not None:
-        mc, fc = msp_model.config, model.config
+        mc = msp_model.config
         if (mc.lookback, mc.horizon, mc.n_variables) != (fc.lookback, fc.horizon, fc.n_variables):
             raise ShapeError(
                 "state predictor geometry "
                 f"(L={mc.lookback}, H={mc.horizon}, D={mc.n_variables}) does not match "
                 f"forecaster (L={fc.lookback}, H={fc.horizon}, D={fc.n_variables})"
             )
-    x_train = stack_inputs(train_samples)
+    for samples in (train_samples, val_samples):
+        check_window_batch(samples.x, fc.lookback, fc.n_variables)
+    series = train_samples.series
     y_train = stack_targets(train_samples)
-    x_val = stack_inputs(val_samples)
     y_val = stack_targets(val_samples)
     weights = None
     if precomputed_weights is not None:
@@ -142,20 +146,20 @@ def train_guided(
     size_per = y_train.shape[1] * y_train.shape[2]
 
     def batch_fn(idx: np.ndarray):
-        yhat, cache = model.forward_batch(x_train[idx], want_cache=True)
+        yhat, cache = model.forward_batch(series, idx, want_cache=True)
         wb = None if weights is None else weights[idx]
         loss, dy = guided_loss(yhat, y_train[idx], wb, alpha)
         return loss, model.backward_batch(cache, dy)
 
     def val_fn() -> float:
         total = 0.0
-        for rows, yhat in forward_batches(model, x_val, batch_size):
+        for rows, yhat in forward_batches(model, val_samples, batch_size):
             total += float(np.abs(yhat - y_val[rows]).sum())
-        return total / (x_val.shape[0] * size_per)
+        return total / (len(val_samples) * size_per)
 
     return train_loop(
         model,
-        n_train=x_train.shape[0],
+        n_train=len(train_samples),
         batch_fn=batch_fn,
         val_fn=val_fn,
         batch_size=batch_size,

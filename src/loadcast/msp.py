@@ -14,6 +14,8 @@ variable; split_groups gives each variable's group as a view. The loss
 (msp_loss) and the argmax decoding (decode_states) take such a batch
 directly, and a single window is a batch of one. train_msp's validation
 and state_accuracy run the model over a split with train.forward_batches.
+A batch is the series rows its windows are cut from and each window's
+first row, forward_batch(series, starts), as for every model.
 
 The D extractor convs run as one fused conv from trunk_channels to
 D*ue_channels channels, on channels-last activations (one row of
@@ -31,8 +33,7 @@ from the series-level values: the first 2*left and last 2*right rows of
 the second conv, left = k-1-(k-1)//2 and right = (k-1)//2 for kernel
 width k. They come from strips of 2*(k-1) rows at each window's ends,
 convolved on their own, so the logits equal those of per-window convs.
-The junctions between concatenated runs disturb only such rows. A
-stacked (B, L, D) batch is B runs of one window each.
+The junctions between concatenated runs disturb only such rows.
 
 A training step keeps the fused conv's output over the covered rows and
 the strips as its only per-head activation: the backward pass gathers
@@ -147,16 +148,16 @@ class MspModel:
             np.concatenate([conv.bias for conv in convs]),
         )
 
-    def forward_batch(self, x: np.ndarray, want_cache: bool = False, *, starts=None):
-        """Logits (B, H, sumN) for a batch of windows. x is the windows,
-        (B, L, D); or, with starts, the (n, D) series rows they are cut
-        from, window b being x[starts[b] : starts[b] + L]."""
+    def forward_batch(self, series: np.ndarray, starts, want_cache: bool = False):
+        """Logits (B, H, sumN) for a batch of windows cut from the (n, D)
+        series rows, window b being series[starts[b] : starts[b] + L]."""
         c = self.config
-        series, starts = _series_batch(x, starts, c.lookback, c.n_variables)
+        starts = np.asarray(starts)
+        check_window_starts(series, starts, c.lookback, c.n_variables)
         rows, pos = _covered_rows(starts, c.lookback, series.shape[0])
         w, _, _ = _edge_strips(c.lookback, c.kernel_width)
         ends = np.concatenate([starts, starts + c.lookback - w])  # head strips, then tail strips
-        parts = [_take_rows(series, rows)[None], series[ends[:, None] + np.arange(w)]]
+        parts = [series[rows][None], series[ends[:, None] + np.arange(w)]]
         fused = self._fused_conv()
         acts = []  # (input, trunk output, fused output) over the covered rows, then the strips
         for part in parts:  # (1, R, D), then (2B, w, D)
@@ -263,19 +264,6 @@ class MspModel:
         return grads + [dwf, dbf]
 
 
-def _series_batch(x: np.ndarray, starts, lookback: int, n_variables: int):
-    """(series, starts) of a batch: a stacked (B, L, D) batch is B runs of
-    one window each; otherwise x holds the rows and starts the first row
-    of each window."""
-    if starts is None:
-        check_window_batch(x, lookback, n_variables)
-        b = x.shape[0]
-        x, starts = x.reshape(b * lookback, n_variables), np.arange(b) * lookback
-    starts = np.asarray(starts)
-    check_window_starts(x, starts, lookback, n_variables)
-    return x, starts
-
-
 def _covered_rows(starts: np.ndarray, lookback: int, n: int):
     """The rows of an n-row series that windows starting at starts cover,
     in order, and where each window's first row sits among them. A
@@ -286,13 +274,6 @@ def _covered_rows(starts: np.ndarray, lookback: int, n: int):
     )
     covered = depth[:n] > 0
     return np.flatnonzero(covered), (np.cumsum(covered) - 1)[starts]
-
-
-def _take_rows(series: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """series[rows], as a view when the rows are one run."""
-    if rows[-1] - rows[0] + 1 == rows.size:
-        return series[rows[0] : rows[-1] + 1]
-    return series[rows]
 
 
 def _edge_strips(lookback: int, k: int) -> tuple[int, int, int]:
@@ -368,7 +349,7 @@ def state_accuracy(model: MspModel, samples: WindowSet) -> float:
         raise ConfigError("no samples to score")
     counts = model.config.class_counts
     targets = stack_states(samples)
-    batches = forward_batches(model, samples, DEFAULT_BATCH, series=True)
+    batches = forward_batches(model, samples, DEFAULT_BATCH)
     correct = sum(int((decode_states(z, counts) == targets[rows]).sum()) for rows, z in batches)
     return correct / targets.size
 
@@ -411,18 +392,18 @@ def train_msp(
     _check_states(val_samples, counts, "validation")
     for samples in (train_samples, val_samples):
         check_window_batch(samples.x, c.lookback, c.n_variables)
-    x_train = train_samples.series
+    series = train_samples.series
     s_train = stack_states(train_samples)
     s_val = stack_states(val_samples)
 
     def batch_fn(idx: np.ndarray):
-        z, cache = model.forward_batch(x_train, want_cache=True, starts=idx)
+        z, cache = model.forward_batch(series, idx, want_cache=True)
         loss, dz = msp_loss(z, s_train[idx], counts)
         return loss, model.backward_batch(cache, dz)
 
     def val_fn() -> float:
         total = 0.0
-        for rows, z in forward_batches(model, val_samples, batch_size, series=True):
+        for rows, z in forward_batches(model, val_samples, batch_size):
             loss, _ = msp_loss(z, s_val[rows], counts)
             total += loss * z.shape[0]
         return total / len(val_samples)

@@ -120,29 +120,26 @@ def train_loop(
 
 
 def forward_batches(
-    model, windows, batch_size: int, *, series: bool = False
+    model, windows: WindowSet, batch_size: int
 ) -> Iterator[tuple[slice, np.ndarray]]:
-    """Run a model over every window in order, batch_size windows at a
-    time (the last batch may be shorter): yields the slice rows of the
-    batch's windows and the model's output for them, so y[rows] picks the
-    batch's targets. windows is an (n, L, D) array, and each batch is the
-    view windows[rows]; with series, windows is a WindowSet that must fit
-    the model, and each batch is its series rows with the windows' starts
-    (MspModel.forward_batch).
+    """Run a model over every window of a split in order, batch_size
+    windows at a time (the last batch may be shorter): yields the slice
+    rows of the batch's windows and the model's output for them, so
+    y[rows] picks the batch's targets. Each batch is the split's series
+    and its window starts, model.forward_batch(windows.series, starts);
+    that form cannot show a window's length, so the split's windows are
+    checked against the model's lookback and variable count first.
     """
-    if series:
-        check_window_batch(windows.x, model.config.lookback, model.config.n_variables)
+    c = model.config
+    check_window_batch(windows.x, c.lookback, c.n_variables)
     n = len(windows)
     for start in range(0, n, batch_size):
         rows = slice(start, min(start + batch_size, n))
-        if series:
-            yield rows, model.forward_batch(windows.series, starts=np.arange(rows.start, rows.stop))
-        else:
-            yield rows, model.forward_batch(windows[rows])
+        yield rows, model.forward_batch(windows.series, np.arange(rows.start, rows.stop))
 
 
 def stack_inputs(windows: WindowSet) -> np.ndarray:
-    """Every window's lookback, a read-only (n, L, D) view; x[idx] gathers a batch."""
+    """Every window's lookback, a read-only (n, L, D) view."""
     return windows.x
 
 

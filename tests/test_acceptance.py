@@ -26,6 +26,7 @@ from loadcast.pipeline import DEFAULT_HORIZONS, RunConfig
 from loadcast.train import DEFAULT_BATCH, DEFAULT_LR, DEFAULT_PATIENCE
 
 from tests.acceptance_benchmark import ALPHA, HORIZONS, run_benchmark
+from tests.batches import as_series
 from tests.test_labeling import brute_silhouette
 
 
@@ -85,15 +86,15 @@ def test_criterion_1_gradient_integrity():
             )
         )
         counts = model.config.class_counts
-        xm = rng.normal(size=(2, 8, 2))
+        xm = as_series(rng.normal(size=(2, 8, 2)))
         sm = np.stack(
             [rng.integers(0, 2, size=(2, 3)), rng.integers(0, 3, size=(2, 3))], axis=-1
         )
-        z, cache = model.forward_batch(xm, want_cache=True)
+        z, cache = model.forward_batch(*xm, want_cache=True)
         _, dz = msp_mod.msp_loss(z, sm, counts)
         grads = model.backward_batch(cache, dz)
         rep = nn.grad_check(
-            lambda: msp_mod.msp_loss(model.forward_batch(xm), sm, counts)[0],
+            lambda: msp_mod.msp_loss(model.forward_batch(*xm), sm, counts)[0],
             model.params(),
             grads,
             names=model.param_names(),

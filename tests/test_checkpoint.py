@@ -16,6 +16,7 @@ from loadcast import checkpoint, cli
 from loadcast.errors import ConfigError
 from loadcast.forecaster import ForecasterConfig, load_forecaster, make_forecaster, save_forecaster
 from loadcast.msp import MspConfig, MspModel, load_msp, save_msp
+from tests.batches import as_series
 
 
 def bits(arr):
@@ -119,8 +120,8 @@ def test_checkpoint_with_per_variable_true_predicts_bit_identically(tmp_path, ki
     path.write_text(with_per_variable(path.read_text(encoding="utf-8"), True), encoding="utf-8")
     assert json.loads(path.read_text(encoding="utf-8"))["config"]["per_variable"] is True
     back = load_forecaster(path)
-    x = np.random.default_rng(8).normal(size=(3, 5, 2))
-    np.testing.assert_array_equal(bits(back.forward_batch(x)), bits(model.forward_batch(x)))
+    x = as_series(np.random.default_rng(8).normal(size=(3, 5, 2)))
+    np.testing.assert_array_equal(bits(back.forward_batch(*x)), bits(model.forward_batch(*x)))
 
 
 @pytest.fixture(scope="module")

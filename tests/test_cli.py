@@ -75,6 +75,22 @@ def test_synth_negative_seed_exits_2(tmp_path, capsys):
     assert not (tmp_path / "data.csv").exists()
 
 
+@pytest.mark.parametrize("flag", ["--out", "--states-out"])
+def test_synth_missing_out_directory_writes_nothing(tmp_path, monkeypatch, capsys, flag):
+    from loadcast import synth
+
+    def never(*args, **kwargs):
+        raise AssertionError("the series was generated before its outputs were checked")
+
+    monkeypatch.setattr(synth, "generate", never)
+    args = synth_args(tmp_path)
+    out = tmp_path / "nodir" / "file.csv"
+    args[args.index(flag) + 1] = out
+    assert run(args) == cli.EXIT_CONFIG
+    assert f"cannot write {out}: no directory {out.parent}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_weight_mode_flag_is_gone():
     with pytest.raises(SystemExit) as exc:
         cli.main(["config", "--weight-mode", "prob"])

@@ -21,14 +21,15 @@ from loadcast.forecaster import (
 )
 from loadcast.guidance import GuidanceConfig, train_guided
 from loadcast.msp import MspConfig, MspModel
-from tests.test_msp import wave_splits
+from tests.batches import as_series, windows_at
+from tests.test_msp import STARTS, wave_splits
 
 
 def test_linear_zero_weights_zero_forecast():
     model = LinearForecaster(ForecasterConfig("linear", 6, 2, 3))
     model.weights[:] = 0.0
     model.bias[:] = 0.0
-    out = model.forward_batch(np.random.default_rng(0).normal(size=(1, 6, 3)))[0]
+    out = model.forward_batch(*as_series(np.random.default_rng(0).normal(size=(1, 6, 3))))[0]
     np.testing.assert_array_equal(out, np.zeros((2, 3)))
 
 
@@ -37,7 +38,7 @@ def test_linear_window_mean_weights():
     model.weights[:] = 1.0 / 4.0
     model.bias[:] = 0.0
     x = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0], [4.0, 40.0]])
-    out = model.forward_batch(x[None])[0]
+    out = model.forward_batch(x, [0])[0]
     np.testing.assert_allclose(out, [[2.5, 25.0]])
 
 
@@ -45,15 +46,69 @@ def test_linear_window_mean_weights():
 def test_forecast_shape_contract(kind):
     config = ForecasterConfig(kind, 5, 3, 2, hidden=8)
     model = make_forecaster(config)
-    out = model.forward_batch(np.random.default_rng(1).normal(size=(1, 5, 2)))[0]
+    out = model.forward_batch(*as_series(np.random.default_rng(1).normal(size=(1, 5, 2))))[0]
     assert out.shape == (3, 2)
 
 
 def test_forecast_shape_mismatch():
     for kind in FORECASTER_KINDS:
         model = make_forecaster(ForecasterConfig(kind, 5, 3, 2, hidden=8))
-        with pytest.raises(ShapeError, match=r"\(1, 4, 2\) does not match \(batch, 5, 2\)"):
-            model.forward_batch(np.zeros((1, 4, 2)))
+        with pytest.raises(ShapeError, match=r"window start 0 outside \[0, -1\] for 4 rows"):
+            model.forward_batch(*as_series(np.zeros((1, 4, 2))))
+        with pytest.raises(ShapeError, match=r"series shape \(5, 3\) does not match \(rows, 2\)"):
+            model.forward_batch(*as_series(np.zeros((1, 5, 3))))
+
+
+@pytest.mark.parametrize("case", list(STARTS))
+@pytest.mark.parametrize("kind", FORECASTER_KINDS)
+def test_series_form_equals_sliced_windows_bit_for_bit(kind, case):
+    """Windows gathered from a split's rows give the bits of the same
+    windows sliced out one by one and laid end to end."""
+    model = make_forecaster(ForecasterConfig(kind, 20, 3, 3, hidden=8, seed=2))
+    series = np.random.default_rng(1).normal(size=(80, 3))
+    starts = STARTS[case]
+    sliced = as_series(windows_at(series, starts, 20))
+    y = model.forward_batch(series, starts)
+    assert y.shape == (len(starts), 3, 3)
+    assert y.tobytes() == model.forward_batch(*sliced).tobytes()
+    y_cached, _ = model.forward_batch(series, starts, want_cache=True)
+    assert y_cached.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("kind", FORECASTER_KINDS)
+def test_series_form_rejects_a_bad_start(kind):
+    model = make_forecaster(ForecasterConfig(kind, 20, 3, 3, hidden=8))
+    series = np.zeros((80, 3))
+    with pytest.raises(ShapeError, match=r"window start 61 outside \[0, 60\]"):
+        model.forward_batch(series, [0, 61])
+    with pytest.raises(ShapeError, match=r"window start -1 outside"):
+        model.forward_batch(series, [-1])
+    with pytest.raises(ShapeError, match="integer"):
+        model.forward_batch(series, [1.0])
+    with pytest.raises(ShapeError, match="no windows"):
+        model.forward_batch(series, np.array([], dtype=np.int64))
+
+
+@pytest.mark.parametrize("kind", FORECASTER_KINDS)
+def test_forecaster_passes_over_a_split_check_its_lookback(kind, monkeypatch):
+    """A split of lookback 12 has valid starts for a lookback-8 model too,
+    so every pass checks the split's windows before its first step."""
+    from loadcast import guidance
+
+    def never(*args, **kwargs):
+        raise AssertionError("training started before the splits were checked")
+
+    monkeypatch.setattr(guidance, "train_loop", never)
+    train_w, val_w, _ = wave_splits(lookback=12)
+    model = make_forecaster(ForecasterConfig(kind, 8, 4, 1, hidden=4))
+    message = r"input shape \(\d+, 12, 1\) does not match \(batch, 8, 1\)"
+    with pytest.raises(ShapeError, match=message):
+        predict_samples(model, val_w)
+    with pytest.raises(ShapeError, match=message):
+        train_plain(model, train_w, val_w, max_epochs=1)
+    right_w, _, _ = wave_splits(lookback=8)
+    with pytest.raises(ShapeError, match=message):
+        train_plain(model, right_w, val_w, max_epochs=1)  # the validation split too
 
 
 def sine_parts(l=480):
@@ -103,14 +158,14 @@ def test_forecaster_gradients_match_finite_differences(kind):
     rng = np.random.default_rng(5)
     config = ForecasterConfig(kind, 5, 2, 2, hidden=6, seed=5)
     model = make_forecaster(config)
-    x = rng.normal(size=(3, 5, 2))
+    x = as_series(rng.normal(size=(3, 5, 2)))
     y = rng.normal(size=(3, 2, 2))
 
     def loss_fn():
-        yhat = model.forward_batch(x)
+        yhat = model.forward_batch(*x)
         return float(np.abs(yhat - y).mean())
 
-    yhat, cache = model.forward_batch(x, want_cache=True)
+    yhat, cache = model.forward_batch(*x, want_cache=True)
     err = yhat - y
     dy = np.sign(err) / err.size
     grads = model.backward_batch(cache, dy)
@@ -124,7 +179,7 @@ def test_first_layer_skips_input_gradient_bit_identically(kind):
     every parameter gradient bit for bit as before."""
     rng = np.random.default_rng(11)
     model = make_forecaster(ForecasterConfig(kind, 6, 3, 2, hidden=5, seed=3))
-    yhat, cache = model.forward_batch(rng.normal(size=(4, 6, 2)), want_cache=True)
+    yhat, cache = model.forward_batch(*as_series(rng.normal(size=(4, 6, 2))), want_cache=True)
     dy = rng.normal(size=yhat.shape)
     grads = model.backward_batch(cache, dy)
     xf, pre, act = cache
@@ -250,6 +305,6 @@ def test_forecaster_checkpoint_round_trip(tmp_path):
         path = tmp_path / f"{kind}.json"
         save_forecaster(model, path)
         back = load_forecaster(path)
-        x = np.random.default_rng(8).normal(size=(1, 5, 2))
-        np.testing.assert_array_equal(back.forward_batch(x), model.forward_batch(x))
+        x = as_series(np.random.default_rng(8).normal(size=(1, 5, 2)))
+        np.testing.assert_array_equal(back.forward_batch(*x), model.forward_batch(*x))
         assert isinstance(back, (LinearForecaster, MlpForecaster))

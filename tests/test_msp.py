@@ -23,6 +23,7 @@ from loadcast.msp import (
     state_accuracy,
     train_msp,
 )
+from tests.batches import as_series, windows_at
 
 TINY = dict(trunk_channels=4, ue_channels=3, kernel_width=3)
 
@@ -42,7 +43,7 @@ def tiny_model(lookback=8, horizon=3, counts=(2, 3), seed=0):
 def test_forward_shape_contract():
     model = tiny_model()
     rng = np.random.default_rng(0)
-    z = model.forward_batch(rng.normal(size=(1, 8, 2)))
+    z = model.forward_batch(*as_series(rng.normal(size=(1, 8, 2))))
     assert z.shape == (1, 3, 5)
     assert decode_states(z, model.config.class_counts).shape == (1, 3, 2)
 
@@ -71,14 +72,17 @@ def test_split_groups_are_views_of_each_variables_columns():
 
 def test_forward_deterministic():
     model = tiny_model()
-    x = np.random.default_rng(1).normal(size=(1, 8, 2))
-    np.testing.assert_array_equal(model.forward_batch(x), model.forward_batch(x))
+    x = as_series(np.random.default_rng(1).normal(size=(1, 8, 2)))
+    np.testing.assert_array_equal(model.forward_batch(*x), model.forward_batch(*x))
 
 
 def test_forward_shape_mismatch():
     model = tiny_model()
-    with pytest.raises(ShapeError, match=r"\(1, 7, 2\) does not match \(batch, 8, 2\)"):
-        model.forward_batch(np.zeros((1, 7, 2)))
+    too_short = r"window start 0 outside \[0, -1\] for 7 rows and lookback 8"
+    with pytest.raises(ShapeError, match=too_short):
+        model.forward_batch(*as_series(np.zeros((1, 7, 2))))
+    with pytest.raises(ShapeError, match=r"series shape \(8, 3\) does not match \(rows, 2\)"):
+        model.forward_batch(*as_series(np.zeros((1, 8, 3))))
 
 
 def test_zeroed_fusion_forces_constant_logits():
@@ -87,7 +91,7 @@ def test_zeroed_fusion_forces_constant_logits():
     model.fusion.bias[:] = np.arange(5, dtype=np.float64)
     rng = np.random.default_rng(2)
     for _ in range(3):
-        z = model.forward_batch(rng.normal(size=(1, 8, 2)))
+        z = model.forward_batch(*as_series(rng.normal(size=(1, 8, 2))))
         assert (z == np.arange(5)).all()
 
 
@@ -271,7 +275,7 @@ def test_train_msp_rejects_labels_of_another_variable_count():
 def test_per_group_softmax_rows_sum_to_one():
     rng = np.random.default_rng(4)
     model = tiny_model()
-    z = model.forward_batch(rng.normal(size=(1, 8, 2)))
+    z = model.forward_batch(*as_series(rng.normal(size=(1, 8, 2))))
     for start, n in ((0, 2), (2, 3)):
         probs = nn.softmax_rows(z[..., start : start + n])
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
@@ -280,7 +284,7 @@ def test_per_group_softmax_rows_sum_to_one():
 def test_full_model_gradient_matches_finite_differences():
     model = tiny_model(seed=5)
     rng = np.random.default_rng(5)
-    x = rng.normal(size=(2, 8, 2))
+    series, starts = as_series(rng.normal(size=(2, 8, 2)))
     targets = np.array([[[0, 1], [1, 2], [0, 0]], [[1, 0], [0, 2], [1, 1]]])
     counts = model.config.class_counts
     # Biases start at 0, so a head whose trunk inputs are all dead over a
@@ -291,11 +295,11 @@ def test_full_model_gradient_matches_finite_differences():
         if name.endswith("bias"):
             p[:] = rng.normal(scale=0.1, size=p.shape)
 
-    z, cache = model.forward_batch(x, want_cache=True)
+    z, cache = model.forward_batch(series, starts, want_cache=True)
     loss, dz = msp_loss(z, targets, counts)
     grads = model.backward_batch(cache, dz)
     report = nn.grad_check(
-        lambda: msp_loss(model.forward_batch(x), targets, counts)[0],
+        lambda: msp_loss(model.forward_batch(series, starts), targets, counts)[0],
         model.params(),
         grads,
         names=model.param_names(),
@@ -345,9 +349,9 @@ def test_train_msp_returns_best_snapshot():
     assert history.best_val_loss == min(history.val_loss)
     # the restored parameters really are the best-epoch snapshot: re-running
     # validation must reproduce the recorded best loss
-    from loadcast.train import stack_inputs, stack_states
+    from loadcast.train import stack_states
 
-    z = model.forward_batch(stack_inputs(val_w))
+    z = model.forward_batch(val_w.series, np.arange(len(val_w)))
     loss, _ = msp_loss(z, stack_states(val_w), model.config.class_counts)
     assert loss == pytest.approx(history.best_val_loss, rel=1e-12)
 
@@ -360,15 +364,15 @@ def test_checkpoint_round_trip(tmp_path):
     save_msp(model, path)
     back = load_msp(path)
     assert [p.tobytes() for p in back.params()] == [p.tobytes() for p in model.params()]
-    x = np.random.default_rng(6).normal(size=(1, 8, 2))
-    np.testing.assert_array_equal(back.forward_batch(x), model.forward_batch(x))
+    x = as_series(np.random.default_rng(6).normal(size=(1, 8, 2)))
+    np.testing.assert_array_equal(back.forward_batch(*x), model.forward_batch(*x))
 
 
 def test_forward_with_and_without_cache_bit_equal():
     model = tiny_model(seed=3)
-    x = np.random.default_rng(7).normal(size=(5, 8, 2))
-    z, _ = model.forward_batch(x, want_cache=True)
-    np.testing.assert_array_equal(z, model.forward_batch(x))
+    x = as_series(np.random.default_rng(7).normal(size=(5, 8, 2)))
+    z, _ = model.forward_batch(*x, want_cache=True)
+    np.testing.assert_array_equal(z, model.forward_batch(*x))
 
 
 def _owned_bytes(arrays) -> int:
@@ -402,10 +406,10 @@ def test_teacher_step_memory_is_bounded_by_the_fused_activation():
     row_bytes = 8 * (4 + 4 + 4 * 16)  # per conv row: input, trunk output, fused output
     strip_rows = b * 2 * 4  # a 2(k-1)-row strip at each end of every window
 
-    def step(x, starts=None):
+    def step(series, starts):
         tracemalloc.start()
         try:
-            z, cache = model.forward_batch(x, want_cache=True, starts=starts)
+            z, cache = model.forward_batch(series, starts, want_cache=True)
             cached = _owned_bytes(cache)
             _, dz = msp_loss(z, targets, config.class_counts)
             grads = model.backward_batch(cache, dz)
@@ -417,11 +421,11 @@ def test_teacher_step_memory_is_bounded_by_the_fused_activation():
         # the window starts (int64) and the fusion layer's input
         return cached - 8 * b - z.nbytes, peak
 
-    # A stacked batch is B runs of one window each. The cache holds the
-    # activations once over its B*L rows (the input itself, not a copy)
-    # and once over the strips, not a copy per head.
+    # B windows laid end to end, one run each. The cache holds the
+    # activations once over their B*L rows (a copy of the input rows
+    # among them) and once over the strips, not a copy per head.
     x = rng.normal(size=(b, 64, 4))
-    cached, peak = step(x)
+    cached, peak = step(*as_series(x))
     assert cached == x.nbytes + r_bytes + 8 * b * 64 * 4 + strip_rows * row_bytes
     # per-head copies next to the fused output, or a separate
     # upstream-gradient buffer, would take the peak above 2.4 r
@@ -494,18 +498,12 @@ def _per_head_forward_backward(model, x, dz):
     return z, [dwt, dbt] + head_grads + [zf.T @ dzf, dzf.sum(axis=0)]
 
 
-def _windows(series, starts, lookback):
-    """The stacked (B, L, D) windows that start at the given rows."""
-    return np.stack([series[s : s + lookback] for s in starts])
-
-
-def _check_against_per_head(model, x, seed, starts=None):
-    """x is a stacked batch, or with starts the series the windows start in."""
+def _check_against_per_head(model, series, starts, seed):
     c = model.config
-    windows = x if starts is None else _windows(x, starts, c.lookback)
+    windows = windows_at(series, starts, c.lookback)
     dz = np.random.default_rng(seed).normal(size=(windows.shape[0], c.horizon, c.total_classes))
     z_ref, grads_ref = _per_head_forward_backward(model, windows, dz)
-    z, cache = model.forward_batch(x, want_cache=True, starts=starts)
+    z, cache = model.forward_batch(series, starts, want_cache=True)
     grads = model.backward_batch(cache, dz)
 
     def close(a, ref, what):
@@ -527,7 +525,7 @@ def test_fused_heads_match_per_head_oracle_small(k):
         trunk_channels=4, ue_channels=3, kernel_width=k, seed=k,
     )
     x = np.random.default_rng(k).normal(size=(4, 9, 3))
-    _check_against_per_head(MspModel(config), x, seed=k)
+    _check_against_per_head(MspModel(config), *as_series(x), seed=k)
 
 
 def test_fused_heads_match_per_head_oracle_benchmark_geometry():
@@ -535,7 +533,7 @@ def test_fused_heads_match_per_head_oracle_benchmark_geometry():
     config = MspConfig(lookback=96, horizon=24, n_variables=9, class_counts=counts, seed=1)
     assert (config.trunk_channels, config.ue_channels) == (32, 16)
     x = np.random.default_rng(1).normal(size=(16, 96, 9))
-    _check_against_per_head(MspModel(config), x, seed=1)
+    _check_against_per_head(MspModel(config), *as_series(x), seed=1)
 
 
 # -- shared rows: the convs run once over the rows that windows share --------
@@ -585,9 +583,9 @@ def test_series_logits_equal_per_window_convs_bit_for_bit(case):
     model = shared_model()
     series = np.random.default_rng(1).normal(size=(80, 3))
     starts = STARTS[case]
-    windows = _windows(series, starts, 20)
-    z = model.forward_batch(series, starts=starts)
-    assert z.tobytes() == model.forward_batch(windows).tobytes()
+    windows = windows_at(series, starts, 20)
+    z = model.forward_batch(series, starts)
+    assert z.tobytes() == model.forward_batch(*as_series(windows)).tobytes()
     assert z.tobytes() == _per_window_logits(model, windows).tobytes()
 
 
@@ -601,7 +599,7 @@ def test_series_gradients_match_per_head_oracle(k, lookback):
     model = shared_model(lookback=lookback, kernel_width=k, seed=k)
     series = np.random.default_rng(k).normal(size=(lookback + 15, 3))
     starts = np.random.default_rng(lookback).permutation(16)[:6]
-    _check_against_per_head(model, series, seed=k, starts=starts)
+    _check_against_per_head(model, series, starts, seed=k)
 
 
 @settings(max_examples=40, deadline=None)
@@ -615,8 +613,8 @@ def test_series_form_matches_per_window_convs_for_any_starts(data):
     )
     model = shared_model(lookback=lookback, kernel_width=k, seed=n)
     series = np.random.default_rng(n).normal(size=(n, 3))
-    windows = _windows(series, starts, lookback)
-    z = model.forward_batch(series, starts=starts)
+    windows = windows_at(series, starts, lookback)
+    z = model.forward_batch(series, starts)
     ref = _per_window_logits(model, windows)
     if lookback == 1 and len(set(starts.tolist())) == 1 < len(starts):
         # One covered row against B > 1 stacked ones: numpy hands a
@@ -625,7 +623,7 @@ def test_series_form_matches_per_window_convs_for_any_starts(data):
         np.testing.assert_allclose(z, ref, rtol=1e-14, atol=1e-14)
     else:
         assert z.tobytes() == ref.tobytes()
-    _check_against_per_head(model, series, seed=k, starts=starts)
+    _check_against_per_head(model, series, starts, seed=k)
 
 
 def test_convs_run_once_over_the_covered_rows(monkeypatch):
@@ -647,18 +645,17 @@ def test_convs_run_once_over_the_covered_rows(monkeypatch):
     monkeypatch.setattr(nn, "conv1d_backward", counting("backward", nn.conv1d_backward))
     series = np.random.default_rng(0).normal(size=(120, 3))
     b, edge_rows = 24, 24 * 2 * 4
-    for starts, x in (
-        (np.random.default_rng(1).permutation(89)[:b], series),
-        (None, np.random.default_rng(2).normal(size=(b, 32, 3))),  # B runs of one window
-    ):
+    # B windows laid end to end: B runs of one window each
+    end_to_end = as_series(np.random.default_rng(2).normal(size=(b, 32, 3)))
+    for x, starts in ((series, np.random.default_rng(1).permutation(89)[:b]), end_to_end):
         rows.clear()
-        z, cache = model.forward_batch(x, want_cache=True, starts=starts)
+        z, cache = model.forward_batch(x, starts, want_cache=True)
         model.backward_batch(cache, np.ones_like(z))
-        if starts is None:
-            covered = b * 32
-        else:
-            covered = len(set().union(*(range(s, s + 32) for s in starts)))
+        covered = len(set().union(*(range(s, s + 32) for s in starts)))
+        if x is series:
             assert covered <= 120 < b * 32
+        else:
+            assert covered == b * 32
         layers = [(d, layer) for d in ("forward", "backward") for layer in ("trunk", "fused")]
         assert rows == dict.fromkeys(layers, covered + edge_rows)
 
@@ -667,21 +664,21 @@ def test_series_batch_is_checked():
     model = shared_model()
     series = np.zeros((30, 3))
     with pytest.raises(ShapeError, match=r"window start 11 outside \[0, 10\]"):
-        model.forward_batch(series, starts=[0, 11])
+        model.forward_batch(series, [0, 11])
     with pytest.raises(ShapeError, match=r"window start -1 outside"):
-        model.forward_batch(series, starts=[-1])
+        model.forward_batch(series, [-1])
     with pytest.raises(ShapeError, match="no windows"):
-        model.forward_batch(series, starts=np.array([], dtype=np.int64))
+        model.forward_batch(series, np.array([], dtype=np.int64))
     with pytest.raises(ShapeError, match="integer"):
-        model.forward_batch(series, starts=[0.0])
+        model.forward_batch(series, [0.0])
     with pytest.raises(ShapeError, match=r"series shape \(30, 2\) does not match \(rows, 3\)"):
-        model.forward_batch(np.zeros((30, 2)), starts=[0])
+        model.forward_batch(np.zeros((30, 2)), [0])
     from loadcast.errors import NumericError
 
     series[5, 1] = np.nan
     with pytest.raises(NumericError, match="non-finite"):
-        model.forward_batch(series, starts=[0])
-    model.forward_batch(series, starts=[6])  # no window covers row 5
+        model.forward_batch(series, [0])
+    model.forward_batch(series, [6])  # no window covers row 5
 
 
 def test_teacher_passes_over_a_split_check_its_lookback():
@@ -708,7 +705,7 @@ def test_checkpoint_saved_before_fusion_predicts_the_same(tmp_path):
     fixtures = Path(__file__).parent / "fixtures"
     model = load_msp(fixtures / "msp_parent_v2.json")
     expected = json.loads((fixtures / "msp_parent_v2_logits.json").read_text(encoding="utf-8"))
-    z = model.forward_batch(np.asarray(expected["input"]))
+    z = model.forward_batch(*as_series(np.asarray(expected["input"])))
     np.testing.assert_allclose(z, np.asarray(expected["logits"]), rtol=1e-12, atol=1e-12)
     # the same blocks, names and shapes go back out byte for byte
     save_msp(model, tmp_path / "again.json")

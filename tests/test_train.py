@@ -2,6 +2,7 @@
 which settings the four trainers above it pass down."""
 
 import inspect
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -79,27 +80,44 @@ def test_train_loop_rejects_a_step_size_that_is_not_finite_and_positive(lr):
 
 
 class RowSums:
-    """forward_batch returns each row's sum and records the batch it saw."""
+    """forward_batch returns each window's sum and records the series and
+    starts it saw."""
+
+    config = SimpleNamespace(lookback=3, n_variables=2)
 
     def __init__(self):
         self.batches = []
 
-    def forward_batch(self, x):
-        self.batches.append(x)
-        return x.sum(axis=(1, 2))
+    def forward_batch(self, series, starts):
+        self.batches.append((series, starts))
+        return np.array([series[k : k + 3].sum() for k in starts])
+
+
+class Split:
+    """The fields of a WindowSet that forward_batches reads: n windows of
+    3 rows and 2 variables, window k starting at row k of series."""
+
+    def __init__(self, n):
+        self.series = np.arange((n + 2) * 2, dtype=np.float64).reshape(n + 2, 2)
+        self.x = np.zeros((n, 3, 2))
+
+    def __len__(self):
+        return len(self.x)
 
 
 @pytest.mark.parametrize("n, batch_size", [(10, 4), (8, 4), (3, 5), (1, 1), (0, 3)])
 def test_forward_batches_covers_every_row_once_in_order(n, batch_size):
-    x = np.arange(n * 6, dtype=np.float64).reshape(n, 3, 2)
+    windows = Split(n)
     model = RowSums()
-    out = list(forward_batches(model, x, batch_size))
+    out = list(forward_batches(model, windows, batch_size))
     assert [k for rows, _ in out for k in range(n)[rows]] == list(range(n))
     tail = [n % batch_size] if n % batch_size else []
     assert [len(range(n)[rows]) for rows, _ in out] == [batch_size] * (n // batch_size) + tail
-    for (rows, y), seen in zip(out, model.batches, strict=True):
-        assert np.shares_memory(seen, x)  # a view of x's rows, not a gathered copy
-        np.testing.assert_array_equal(y, x[rows].sum(axis=(1, 2)))
+    for (rows, y), (series, starts) in zip(out, model.batches, strict=True):
+        assert series is windows.series  # the split's rows themselves, not a copy
+        np.testing.assert_array_equal(starts, range(n)[rows])
+        expected = [windows.series[k : k + 3].sum() for k in range(n)[rows]]
+        np.testing.assert_array_equal(y, expected)
 
 
 SETTINGS = {"lr": 0.02, "batch_size": 7, "patience": 3, "max_epochs": 5}
