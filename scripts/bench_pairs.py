@@ -12,14 +12,19 @@ gains no worktree or ref. Each pair then runs ``perfbench/run.py
 --trace 0`` of both exports once per workload, the parent first in even
 pairs and the change first in odd ones, so both sides share the
 machine's state. One invocation gives one sample of every end-to-end
-metric in ``BENCHMARK.json`` (the median of its runs).
+metric in ``BENCHMARK.json`` (the median of its runs). Beside its
+metrics, each invocation records the minor page faults of its child
+processes (the change in ``getrusage(RUSAGE_CHILDREN).ru_minflt``: the
+set-ups and the timed runs together) and its number of timed runs.
 
 The output holds, per workload and metric, each side's samples, median
 and quartiles, the change's wins over the pairs (ties count for
 neither), whether a gain holds (wins in at least 9 of 10 pairs and a
 median gap wider than the parent's interquartile range) and whether the
-change stays within the metric's bound; both revisions; and a session
-stamp: CPU, Python, numpy and BLAS threads.
+change stays within the metric's bound; per workload and side, the
+minor faults and the timed runs per invocation (the faults include the
+set-ups', so they compare sides only at like run counts); both
+revisions; and a session stamp: CPU, Python, numpy and BLAS threads.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import resource
 import shutil
 import statistics
 import subprocess
@@ -68,10 +74,12 @@ def bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     """One perfbench invocation: its JSON line, or a failure record."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     start = time.perf_counter()
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
-    record = {"wall_s": time.perf_counter() - start, "exit": proc.returncode}
+    record = {"wall_s": time.perf_counter() - start, "exit": proc.returncode,
+              "minor_faults": resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults}
     env = [line for line in lines if line.startswith("env: ")]
     record["env"] = env[0][5:] if env else None
     result = [line for line in lines if line.startswith("{")]
@@ -169,9 +177,15 @@ def main(argv: list[str] | None = None) -> int:
             if r["correct"]:
                 by_pair.setdefault(r["pair"], {})[r["side"]] = r["metrics"]
         both = [sides_ for _, sides_ in sorted(by_pair.items()) if len(sides_) == 2]
+        done = {s: [r for r in records if r["side"] == s and r["correct"]] for s in ("parent", "change")}
         out["workloads"][workload] = {
             "failed_invocations": {s: sum(not r["correct"] for r in records if r["side"] == s)
                                    for s in ("parent", "change")},
+            "minor_faults": {
+                s: {"per_invocation": summary([r["minor_faults"] for r in rs]),
+                    "timed_runs": summary([r["attempted"] for r in rs])}
+                for s, rs in done.items() if rs
+            },
             "metrics": {
                 name: compare(m, [b["parent"][name] for b in both], [b["change"][name] for b in both])
                 for name, m in metrics.items() if both

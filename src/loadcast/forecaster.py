@@ -65,11 +65,12 @@ class LinearForecaster:
         y = np.einsum("bli,ilh->bhi", x, self.weights, optimize=True) + self.bias.T[None]
         return (y, x) if want_cache else y
 
-    def backward_batch(self, cache, dy: np.ndarray) -> list[np.ndarray]:
+    def backward_batch(self, cache, dy: np.ndarray, update) -> None:
+        """Hands the weight, then the bias gradient to update(i, grad)
+        (see train.train_loop); neither needs a parameter's value."""
         x = cache
-        dw = np.einsum("bli,bhi->ilh", x, dy, optimize=True)
-        db = dy.sum(axis=0).T
-        return [dw, db]
+        update(0, np.einsum("bli,bhi->ilh", x, dy, optimize=True))
+        update(1, dy.sum(axis=0).T)
 
 
 class MlpForecaster:
@@ -96,14 +97,23 @@ class MlpForecaster:
         pre = nn.linear_forward(self.lin1, xf)
         act = nn.relu(pre)
         y = nn.linear_forward(self.lin2, act).reshape(b, c.horizon, c.n_variables)
-        return (y, (xf, pre, act)) if want_cache else y
+        return (y, [xf, pre, act]) if want_cache else y
 
-    def backward_batch(self, cache, dy: np.ndarray) -> list[np.ndarray]:
+    def backward_batch(self, cache, dy: np.ndarray, update) -> None:
+        """Hands every gradient to update(i, grad) in params() order (see
+        train.train_loop) once the cache and every backward temporary are
+        released, so Adam's scratch never sits beside them; lin2's input
+        gradient is taken before any block moves. Empties the cache."""
         xf, pre, act = cache
+        cache.clear()
         (dw2, db2), dact = nn.linear_backward(self.lin2, act, dy.reshape(dy.shape[0], -1))
+        del act
         dpre = nn.relu_backward(pre, dact)
+        del pre, dact
         (dw1, db1), _ = nn.linear_backward(self.lin1, xf, dpre, input_grad=False)
-        return [dw1, db1, dw2, db2]
+        del xf, dpre
+        for i, grad in enumerate((dw1, db1, dw2, db2)):
+            update(i, grad)
 
 
 def make_forecaster(config: ForecasterConfig):

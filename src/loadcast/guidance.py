@@ -145,11 +145,12 @@ def train_guided(
     alpha = config.alpha
     size_per = y_train.shape[1] * y_train.shape[2]
 
-    def batch_fn(idx: np.ndarray):
+    def batch_fn(idx: np.ndarray, update) -> float:
         yhat, cache = model.forward_batch(series, idx, want_cache=True)
         wb = None if weights is None else weights[idx]
         loss, dy = guided_loss(yhat, y_train[idx], wb, alpha)
-        return loss, model.backward_batch(cache, dy)
+        model.backward_batch(cache, dy, update)
+        return loss
 
     def val_fn() -> float:
         total = 0.0

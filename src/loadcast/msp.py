@@ -33,6 +33,8 @@ from the series-level values: the first 2*left and last 2*right rows of
 the second conv, left = k-1-(k-1)//2 and right = (k-1)//2 for kernel
 width k. They come from strips of 2*(k-1) rows at each window's ends,
 convolved on their own, so the logits equal those of per-window convs.
+The trunk convolves whole strips, the fused conv only the rows of each
+strip that the kept rows depend on (2*left + right of a head strip).
 The junctions between concatenated runs disturb only such rows.
 
 A training step keeps the fused conv's output over the covered rows and
@@ -41,7 +43,10 @@ each head's input from it again and overlap-adds the head's input
 gradient back over the head's channels, so it becomes the fused conv's
 upstream gradient. Each conv's weight and bias gradient is one product
 over the covered rows plus one over the strips; that sum differs from
-the per-window one in its last bits.
+the per-window one in its last bits. The backward pass hands each
+parameter block's gradient to the training loop's Adam update as soon
+as no later product reads that block, so a step never holds the whole
+gradient set (see train.train_loop).
 """
 
 from __future__ import annotations
@@ -118,6 +123,7 @@ class MspModel:
                 nn.init_linear(rng, c.ue_channels * c.lookback, c.horizon * n)
             )
         self.fusion = nn.init_linear(rng, c.total_classes, c.total_classes)
+        self._buffers = None  # see _head_buffers
 
     def params(self) -> list[np.ndarray]:
         out = [self.trunk.weights, self.trunk.bias]
@@ -155,15 +161,18 @@ class MspModel:
         starts = np.asarray(starts)
         check_window_starts(series, starts, c.lookback, c.n_variables)
         rows, pos = _covered_rows(starts, c.lookback, series.shape[0])
-        w, _, _ = _edge_strips(c.lookback, c.kernel_width)
+        w, m, _, _ = _edge_strips(c.lookback, c.kernel_width)
         ends = np.concatenate([starts, starts + c.lookback - w])  # head strips, then tail strips
         parts = [series[rows][None], series[ends[:, None] + np.arange(w)]]
         fused = self._fused_conv()
-        acts = []  # (input, trunk output, fused output) over the covered rows, then the strips
+        # (input, fused conv's input, fused output) over the covered rows, then the strips
+        acts = []
         for part in parts:  # (1, R, D), then (2B, w, D)
             xc = part.transpose(0, 2, 1)  # (batch, D, T) view of the channels-last rows
             a1 = nn.conv1d_forward(self.trunk, xc)
             np.maximum(a1, 0.0, out=a1)  # ReLU in place
+            if acts:  # the strips: the fused conv needs m of their w rows
+                a1 = _strip_ends(a1, m)
             # (batch, D*ue, T) view of the channels-last (batch*T, D*ue) activations
             r = nn.conv1d_forward(fused, a1)
             np.maximum(r, 0.0, out=r)
@@ -190,10 +199,10 @@ class MspModel:
         head = slice(i * ue, (i + 1) * ue)
         covered = np.ascontiguousarray(acts[0][2][0, head])  # (ue, R), time contiguous
         f = sliding_window_view(covered, lb, axis=1).transpose(1, 0, 2)[pos]
-        w, head_n, tail_n = _edge_strips(lb, c.kernel_width)
-        strips = acts[1][2][:, head]  # (2B, ue, w)
+        _, m, head_n, tail_n = _edge_strips(lb, c.kernel_width)
+        strips = acts[1][2][:, head]  # (2B, ue, m)
         f[:, :, :head_n] = strips[: pos.size, :, :head_n]
-        f[:, :, lb - tail_n :] = strips[pos.size :, :, w - tail_n :]
+        f[:, :, lb - tail_n :] = strips[pos.size :, :, m - tail_n :]
         return f
 
     def _scatter_head(self, i: int, acts, pos: np.ndarray, df: np.ndarray) -> None:
@@ -204,7 +213,7 @@ class MspModel:
         c = self.config
         ue, lb = c.ue_channels, c.lookback
         head = slice(i * ue, (i + 1) * ue)
-        w, head_n, tail_n = _edge_strips(lb, c.kernel_width)
+        _, m, head_n, tail_n = _edge_strips(lb, c.kernel_width)
         covered = acts[0][2][0, head]  # (ue, R)
         acc = np.zeros(covered.shape)
         lo, hi = head_n, lb - tail_n
@@ -214,54 +223,90 @@ class MspModel:
         strips = acts[1][2][:, head]
         strips[...] = 0.0
         strips[: pos.size, :, :head_n] = df[:, :, :head_n]
-        strips[pos.size :, :, w - tail_n :] = df[:, :, lb - tail_n :]
+        strips[pos.size :, :, m - tail_n :] = df[:, :, lb - tail_n :]
 
-    def backward_batch(self, cache, dz: np.ndarray) -> list[np.ndarray]:
-        """Gradients for every parameter block, in params() order.
+    def _head_buffers(self, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """Flat buffers that take a head's weight gradient and its input
+        gradient for b windows. They are kept across heads and steps, so
+        their pages are not freed and faulted in again on every step, and
+        grown for a larger batch; release_buffers drops them."""
+        c = self.config
+        head_in = c.ue_channels * c.lookback
+        if self._buffers is None or self._buffers[1].size < b * head_in:
+            self._buffers = None  # the old pair goes before the new one is made
+            largest = head_in * c.horizon * max(c.class_counts)
+            self._buffers = (np.empty(largest), np.empty(b * head_in))
+        return self._buffers
+
+    def release_buffers(self) -> None:
+        """Drop the buffers that training steps reuse (train_msp does so
+        before each validation pass and snapshot)."""
+        self._buffers = None
+
+    def backward_batch(self, cache, dz: np.ndarray, update) -> None:
+        """Hands every parameter block's gradient to update(i, grad), i
+        indexing params() (see train.train_loop), as soon as no later
+        product reads that block's current value: the fusion layer's
+        weights and bias first, then each head's linear weights and bias
+        right after that head's products, then the trunk's and each
+        head's conv blocks. A head's weight and input gradients are
+        written into buffers reused across heads and steps, so a handed
+        over gradient holds only during its update call.
 
         Empties the cache. The fused conv's activations become their own
         upstream gradient: head i's input is gathered from its channels,
-        and the head's masked input gradient is scattered back over those
-        channels. After the last head they hold the fused conv's grad_out,
-        and no per-head copy outlives its head. The ReLU masks are read
-        off the cached activations, which are positive exactly where their
-        pre-activations were. Each conv's weight and bias gradient is the
+        and the head's input gradient is overlap-added back over those
+        channels. After the last head they hold the fused conv's
+        grad_out, which is masked by the ReLU once, with the mask taken
+        before the first head's gradient overwrote the activations (they
+        are positive exactly where their pre-activations were; one
+        activation serves every window that reads it). No per-head copy
+        outlives its head. Each conv's weight and bias gradient is the
         sum of one product over the covered rows and one over the strips.
         """
         c = self.config
         acts, pos, zf = cache
         cache.clear()
         b = dz.shape[0]
+        ue, fusion = c.ue_channels, 2 + 4 * c.n_variables  # block indices in params()
         (dwf, dbf), dzf = nn.linear_backward(
             self.fusion, zf, dz.reshape(b * c.horizon, c.total_classes)
         )
+        del zf
+        update(fusion, dwf)
+        update(fusion + 1, dbf)
         dzu = dzf.reshape(b, c.horizon, c.total_classes)
-        linear_grads = []
+        masks = [r > 0 for _, _, r in acts]
+        dw_buf, df_buf = self._head_buffers(b)
         groups = split_groups(dzu, c.class_counts)
         for i, (lin, dzi) in enumerate(zip(self.extractor_linears, groups)):
             dg = np.ascontiguousarray(dzi).reshape(b, -1)
             f = self._head_input(i, acts, pos).reshape(b, -1)
-            dlin, df = nn.linear_backward(lin, f, dg)
-            linear_grads.append(dlin)
-            df *= f > 0
+            dw = dw_buf[: lin.weights.size].reshape(lin.weights.shape)
+            df = df_buf[: f.size].reshape(f.shape)
+            (_, db), _ = nn.linear_backward(lin, f, dg, out=(dw, df))
             del f
-            self._scatter_head(i, acts, pos, df.reshape(b, c.ue_channels, c.lookback))
-            del df
+            update(4 + 4 * i, dw)
+            update(5 + 4 * i, db)
+            self._scatter_head(i, acts, pos, df.reshape(b, ue, c.lookback))
         fused = self._fused_conv()
         conv_grads = []
-        for xc, a1, r in acts:
+        for part, ((xc, a1, r), mask) in enumerate(zip(acts, masks)):
+            r *= mask
+            if part:  # the strips, back on their w rows (see _whole_strips)
+                a1, r = (_whole_strips(a, xc.shape[2]) for a in (a1, r))
             (dwc, dbc), da1 = nn.conv1d_backward(fused, a1, r)
             da1 *= a1 > 0
             (dwt, dbt), _ = nn.conv1d_backward(self.trunk, xc, da1, input_grad=False)
             conv_grads.append((dwt, dbt, dwc, dbc))
-        del acts, da1
+        del acts, masks, da1
         dwt, dbt, dwc, dbc = (covered + strips for covered, strips in zip(*conv_grads))
-        grads = [dwt, dbt]
-        ue = c.ue_channels
-        for i, (dwl, dbl) in enumerate(linear_grads):
+        update(0, dwt)
+        update(1, dbt)
+        for i in range(c.n_variables):
             head = slice(i * ue, (i + 1) * ue)
-            grads += [dwc[head], dbc[head], dwl, dbl]
-        return grads + [dwf, dbf]
+            update(2 + 4 * i, dwc[head])
+            update(3 + 4 * i, dbc[head])
 
 
 def _covered_rows(starts: np.ndarray, lookback: int, n: int):
@@ -276,18 +321,45 @@ def _covered_rows(starts: np.ndarray, lookback: int, n: int):
     return np.flatnonzero(covered), (np.cumsum(covered) - 1)[starts]
 
 
-def _edge_strips(lookback: int, k: int) -> tuple[int, int, int]:
-    """(w, head_n, tail_n) of two stacked width-k convs over windows of
+def _edge_strips(lookback: int, k: int) -> tuple[int, int, int, int]:
+    """(w, m, head_n, tail_n) of two stacked width-k convs over windows of
     lookback rows. The first head_n and last tail_n output rows of a
     window see its zero padding; they are taken from w-row strips at the
-    window's ends, convolved on their own. Every other row is the value
-    the convs give over the series' rows. With no such interior row the
-    strip is the whole window."""
+    window's ends, convolved on their own. The first conv runs over all
+    w rows of a strip, the second over the m rows that the kept rows
+    depend on: a head strip's first m, a tail strip's last m. That is
+    2*left + right rows, and left + 2*right for a tail strip; at an even
+    k a tail strip takes one row more, so both kinds stack into one
+    batch. Every other row is the value the convs give over the series'
+    rows. With no such interior row the strip is the whole window."""
     left, right = k - 1 - (k - 1) // 2, (k - 1) // 2
     w = min(lookback, 2 * (k - 1))
     if w == lookback:
-        return w, lookback, 0
-    return w, 2 * left, 2 * right
+        return w, w, lookback, 0
+    return w, 2 * left + right, 2 * left, 2 * right
+
+
+def _strip_ends(a: np.ndarray, m: int) -> np.ndarray:
+    """The first m rows of each head strip and the last m of each tail
+    strip in strip activations a, (2B, channels, w) with the B head
+    strips first: a (2B, channels, m) view of a channels-last copy."""
+    t = a.transpose(0, 2, 1)  # (2B, w, channels)
+    b = t.shape[0] // 2
+    return np.concatenate([t[:b, :m], t[b:, t.shape[1] - m :]]).transpose(0, 2, 1)
+
+
+def _whole_strips(a: np.ndarray, w: int) -> np.ndarray:
+    """_strip_ends' output a (or its gradient) back on the strips' w rows,
+    zero at the rows it left out, channels-last like a. The fused conv's
+    backward pass runs over these: its weight gradient then sums the same
+    nonzero products at the same positions as over whole strips, and so
+    keeps the bits it had when the forward pass convolved them too."""
+    t = a.transpose(0, 2, 1)  # (2B, m, channels)
+    b, m = t.shape[0] // 2, t.shape[1]
+    out = np.zeros((2 * b, w, t.shape[2]))
+    out[:b, :m] = t[:b]
+    out[b:, w - m :] = t[b:]
+    return out.transpose(0, 2, 1)
 
 
 def split_groups(z: np.ndarray, counts: Sequence[int]) -> list[np.ndarray]:
@@ -396,12 +468,14 @@ def train_msp(
     s_train = stack_states(train_samples)
     s_val = stack_states(val_samples)
 
-    def batch_fn(idx: np.ndarray):
+    def batch_fn(idx: np.ndarray, update) -> float:
         z, cache = model.forward_batch(series, idx, want_cache=True)
         loss, dz = msp_loss(z, s_train[idx], counts)
-        return loss, model.backward_batch(cache, dz)
+        model.backward_batch(cache, dz, update)
+        return loss
 
     def val_fn() -> float:
+        model.release_buffers()  # before validation and the snapshot, not kept through them
         total = 0.0
         for rows, z in forward_batches(model, val_samples, batch_size):
             loss, _ = msp_loss(z, s_val[rows], counts)

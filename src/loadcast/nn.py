@@ -85,24 +85,32 @@ def linear_forward(params: LayerParams, x: Array) -> Array:
 
 
 def linear_backward(
-    params: LayerParams, x: Array, grad_out: Array, input_grad: bool = True
+    params: LayerParams,
+    x: Array,
+    grad_out: Array,
+    input_grad: bool = True,
+    out: tuple[Array, Array] | None = None,
 ) -> tuple[tuple[Array, Array], Array | None]:
     """Analytic gradients of linear_forward.
 
     Returns ((dweights, dbias), dinput) for upstream gradient grad_out
     shaped like the forward output. input_grad=False skips the input
-    gradient and returns None in its place.
+    gradient and returns None in its place. out, C-contiguous arrays
+    shaped like the weights and like x, receives the weight and input
+    gradients (the same matrix products, so the same bits) instead of
+    fresh arrays.
     """
     if grad_out.shape != (x.shape[0], params.weights.shape[1]):
         raise ShapeError(
             f"upstream grad shape {grad_out.shape} does not match output "
             f"({x.shape[0]}, {params.weights.shape[1]})"
         )
-    dw = x.T @ grad_out
+    dw_out, dx_out = out if out is not None else (None, None)
+    dw = np.matmul(x.T, grad_out, out=dw_out)
     db = grad_out.sum(axis=0)
     if not input_grad:
         return (dw, db), None
-    return (dw, db), grad_out @ params.weights.T
+    return (dw, db), np.matmul(grad_out, params.weights.T, out=dx_out)
 
 
 def _left_pad(k: int) -> int:
@@ -278,7 +286,10 @@ def adam_step(
     Parameter blocks must be C-contiguous: gradients are checked, then
     blocks and moments updated, through 1-D views ADAM_CHUNK elements at
     a time, so the scratch memory is fixed whatever the block sizes. A
-    non-finite gradient raises NumericError before any parameter moves.
+    non-finite gradient raises NumericError before any block of this
+    call moves. train.train_loop calls it on one block at a time, with
+    one state per block, as the backward pass hands each gradient over;
+    every update is the same as in one call over all blocks.
     """
     if len(params) != len(grads):
         raise ShapeError(f"{len(params)} parameter blocks but {len(grads)} gradient blocks")

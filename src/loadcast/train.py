@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nn
 from .data import WindowSet, check_window_batch
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, ShapeError
 
 DEFAULT_LR = 0.001
 DEFAULT_BATCH = 128
@@ -51,7 +51,7 @@ class TrainHistory:
 def train_loop(
     model: Trainable,
     n_train: int,
-    batch_fn: Callable[[np.ndarray], tuple[float, list[np.ndarray]]],
+    batch_fn: Callable[[np.ndarray, Callable[[int, np.ndarray], None]], float],
     val_fn: Callable[[], float],
     lr: float = DEFAULT_LR,
     batch_size: int = DEFAULT_BATCH,
@@ -61,7 +61,19 @@ def train_loop(
 ) -> TrainHistory:
     """Adam + early stopping; restores the best-validation snapshot.
 
-    batch_fn maps an index array into train samples to (loss, grads);
+    batch_fn(idx, update) returns the loss of the train samples idx and
+    hands every parameter block's gradient to update(i, grad) once, i
+    indexing model.params(), as soon as the backward pass no longer needs
+    that block's current value. update runs nn.adam_step on block i
+    alone, with its own Adam state; every block steps once per batch, so
+    each update equals one step over all blocks, bit for bit. A gradient
+    is read only during its update call. Training memory is thus the
+    parameters, Adam's two moments, the best snapshot and one gradient
+    block, never a whole gradient set. A non-finite gradient raises
+    NumericError before its own block moves; blocks handed over earlier
+    in that batch have already moved. A block handed over twice, or not
+    at all, in one batch raises ShapeError.
+
     val_fn scores the current model on the validation set (lower is
     better). Stops once validation fails to improve for `patience`
     consecutive epochs, or at max_epochs. Tail batches smaller than
@@ -78,7 +90,14 @@ def train_loop(
     check_lr(lr)
     params = model.params()
     names = model.param_names()
-    state = nn.init_adam(params, lr=lr)
+    states = [nn.init_adam([p], lr=lr) for p in params]
+    steps = 0
+
+    def update(i: int, grad: np.ndarray) -> None:
+        if states[i].t == steps:
+            raise ShapeError(f"gradient of {names[i]} handed over twice in one batch")
+        nn.adam_step(states[i], [params[i]], [grad], [names[i]])
+
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 101)))
     history = TrainHistory()
     best_val = np.inf
@@ -88,10 +107,11 @@ def train_loop(
         perm = rng.permutation(n_train)
         epoch_losses = []
         for idx in np.split(perm, range(batch_size, n_train, batch_size)):
-            loss, grads = batch_fn(idx)
-            nn.adam_step(state, params, grads, names)
-            del grads  # else they stay alive through the next batch's backward pass
-            epoch_losses.append(loss)
+            steps += 1
+            epoch_losses.append(batch_fn(idx, update))
+            missing = [name for name, state in zip(names, states) if state.t < steps]
+            if missing:
+                raise ShapeError(f"batch handed over no gradient of {', '.join(missing)}")
         val = val_fn()
         history.train_loss.append(float(np.mean(epoch_losses)))
         history.val_loss.append(float(val))

@@ -21,7 +21,7 @@ from loadcast.forecaster import (
 )
 from loadcast.guidance import GuidanceConfig, train_guided
 from loadcast.msp import MspConfig, MspModel
-from tests.batches import as_series, windows_at
+from tests.batches import as_series, gradients, windows_at
 from tests.test_msp import STARTS, wave_splits
 
 
@@ -168,7 +168,7 @@ def test_forecaster_gradients_match_finite_differences(kind):
     yhat, cache = model.forward_batch(*x, want_cache=True)
     err = yhat - y
     dy = np.sign(err) / err.size
-    grads = model.backward_batch(cache, dy)
+    grads = gradients(model, cache, dy)
     report = nn.grad_check(loss_fn, model.params(), grads, names=model.param_names())
     assert report.max_rel_error < 1e-5
 
@@ -181,8 +181,8 @@ def test_first_layer_skips_input_gradient_bit_identically(kind):
     model = make_forecaster(ForecasterConfig(kind, 6, 3, 2, hidden=5, seed=3))
     yhat, cache = model.forward_batch(*as_series(rng.normal(size=(4, 6, 2))), want_cache=True)
     dy = rng.normal(size=yhat.shape)
-    grads = model.backward_batch(cache, dy)
-    xf, pre, act = cache
+    xf, pre, act = cache  # before backward_batch empties it
+    grads = gradients(model, cache, dy)
     (dw2, db2), dact = nn.linear_backward(model.lin2, act, dy.reshape(4, -1))
     (dw1, db1), _ = nn.linear_backward(model.lin1, xf, nn.relu_backward(pre, dact))
     expected = [dw1, db1, dw2, db2]

@@ -458,7 +458,7 @@ def test_train_loop_rejects_empty_batches():
     model = make_forecaster(ForecasterConfig("linear", 4, 2, 1))
     for bad in ({"batch_size": 0}, {"max_epochs": 0}, {"patience": 0}):
         with pytest.raises(ConfigError, match=f"{next(iter(bad))} must be >= 1"):
-            train_loop(model, 8, lambda idx: (0.0, []), lambda: 0.0, **bad)
+            train_loop(model, 8, lambda idx, update: 0.0, lambda: 0.0, **bad)
 
 
 def test_teacher_of_another_horizon_exits_2_naming_checkpoint_and_data(inputs, tmp_path):

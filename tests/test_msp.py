@@ -23,7 +23,7 @@ from loadcast.msp import (
     state_accuracy,
     train_msp,
 )
-from tests.batches import as_series, windows_at
+from tests.batches import as_series, gradients, windows_at
 
 TINY = dict(trunk_channels=4, ue_channels=3, kernel_width=3)
 
@@ -297,7 +297,7 @@ def test_full_model_gradient_matches_finite_differences():
 
     z, cache = model.forward_batch(series, starts, want_cache=True)
     loss, dz = msp_loss(z, targets, counts)
-    grads = model.backward_batch(cache, dz)
+    grads = gradients(model, cache, dz)
     report = nn.grad_check(
         lambda: msp_loss(model.forward_batch(series, starts), targets, counts)[0],
         model.params(),
@@ -404,7 +404,10 @@ def test_teacher_step_memory_is_bounded_by_the_fused_activation():
     targets = rng.integers(0, 2, size=(b, 1, 4))
     r_bytes = 8 * b * 64 * 4 * 16  # the fused extractor conv's output over B*L rows
     row_bytes = 8 * (4 + 4 + 4 * 16)  # per conv row: input, trunk output, fused output
-    strip_rows = b * 2 * 4  # a 2(k-1)-row strip at each end of every window
+    # a 2(k-1)-row strip at each end of every window, whose last (head) or
+    # first (tail) row the fused conv leaves out: 4 input rows, 3 trunk
+    # output rows and 3 fused output rows per strip
+    strip_bytes = b * 2 * 8 * (4 * 4 + 3 * (4 + 4 * 16))
 
     def step(series, starts):
         tracemalloc.start()
@@ -412,7 +415,7 @@ def test_teacher_step_memory_is_bounded_by_the_fused_activation():
             z, cache = model.forward_batch(series, starts, want_cache=True)
             cached = _owned_bytes(cache)
             _, dz = msp_loss(z, targets, config.class_counts)
-            grads = model.backward_batch(cache, dz)
+            grads = gradients(model, cache, dz)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -425,8 +428,9 @@ def test_teacher_step_memory_is_bounded_by_the_fused_activation():
     # activations once over their B*L rows (a copy of the input rows
     # among them) and once over the strips, not a copy per head.
     x = rng.normal(size=(b, 64, 4))
+    step(*as_series(x))  # allocates the head buffers that later steps reuse
     cached, peak = step(*as_series(x))
-    assert cached == x.nbytes + r_bytes + 8 * b * 64 * 4 + strip_rows * row_bytes
+    assert cached == x.nbytes + r_bytes + 8 * b * 64 * 4 + strip_bytes
     # per-head copies next to the fused output, or a separate
     # upstream-gradient buffer, would take the peak above 2.4 r
     assert peak < 2 * r_bytes, peak / r_bytes
@@ -436,8 +440,68 @@ def test_teacher_step_memory_is_bounded_by_the_fused_activation():
     series = rng.normal(size=(200, 4))
     starts = rng.permutation(np.r_[0:16, 120:136])
     cached, peak = step(series, starts)
-    assert cached == (158 + strip_rows) * row_bytes
+    assert cached == 158 * row_bytes + strip_bytes
     assert peak < r_bytes, peak / r_bytes
+
+
+def test_teacher_step_holds_one_gradient_block_not_the_whole_set():
+    """With a live Adam update, a step's traced peak stays below what it
+    holds after the loss, plus one head at a time (its input, its input
+    gradient and its weight gradient, the largest block), the fusion
+    layer's input gradient and Adam's scratch rows. Eight heads' weight
+    gradients together are far above that, so a backward pass or a loop
+    that gathers every block before stepping fails here."""
+    import tracemalloc
+
+    config = MspConfig(
+        lookback=64, horizon=24, n_variables=8, class_counts=[5] * 8,
+        trunk_channels=4, ue_channels=8, kernel_width=3, seed=0,
+    )
+    model = MspModel(config)
+    params = model.params()
+    adam = [nn.init_adam([p]) for p in params]  # the moments are not step memory
+    rng = np.random.default_rng(0)
+    b = 16
+    series = rng.normal(size=(200, 8))
+    starts = rng.permutation(137)[:b]
+    targets = rng.integers(0, 5, size=(b, 24, 8))
+    moved = []
+
+    def update(i, grad):
+        nn.adam_step(adam[i], [params[i]], [grad])
+        moved.append(i)
+
+    tracemalloc.start()
+    try:
+        z, cache = model.forward_batch(series, starts, want_cache=True)
+        _, dz = msp_loss(z, targets, config.class_counts)
+        held = tracemalloc.get_traced_memory()[0]
+        model.backward_batch(cache, dz, update)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(moved) == list(range(len(params)))
+    sizes = [p.nbytes for p in params]
+    head_input = 8 * b * config.ue_channels * config.lookback
+    bound = held + 2 * head_input + max(sizes) + z.nbytes + 2 * 8 * nn.ADAM_CHUNK
+    assert peak < bound, (peak, bound)
+    assert held + sum(sizes) > 2 * bound  # the whole set would not fit
+
+
+def test_train_msp_releases_the_step_buffers():
+    train_w, val_w, _ = wave_splits(l=120)
+    model = MspModel(MspConfig(lookback=8, horizon=4, n_variables=1, class_counts=[2], **TINY))
+    released = []
+    release = model.release_buffers
+
+    def recording_release():
+        released.append(model._buffers is not None)
+        release()
+
+    model.release_buffers = recording_release
+    train_msp(model, train_w, val_w, batch_size=16, max_epochs=2)
+    assert released == [True, True]  # before each epoch's validation
+    assert model._buffers is None
 
 
 # -- oracle: the extractor heads one conv at a time ---------------------------
@@ -504,7 +568,7 @@ def _check_against_per_head(model, series, starts, seed):
     dz = np.random.default_rng(seed).normal(size=(windows.shape[0], c.horizon, c.total_classes))
     z_ref, grads_ref = _per_head_forward_backward(model, windows, dz)
     z, cache = model.forward_batch(series, starts, want_cache=True)
-    grads = model.backward_batch(cache, dz)
+    grads = gradients(model, cache, dz)
 
     def close(a, ref, what):
         # relative to the block's largest entry too: sums of hundreds of terms
@@ -629,7 +693,9 @@ def test_series_form_matches_per_window_convs_for_any_starts(data):
 def test_convs_run_once_over_the_covered_rows(monkeypatch):
     """Each conv call's rows (batch * time), per layer and direction: the
     covered rows plus 2(k-1)-row strips at both ends of every window, at
-    most min(B*L, covered rows) plus the edge rows."""
+    most min(B*L, covered rows) plus the edge rows. The fused conv's
+    forward pass takes only the 2*left + right rows of each strip that
+    the kept rows depend on."""
     model = shared_model(lookback=32)
     rows = {}
 
@@ -644,20 +710,24 @@ def test_convs_run_once_over_the_covered_rows(monkeypatch):
     monkeypatch.setattr(nn, "conv1d_forward", counting("forward", nn.conv1d_forward))
     monkeypatch.setattr(nn, "conv1d_backward", counting("backward", nn.conv1d_backward))
     series = np.random.default_rng(0).normal(size=(120, 3))
-    b, edge_rows = 24, 24 * 2 * 4
+    b, strip_rows = 24, 24 * 2 * 4
     # B windows laid end to end: B runs of one window each
     end_to_end = as_series(np.random.default_rng(2).normal(size=(b, 32, 3)))
     for x, starts in ((series, np.random.default_rng(1).permutation(89)[:b]), end_to_end):
         rows.clear()
         z, cache = model.forward_batch(x, starts, want_cache=True)
-        model.backward_batch(cache, np.ones_like(z))
+        gradients(model, cache, np.ones_like(z))
         covered = len(set().union(*(range(s, s + 32) for s in starts)))
         if x is series:
             assert covered <= 120 < b * 32
         else:
             assert covered == b * 32
-        layers = [(d, layer) for d in ("forward", "backward") for layer in ("trunk", "fused")]
-        assert rows == dict.fromkeys(layers, covered + edge_rows)
+        assert rows == {
+            ("forward", "trunk"): covered + strip_rows,
+            ("forward", "fused"): covered + b * 2 * 3,  # k = 3: left = right = 1
+            ("backward", "trunk"): covered + strip_rows,
+            ("backward", "fused"): covered + strip_rows,
+        }
 
 
 def test_series_batch_is_checked():

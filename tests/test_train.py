@@ -7,12 +7,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from loadcast import forecaster, guidance, msp, train
-from loadcast.errors import ConfigError, NumericError
+from loadcast import forecaster, guidance, msp, nn, train
+from loadcast.errors import ConfigError, NumericError, ShapeError
 from loadcast.forecaster import ForecasterConfig, make_forecaster
 from loadcast.guidance import GuidanceConfig
 from loadcast.msp import MspConfig, MspModel
 from loadcast.train import forward_batches, train_loop
+from tests.batches import gradients
 from tests.test_forecaster import sine_splits
 
 
@@ -30,6 +31,12 @@ class OneBlock:
         return ["w"]
 
 
+def minus_one(idx, update):
+    """A batch of OneBlock's: its gradient is -1."""
+    update(0, -np.ones(3))
+    return 0.0
+
+
 def fit(model, val_losses, **kwargs):
     """Train on 4 samples in batches of 2, scoring epoch e with
     val_losses[e - 1]; returns (history, parameters after each epoch)."""
@@ -41,7 +48,7 @@ def fit(model, val_losses, **kwargs):
         return next(losses)
 
     history = train_loop(
-        model, 4, lambda idx: (0.0, [-np.ones(3)]), val_fn, lr=0.1, batch_size=2,
+        model, 4, minus_one, val_fn, lr=0.1, batch_size=2,
         patience=len(val_losses), max_epochs=len(val_losses), **kwargs,
     )
     return history, after_epoch
@@ -75,8 +82,104 @@ def test_train_loop_rejects_a_step_size_that_is_not_finite_and_positive(lr):
     in a NumericError about the gradient."""
     model = OneBlock()
     with pytest.raises(ConfigError, match=f"lr must be finite and > 0, got {lr}"):
-        train_loop(model, 4, lambda idx: (0.0, [-np.ones(3)]), lambda: 1.0, lr=lr)
+        train_loop(model, 4, minus_one, lambda: 1.0, lr=lr)
     np.testing.assert_array_equal(model.w, 0.0)
+
+
+class TwoBlocks(OneBlock):
+    def __init__(self):
+        self.w, self.v = np.zeros(3), np.zeros(2)
+
+    def params(self):
+        return [self.w, self.v]
+
+    def param_names(self):
+        return ["w", "v"]
+
+
+def test_train_loop_rejects_a_block_handed_over_twice_or_not_at_all():
+    def twice(idx, update):
+        minus_one(idx, update)
+        return minus_one(idx, update)
+
+    with pytest.raises(ShapeError, match="gradient of w handed over twice in one batch"):
+        train_loop(OneBlock(), 4, twice, lambda: 1.0)
+    with pytest.raises(ShapeError, match="batch handed over no gradient of v$"):
+        train_loop(TwoBlocks(), 4, minus_one, lambda: 1.0)
+
+
+def test_a_non_finite_gradient_stops_its_block_after_earlier_blocks_moved():
+    model = TwoBlocks()
+
+    def batch_fn(idx, update):
+        minus_one(idx, update)
+        update(1, np.array([1.0, np.nan]))
+        return 0.0
+
+    with pytest.raises(NumericError, match="non-finite gradient in v"):
+        train_loop(model, 4, batch_fn, lambda: 1.0, lr=0.1)
+    np.testing.assert_allclose(model.w, 0.1)  # handed over first, so it moved
+    np.testing.assert_array_equal(model.v, 0.0)
+
+
+MODELS = {
+    "msp": lambda: MspModel(MspConfig(6, 2, 2, [2, 3], trunk_channels=4, ue_channels=3, seed=1)),
+    "mlp": lambda: make_forecaster(ForecasterConfig("mlp", 6, 2, 2, hidden=5, seed=1)),
+    "linear": lambda: make_forecaster(ForecasterConfig("linear", 6, 2, 2, seed=1)),
+}
+
+
+@pytest.mark.parametrize("kind", list(MODELS))
+def test_per_block_updates_equal_one_update_over_all_blocks(kind, monkeypatch):
+    """train_loop steps each block when the backward pass hands it over.
+    Replaying its batches with every gradient collected first and one
+    nn.adam_step over all blocks gives the same parameters and Adam
+    moments, bit for bit: no backward pass reads a parameter after it
+    has handed over that parameter's gradient."""
+    train_w, _, _ = sine_splits(l=120, lookback=6, horizon=2)
+    series, n = train_w.series, len(train_w)
+    rng = np.random.default_rng(3)
+    if kind == "msp":
+        states = np.stack([rng.integers(0, k, size=(n, 2)) for k in (2, 3)], axis=-1)
+
+        def loss(out, idx):
+            return msp.msp_loss(out, states[idx], [2, 3])
+    else:
+        y, weights = train_w.y, rng.uniform(0.2, 1.0, size=train_w.y.shape)
+
+        def loss(out, idx):
+            return guidance.guided_loss(out, y[idx], weights[idx], 1.5)
+
+    model, ref = MODELS[kind](), MODELS[kind]()
+    batches, adam = [], {}
+    adam_step = nn.adam_step
+
+    def recording_adam_step(state, params, grads, names=None):
+        adam[names[0]] = state
+        return adam_step(state, params, grads, names)
+
+    def batch_fn(idx, update):
+        batches.append(idx)
+        out, cache = model.forward_batch(series, idx, want_cache=True)
+        value, d = loss(out, idx)
+        model.backward_batch(cache, d, update)
+        return value
+
+    monkeypatch.setattr(nn, "adam_step", recording_adam_step)
+    # every epoch's validation loss is lower, so the last parameters stay
+    train_loop(model, n, batch_fn, lambda: -len(batches), lr=0.01, batch_size=16,
+               patience=3, max_epochs=3)
+    monkeypatch.undo()
+    assert len(batches) == 3 * -(-n // 16)
+    state = nn.init_adam(ref.params(), lr=0.01)
+    for idx in batches:
+        out, cache = ref.forward_batch(series, idx, want_cache=True)
+        nn.adam_step(state, ref.params(), gradients(ref, cache, loss(out, idx)[1]))
+    for i, (name, p, q) in enumerate(zip(model.param_names(), model.params(), ref.params())):
+        assert p.tobytes() == q.tobytes(), name
+        assert adam[name].t == state.t, name
+        assert adam[name].m[0].tobytes() == state.m[i].tobytes(), name
+        assert adam[name].v[0].tobytes() == state.v[i].tobytes(), name
 
 
 class RowSums:
