@@ -33,8 +33,6 @@ from the series-level values: the first 2*left and last 2*right rows of
 the second conv, left = k-1-(k-1)//2 and right = (k-1)//2 for kernel
 width k. They come from strips of 2*(k-1) rows at each window's ends,
 convolved on their own, so the logits equal those of per-window convs.
-The trunk convolves whole strips, the fused conv only the rows of each
-strip that the kept rows depend on (2*left + right of a head strip).
 The junctions between concatenated runs disturb only such rows.
 
 A training step keeps the fused conv's output over the covered rows and
@@ -156,23 +154,24 @@ class MspModel:
 
     def forward_batch(self, series: np.ndarray, starts, want_cache: bool = False):
         """Logits (B, H, sumN) for a batch of windows cut from the (n, D)
-        series rows, window b being series[starts[b] : starts[b] + L]."""
+        series rows, window b being series[starts[b] : starts[b] + L].
+        A pass without a cache (evaluation) drops the buffers that
+        training steps reuse, so they are not held beside it."""
         c = self.config
+        if not want_cache:
+            self._buffers = None  # see _head_buffers
         starts = np.asarray(starts)
         check_window_starts(series, starts, c.lookback, c.n_variables)
         rows, pos = _covered_rows(starts, c.lookback, series.shape[0])
-        w, m, _, _ = _edge_strips(c.lookback, c.kernel_width)
+        w, _, _ = _edge_strips(c.lookback, c.kernel_width)
         ends = np.concatenate([starts, starts + c.lookback - w])  # head strips, then tail strips
         parts = [series[rows][None], series[ends[:, None] + np.arange(w)]]
         fused = self._fused_conv()
-        # (input, fused conv's input, fused output) over the covered rows, then the strips
-        acts = []
+        acts = []  # (input, trunk output, fused output) over the covered rows, then the strips
         for part in parts:  # (1, R, D), then (2B, w, D)
             xc = part.transpose(0, 2, 1)  # (batch, D, T) view of the channels-last rows
             a1 = nn.conv1d_forward(self.trunk, xc)
             np.maximum(a1, 0.0, out=a1)  # ReLU in place
-            if acts:  # the strips: the fused conv needs m of their w rows
-                a1 = _strip_ends(a1, m)
             # (batch, D*ue, T) view of the channels-last (batch*T, D*ue) activations
             r = nn.conv1d_forward(fused, a1)
             np.maximum(r, 0.0, out=r)
@@ -180,7 +179,9 @@ class MspModel:
         b = starts.size
         group_logits = []
         for i, (lin, n) in enumerate(zip(self.extractor_linears, c.class_counts)):
-            f = self._head_input(i, acts, pos).reshape(b, -1)  # (channel, time) order
+            # the scratch copy is freed as the call returns
+            f = self._head_input(i, acts, pos, np.empty(c.ue_channels * rows.size))
+            f = f.reshape(b, -1)  # (channel, time) order
             group_logits.append(nn.linear_forward(lin, f).reshape(b, c.horizon, n))
             del f  # before the next head's input is gathered
         zu = np.concatenate(group_logits, axis=2)
@@ -190,46 +191,59 @@ class MspModel:
             return z, [acts, pos, zf]
         return z
 
-    def _head_input(self, i: int, acts, pos: np.ndarray) -> np.ndarray:
+    def _head_input(self, i: int, acts, pos: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """Head i's input, (B, ue, L), per window: the fused conv's output
         at the covered rows the window spans, with its edge rows taken
-        from the window's own strips."""
+        from the window's own strips. The head's covered rows are first
+        copied, time contiguous, into the flat scratch (ue*R values at
+        least); the result does not share it."""
         c = self.config
         ue, lb = c.ue_channels, c.lookback
         head = slice(i * ue, (i + 1) * ue)
-        covered = np.ascontiguousarray(acts[0][2][0, head])  # (ue, R), time contiguous
+        channels = acts[0][2][0, head]  # (ue, R)
+        covered = scratch[: channels.size].reshape(channels.shape)
+        covered[...] = channels
         f = sliding_window_view(covered, lb, axis=1).transpose(1, 0, 2)[pos]
-        _, m, head_n, tail_n = _edge_strips(lb, c.kernel_width)
-        strips = acts[1][2][:, head]  # (2B, ue, m)
+        w, head_n, tail_n = _edge_strips(lb, c.kernel_width)
+        strips = acts[1][2][:, head]  # (2B, ue, w)
         f[:, :, :head_n] = strips[: pos.size, :, :head_n]
-        f[:, :, lb - tail_n :] = strips[pos.size :, :, m - tail_n :]
+        f[:, :, lb - tail_n :] = strips[pos.size :, :, w - tail_n :]
         return f
 
     def _scatter_head(self, i: int, acts, pos: np.ndarray, df: np.ndarray) -> None:
         """Write head i's input gradient df, (B, ue, L) per window, over
         head i's channels of the activations it was read from: the
         interior rows overlap-added onto the covered rows, the edge rows
-        onto the strips (the adjoint of _head_input)."""
+        onto the strips (the adjoint of _head_input), each masked by the
+        ReLU of the activation it overwrites. An activation is positive
+        exactly where its pre-activation was, and one covered row serves
+        every window that reads it, so the sum is masked once rather than
+        each window's share."""
         c = self.config
         ue, lb = c.ue_channels, c.lookback
         head = slice(i * ue, (i + 1) * ue)
-        _, m, head_n, tail_n = _edge_strips(lb, c.kernel_width)
+        w, head_n, tail_n = _edge_strips(lb, c.kernel_width)
         covered = acts[0][2][0, head]  # (ue, R)
+        kept = covered > 0  # before the accumulator is made, for a lower peak
         acc = np.zeros(covered.shape)
         lo, hi = head_n, lb - tail_n
         for p, d in zip(pos, df):
             acc[:, p + lo : p + hi] += d[:, lo:hi]
-        covered[...] = acc
+        np.copyto(covered, acc, where=kept)  # the rest is the ReLU's 0 already
+        del acc
         strips = acts[1][2][:, head]
+        kept = strips > 0
         strips[...] = 0.0
         strips[: pos.size, :, :head_n] = df[:, :, :head_n]
-        strips[pos.size :, :, m - tail_n :] = df[:, :, lb - tail_n :]
+        strips[pos.size :, :, w - tail_n :] = df[:, :, lb - tail_n :]
+        np.copyto(strips, 0.0, where=~kept)
 
     def _head_buffers(self, b: int) -> tuple[np.ndarray, np.ndarray]:
         """Flat buffers that take a head's weight gradient and its input
-        gradient for b windows. They are kept across heads and steps, so
-        their pages are not freed and faulted in again on every step, and
-        grown for a larger batch; release_buffers drops them."""
+        gradient for b windows. They are kept across heads and training
+        steps, so their pages are not freed and faulted in again on every
+        step, and grown for a larger batch. A forward pass without a
+        cache drops them (see forward_batch)."""
         c = self.config
         head_in = c.ue_channels * c.lookback
         if self._buffers is None or self._buffers[1].size < b * head_in:
@@ -237,11 +251,6 @@ class MspModel:
             largest = head_in * c.horizon * max(c.class_counts)
             self._buffers = (np.empty(largest), np.empty(b * head_in))
         return self._buffers
-
-    def release_buffers(self) -> None:
-        """Drop the buffers that training steps reuse (train_msp does so
-        before each validation pass and snapshot)."""
-        self._buffers = None
 
     def backward_batch(self, cache, dz: np.ndarray, update) -> None:
         """Hands every parameter block's gradient to update(i, grad), i
@@ -256,13 +265,11 @@ class MspModel:
         Empties the cache. The fused conv's activations become their own
         upstream gradient: head i's input is gathered from its channels,
         and the head's input gradient is overlap-added back over those
-        channels. After the last head they hold the fused conv's
-        grad_out, which is masked by the ReLU once, with the mask taken
-        before the first head's gradient overwrote the activations (they
-        are positive exactly where their pre-activations were; one
-        activation serves every window that reads it). No per-head copy
-        outlives its head. Each conv's weight and bias gradient is the
-        sum of one product over the covered rows and one over the strips.
+        channels, masked by their ReLU (see _scatter_head). After the
+        last head they hold the fused conv's grad_out, and no per-head
+        copy outlives its head. Each conv's weight and bias gradient is
+        the sum of one product over the covered rows and one over the
+        strips.
         """
         c = self.config
         acts, pos, zf = cache
@@ -276,12 +283,12 @@ class MspModel:
         update(fusion, dwf)
         update(fusion + 1, dbf)
         dzu = dzf.reshape(b, c.horizon, c.total_classes)
-        masks = [r > 0 for _, _, r in acts]
         dw_buf, df_buf = self._head_buffers(b)
         groups = split_groups(dzu, c.class_counts)
         for i, (lin, dzi) in enumerate(zip(self.extractor_linears, groups)):
             dg = np.ascontiguousarray(dzi).reshape(b, -1)
-            f = self._head_input(i, acts, pos).reshape(b, -1)
+            # the input gradient overwrites the covered rows' copy in df_buf
+            f = self._head_input(i, acts, pos, df_buf).reshape(b, -1)
             dw = dw_buf[: lin.weights.size].reshape(lin.weights.shape)
             df = df_buf[: f.size].reshape(f.shape)
             (_, db), _ = nn.linear_backward(lin, f, dg, out=(dw, df))
@@ -291,15 +298,12 @@ class MspModel:
             self._scatter_head(i, acts, pos, df.reshape(b, ue, c.lookback))
         fused = self._fused_conv()
         conv_grads = []
-        for part, ((xc, a1, r), mask) in enumerate(zip(acts, masks)):
-            r *= mask
-            if part:  # the strips, back on their w rows (see _whole_strips)
-                a1, r = (_whole_strips(a, xc.shape[2]) for a in (a1, r))
+        for xc, a1, r in acts:
             (dwc, dbc), da1 = nn.conv1d_backward(fused, a1, r)
             da1 *= a1 > 0
             (dwt, dbt), _ = nn.conv1d_backward(self.trunk, xc, da1, input_grad=False)
             conv_grads.append((dwt, dbt, dwc, dbc))
-        del acts, masks, da1
+        del acts, da1
         dwt, dbt, dwc, dbc = (covered + strips for covered, strips in zip(*conv_grads))
         update(0, dwt)
         update(1, dbt)
@@ -321,45 +325,18 @@ def _covered_rows(starts: np.ndarray, lookback: int, n: int):
     return np.flatnonzero(covered), (np.cumsum(covered) - 1)[starts]
 
 
-def _edge_strips(lookback: int, k: int) -> tuple[int, int, int, int]:
-    """(w, m, head_n, tail_n) of two stacked width-k convs over windows of
+def _edge_strips(lookback: int, k: int) -> tuple[int, int, int]:
+    """(w, head_n, tail_n) of two stacked width-k convs over windows of
     lookback rows. The first head_n and last tail_n output rows of a
     window see its zero padding; they are taken from w-row strips at the
-    window's ends, convolved on their own. The first conv runs over all
-    w rows of a strip, the second over the m rows that the kept rows
-    depend on: a head strip's first m, a tail strip's last m. That is
-    2*left + right rows, and left + 2*right for a tail strip; at an even
-    k a tail strip takes one row more, so both kinds stack into one
-    batch. Every other row is the value the convs give over the series'
-    rows. With no such interior row the strip is the whole window."""
+    window's ends, convolved on their own. Every other row is the value
+    the convs give over the series' rows. With no such interior row the
+    strip is the whole window."""
     left, right = k - 1 - (k - 1) // 2, (k - 1) // 2
     w = min(lookback, 2 * (k - 1))
     if w == lookback:
-        return w, w, lookback, 0
-    return w, 2 * left + right, 2 * left, 2 * right
-
-
-def _strip_ends(a: np.ndarray, m: int) -> np.ndarray:
-    """The first m rows of each head strip and the last m of each tail
-    strip in strip activations a, (2B, channels, w) with the B head
-    strips first: a (2B, channels, m) view of a channels-last copy."""
-    t = a.transpose(0, 2, 1)  # (2B, w, channels)
-    b = t.shape[0] // 2
-    return np.concatenate([t[:b, :m], t[b:, t.shape[1] - m :]]).transpose(0, 2, 1)
-
-
-def _whole_strips(a: np.ndarray, w: int) -> np.ndarray:
-    """_strip_ends' output a (or its gradient) back on the strips' w rows,
-    zero at the rows it left out, channels-last like a. The fused conv's
-    backward pass runs over these: its weight gradient then sums the same
-    nonzero products at the same positions as over whole strips, and so
-    keeps the bits it had when the forward pass convolved them too."""
-    t = a.transpose(0, 2, 1)  # (2B, m, channels)
-    b, m = t.shape[0] // 2, t.shape[1]
-    out = np.zeros((2 * b, w, t.shape[2]))
-    out[:b, :m] = t[:b]
-    out[b:, w - m :] = t[b:]
-    return out.transpose(0, 2, 1)
+        return w, lookback, 0
+    return w, 2 * left, 2 * right
 
 
 def split_groups(z: np.ndarray, counts: Sequence[int]) -> list[np.ndarray]:
@@ -475,7 +452,6 @@ def train_msp(
         return loss
 
     def val_fn() -> float:
-        model.release_buffers()  # before validation and the snapshot, not kept through them
         total = 0.0
         for rows, z in forward_batches(model, val_samples, batch_size):
             loss, _ = msp_loss(z, s_val[rows], counts)

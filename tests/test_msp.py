@@ -404,10 +404,7 @@ def test_teacher_step_memory_is_bounded_by_the_fused_activation():
     targets = rng.integers(0, 2, size=(b, 1, 4))
     r_bytes = 8 * b * 64 * 4 * 16  # the fused extractor conv's output over B*L rows
     row_bytes = 8 * (4 + 4 + 4 * 16)  # per conv row: input, trunk output, fused output
-    # a 2(k-1)-row strip at each end of every window, whose last (head) or
-    # first (tail) row the fused conv leaves out: 4 input rows, 3 trunk
-    # output rows and 3 fused output rows per strip
-    strip_bytes = b * 2 * 8 * (4 * 4 + 3 * (4 + 4 * 16))
+    strip_rows = b * 2 * 4  # a 2(k-1)-row strip at each end of every window
 
     def step(series, starts):
         tracemalloc.start()
@@ -428,9 +425,8 @@ def test_teacher_step_memory_is_bounded_by_the_fused_activation():
     # activations once over their B*L rows (a copy of the input rows
     # among them) and once over the strips, not a copy per head.
     x = rng.normal(size=(b, 64, 4))
-    step(*as_series(x))  # allocates the head buffers that later steps reuse
     cached, peak = step(*as_series(x))
-    assert cached == x.nbytes + r_bytes + 8 * b * 64 * 4 + strip_bytes
+    assert cached == x.nbytes + r_bytes + 8 * b * 64 * 4 + strip_rows * row_bytes
     # per-head copies next to the fused output, or a separate
     # upstream-gradient buffer, would take the peak above 2.4 r
     assert peak < 2 * r_bytes, peak / r_bytes
@@ -440,7 +436,7 @@ def test_teacher_step_memory_is_bounded_by_the_fused_activation():
     series = rng.normal(size=(200, 4))
     starts = rng.permutation(np.r_[0:16, 120:136])
     cached, peak = step(series, starts)
-    assert cached == 158 * row_bytes + strip_bytes
+    assert cached == (158 + strip_rows) * row_bytes
     assert peak < r_bytes, peak / r_bytes
 
 
@@ -488,20 +484,38 @@ def test_teacher_step_holds_one_gradient_block_not_the_whole_set():
     assert held + sum(sizes) > 2 * bound  # the whole set would not fit
 
 
-def test_train_msp_releases_the_step_buffers():
-    train_w, val_w, _ = wave_splits(l=120)
-    model = MspModel(MspConfig(lookback=8, horizon=4, n_variables=1, class_counts=[2], **TINY))
-    released = []
-    release = model.release_buffers
+def test_an_evaluation_pass_frees_the_training_step_buffers():
+    """A training step leaves the head buffers that the next step reuses
+    (a head's weight gradient and a batch's head-input gradient); a
+    forward pass without a cache frees them, so validation and the
+    best-epoch snapshot run without them."""
+    import gc
+    import tracemalloc
 
-    def recording_release():
-        released.append(model._buffers is not None)
-        release()
-
-    model.release_buffers = recording_release
-    train_msp(model, train_w, val_w, batch_size=16, max_epochs=2)
-    assert released == [True, True]  # before each epoch's validation
-    assert model._buffers is None
+    c = MspConfig(lookback=32, horizon=8, n_variables=2, class_counts=[2, 4], **TINY)
+    model = MspModel(c)
+    rng = np.random.default_rng(0)
+    series = rng.normal(size=(100, 2))
+    starts = np.arange(0, 68, 2)
+    targets = rng.integers(0, 2, size=(starts.size, 8, 2))
+    head_in = c.ue_channels * c.lookback
+    buffers = 8 * (head_in * c.horizon * max(c.class_counts) + starts.size * head_in)
+    tracemalloc.start()
+    try:
+        z, cache = model.forward_batch(series, starts, want_cache=True)
+        _, dz = msp_loss(z, targets, c.class_counts)
+        del z
+        model.backward_batch(cache, dz, lambda i, grad: None)
+        del cache, dz
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+        model.forward_batch(series, starts)
+        gc.collect()
+        freed = kept - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # less at most the few hundred bytes of Python objects the pass leaves
+    assert freed > buffers - 2048, (freed, buffers)
 
 
 # -- oracle: the extractor heads one conv at a time ---------------------------
@@ -693,9 +707,7 @@ def test_series_form_matches_per_window_convs_for_any_starts(data):
 def test_convs_run_once_over_the_covered_rows(monkeypatch):
     """Each conv call's rows (batch * time), per layer and direction: the
     covered rows plus 2(k-1)-row strips at both ends of every window, at
-    most min(B*L, covered rows) plus the edge rows. The fused conv's
-    forward pass takes only the 2*left + right rows of each strip that
-    the kept rows depend on."""
+    most min(B*L, covered rows) plus the edge rows."""
     model = shared_model(lookback=32)
     rows = {}
 
@@ -710,7 +722,7 @@ def test_convs_run_once_over_the_covered_rows(monkeypatch):
     monkeypatch.setattr(nn, "conv1d_forward", counting("forward", nn.conv1d_forward))
     monkeypatch.setattr(nn, "conv1d_backward", counting("backward", nn.conv1d_backward))
     series = np.random.default_rng(0).normal(size=(120, 3))
-    b, strip_rows = 24, 24 * 2 * 4
+    b, edge_rows = 24, 24 * 2 * 4
     # B windows laid end to end: B runs of one window each
     end_to_end = as_series(np.random.default_rng(2).normal(size=(b, 32, 3)))
     for x, starts in ((series, np.random.default_rng(1).permutation(89)[:b]), end_to_end):
@@ -722,12 +734,8 @@ def test_convs_run_once_over_the_covered_rows(monkeypatch):
             assert covered <= 120 < b * 32
         else:
             assert covered == b * 32
-        assert rows == {
-            ("forward", "trunk"): covered + strip_rows,
-            ("forward", "fused"): covered + b * 2 * 3,  # k = 3: left = right = 1
-            ("backward", "trunk"): covered + strip_rows,
-            ("backward", "fused"): covered + strip_rows,
-        }
+        layers = [(d, layer) for d in ("forward", "backward") for layer in ("trunk", "fused")]
+        assert rows == dict.fromkeys(layers, covered + edge_rows)
 
 
 def test_series_batch_is_checked():
