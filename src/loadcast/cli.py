@@ -11,10 +11,13 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import Field, fields
 from pathlib import Path
 from typing import Callable
+
+import numpy as np
 
 from . import forecaster as fc
 from . import labeling, metrics, msp, synth
@@ -211,8 +214,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     config.lookback = model.config.lookback
     _, _, stats, windows = prepare_windows(config, [horizon], read_states=False)
     test_w = windows[horizon][2]
+    # any stored weights load, so weights that overflow are found here, as scores that are not finite
     with prefix_errors(f"checkpoint {args.model} does not fit {config.data_csv}: ", ShapeError):
-        m, mp, mr, mpr = evaluate_forecaster(model, test_w, stats)
+        with np.errstate(over="ignore", invalid="ignore"):
+            m, mp, mr, mpr = evaluate_forecaster(model, test_w, stats)
+    if not all(map(math.isfinite, (m, mp, mr, mpr))):
+        raise DataError(
+            f"checkpoint {args.model} gives forecasts that are not finite on {config.data_csv}"
+        )
     report = metrics.EvalReport([horizon], [m], [mp], [mr], [mpr])
     metrics.save_report_csv(report, args.out)
     print(f"wrote {args.out} (H={horizon}: mae {m:.6f}, mape_sym {mp:.6f})")

@@ -342,7 +342,7 @@ CORRUPTIONS = {
     "state CSV": lambda raw: corrupted_lines(raw.decode("utf-8"), CSV_FLIPS, csv_cut_span),
     "report CSV": lambda raw: corrupted_lines(raw.decode("utf-8"), CSV_FLIPS, csv_cut_span),
     "sidecar": lambda raw: corrupted_json(raw, [b"\xff", b"x", b"{"]),
-    # x or a digit in the base64 data would be a valid, different parameter
+    # x or a digit in the header could be valid JSON; any byte in the blocks is a valid, different parameter
     "checkpoint": lambda raw: corrupted_json(raw, [b"\xff", b"{", b","]),
     "appliance JSON": lambda raw: corrupted_json(raw, [b"\xff", b"x", b"9", b"-"]),
 }

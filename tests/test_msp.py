@@ -778,6 +778,7 @@ def test_teacher_passes_over_a_split_check_its_lookback():
 def test_checkpoint_saved_before_fusion_predicts_the_same(tmp_path):
     """msp_parent_v2.json was written by the per-head model (one conv per
     extractor); its logits on a fixed input are stored next to it."""
+    from loadcast.checkpoint import load_container
     from loadcast.msp import load_msp, save_msp
 
     fixtures = Path(__file__).parent / "fixtures"
@@ -785,6 +786,11 @@ def test_checkpoint_saved_before_fusion_predicts_the_same(tmp_path):
     expected = json.loads((fixtures / "msp_parent_v2_logits.json").read_text(encoding="utf-8"))
     z = model.forward_batch(*as_series(np.asarray(expected["input"])))
     np.testing.assert_allclose(z, np.asarray(expected["logits"]), rtol=1e-12, atol=1e-12)
-    # the same blocks, names and shapes go back out byte for byte
+    # the same kind, config, blocks, names and shapes go back out bit for bit
     save_msp(model, tmp_path / "again.json")
-    assert (tmp_path / "again.json").read_bytes() == (fixtures / "msp_parent_v2.json").read_bytes()
+    kind, config, again = load_container(tmp_path / "again.json")
+    fixture_kind, fixture_config, stored = load_container(fixtures / "msp_parent_v2.json")
+    assert (kind, config, list(again)) == (fixture_kind, fixture_config, list(stored))
+    for name, arr in stored.items():
+        assert again[name].shape == arr.shape
+        np.testing.assert_array_equal(again[name].view(np.uint64), arr.view(np.uint64))
