@@ -15,7 +15,9 @@ machine's state. One invocation gives one sample of every end-to-end
 metric in ``BENCHMARK.json`` (the median of its runs). Beside its
 metrics, each invocation records the minor page faults of its child
 processes (the change in ``getrusage(RUSAGE_CHILDREN).ru_minflt``: the
-set-ups and the timed runs together) and its number of timed runs.
+set-ups and the timed runs together), its number of timed runs, and
+the output digests of its set-ups and timed runs, which perfbench
+leaves in ``.perfbench/<workload>-seed<n>.trace0.json`` of the export.
 
 The output holds, per workload and metric, each side's samples, median
 and quartiles, the change's wins over the pairs (ties count for
@@ -23,8 +25,11 @@ neither), whether a gain holds (wins in at least 9 of 10 pairs and a
 median gap wider than the parent's interquartile range) and whether the
 change stays within the metric's bound; per workload and side, the
 minor faults and the timed runs per invocation (the faults include the
-set-ups', so they compare sides only at like run counts); both
-revisions; and a session stamp: CPU, Python, numpy and BLAS threads.
+set-ups', so they compare sides only at like run counts); per workload,
+each side's distinct set-up and run digests and whether every change
+digest equals every parent digest, so unchanged outputs need no check
+by hand; both revisions; and a session stamp: CPU, Python, numpy and
+BLAS threads.
 """
 
 from __future__ import annotations
@@ -74,6 +79,8 @@ def bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     """One perfbench invocation: its JSON line, or a failure record."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
+    summary_file = tree / ".perfbench" / f"{workload}-seed{seed}.trace0.json"
+    summary_file.unlink(missing_ok=True)  # so a failed invocation shows no earlier digests
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     start = time.perf_counter()
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
@@ -89,6 +96,9 @@ def bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     doc = json.loads(result[-1])
     record.update(correct=doc["correct"], attempted=doc["attempted"], failed=doc["failed"])
     record["metrics"] = {name: m["value"] for name, m in doc["metrics"].items()}
+    summary_doc = json.loads(summary_file.read_text(encoding="utf-8"))
+    for key, items in (("setup_digests", summary_doc["setups"]), ("run_digests", summary_doc["runs"])):
+        record[key] = sorted({item["digest"] for item in items})
     return record
 
 
@@ -98,6 +108,14 @@ def summary(values: list[float]) -> dict:
     else:
         q1 = median = q3 = values[0]
     return {"median": median, "q1": q1, "q3": q3, "samples": values}
+
+
+def digests(done: dict[str, list[dict]], key: str) -> dict:
+    """Each side's distinct digests under key, and whether both sides
+    give one and the same."""
+    sides = {s: sorted({d for r in rs for d in r[key]}) for s, rs in done.items()}
+    union = {d for ds in sides.values() for d in ds}
+    return {**sides, "equal": all(sides.values()) and len(union) == 1}
 
 
 def compare(spec: dict, parent: list[float], change: list[float]) -> dict:
@@ -186,6 +204,8 @@ def main(argv: list[str] | None = None) -> int:
                     "timed_runs": summary([r["attempted"] for r in rs])}
                 for s, rs in done.items() if rs
             },
+            "setup_digests": digests(done, "setup_digests"),
+            "run_digests": digests(done, "run_digests"),
             "metrics": {
                 name: compare(m, [b["parent"][name] for b in both], [b["change"][name] for b in both])
                 for name, m in metrics.items() if both

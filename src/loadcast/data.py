@@ -101,19 +101,20 @@ class WindowSet(Sequence[WindowSample]):
     forward_batch(series, starts) (see window_batch). x (n, L, D),
     y (n, H, D) and s (n, H, D) are read-only views of the split's values
     and labels, one sliding_window_view per field, so no window is copied
-    and a stray write raises; x is what checks the split's lookback
-    against a model. Window k is x[k], y[k], s[k] with origin
+    and a stray write raises; lookback is what check_split compares
+    with a model's. Window k is x[k], y[k], s[k] with origin
     first_origin + k. A WindowSample is made only on item access or
     iteration. A pass over the split hands the model series and slices
     y and s (train.forward_batches), not the set.
     """
 
-    __slots__ = ("series", "x", "y", "s", "first_origin")
+    __slots__ = ("series", "lookback", "x", "y", "s", "first_origin")
 
     def __init__(
         self, series: np.ndarray, lookback: int, y: np.ndarray, s: np.ndarray, first_origin: int
     ):
         self.series = series
+        self.lookback = lookback
         self.x = _runs(series, lookback)
         self.y = y
         self.s = s
@@ -136,12 +137,13 @@ class WindowSet(Sequence[WindowSample]):
             yield WindowSample(x, y, s, self.first_origin + k)
 
 
-def check_window_batch(x: np.ndarray, lookback: int, n_variables: int) -> None:
-    """A model's input must be a (batch, lookback, n_variables) array."""
-    if x.ndim != 3 or x.shape[1:] != (lookback, n_variables):
-        raise ShapeError(
-            f"input shape {x.shape} does not match (batch, {lookback}, {n_variables})"
-        )
+def check_split(windows: WindowSet, lookback: int, n_variables: int) -> None:
+    """A model of this lookback must take the split's windows: a batch of
+    series rows and window starts cannot show their length. The variable
+    count is checked on every batch (check_window_starts)."""
+    if windows.lookback != lookback:
+        shape = (len(windows), windows.lookback, windows.series.shape[1])
+        raise ShapeError(f"input shape {shape} does not match (batch, {lookback}, {n_variables})")
 
 
 def check_window_starts(

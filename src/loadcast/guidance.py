@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import nn
-from .data import WindowSet, check_window_batch
+from .data import WindowSet, check_split
 from .errors import ConfigError, ShapeError
 from .msp import split_groups
 from .train import DEFAULT_BATCH, TrainHistory, forward_batches, stack_targets, train_loop
@@ -128,7 +128,7 @@ def train_guided(
                 f"forecaster (L={fc.lookback}, H={fc.horizon}, D={fc.n_variables})"
             )
     for samples in (train_samples, val_samples):
-        check_window_batch(samples.x, fc.lookback, fc.n_variables)
+        check_split(samples, fc.lookback, fc.n_variables)
     series = train_samples.series
     y_train = stack_targets(train_samples)
     y_val = stack_targets(val_samples)

@@ -92,9 +92,9 @@ def embed_windows(series: np.ndarray, w: int) -> np.ndarray:
     return series[starts[:, None] + np.arange(w)]
 
 
-def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # |a-b|^2 = |a|^2 + |b|^2 - 2ab, clipped against rounding
-    d = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
+def _pairwise_sq_dists(a: np.ndarray, a_sq: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # |a-b|^2 = |a|^2 + |b|^2 - 2ab, clipped against rounding; a_sq is (a * a).sum(axis=1)
+    d = a_sq[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
     return np.maximum(d, 0.0)
 
 
@@ -173,12 +173,14 @@ def _add_sq_diffs(
         out += _sq_diff(coords, j, start, stop, tmp)
 
 
-def _kmeans_pp_init(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_init(
+    rows: np.ndarray, row_sq: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
     n = rows.shape[0]
     centroids = np.empty((k, rows.shape[1]))
     first = int(rng.integers(n))
     centroids[0] = rows[first]
-    sq = _pairwise_sq_dists(rows, centroids[:1]).ravel()
+    sq = _pairwise_sq_dists(rows, row_sq, centroids[:1]).ravel()
     for j in range(1, k):
         total = sq.sum()
         if total <= 0.0:
@@ -187,7 +189,7 @@ def _kmeans_pp_init(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
         else:
             nxt = int(rng.choice(n, p=sq / total))
         centroids[j] = rows[nxt]
-        sq = np.minimum(sq, _pairwise_sq_dists(rows, centroids[j : j + 1]).ravel())
+        sq = np.minimum(sq, _pairwise_sq_dists(rows, row_sq, centroids[j : j + 1]).ravel())
     return centroids
 
 
@@ -199,9 +201,11 @@ def kmeans(
     Converges when assignments stop changing or max_iter is hit. An
     empty cluster is reseeded to the point farthest from its assigned
     centroid. Inertia is the sum of squared distances to assigned
-    centroids, recorded once per assignment pass. n_distinct is the
-    embedding's number of distinct rows when the caller has counted
-    them already; it is counted here otherwise.
+    centroids, recorded once per assignment pass. Centroids are cluster
+    means, bit for bit as rows[assignments == c].mean(axis=0), summed by
+    one np.bincount per coordinate. n_distinct is the embedding's number
+    of distinct rows when the caller has counted them already; it is
+    counted here otherwise.
     """
     rows = np.asarray(embedding, dtype=np.float64)
     if rows.ndim != 2:
@@ -211,28 +215,35 @@ def kmeans(
     if not 1 <= k <= n_distinct:
         raise ConfigError(f"k={k} outside [1, {n_distinct}] distinct rows")
     rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init(rows, k, rng)
+    row_sq = (rows * rows).sum(axis=1)
+    centroids = _kmeans_pp_init(rows, row_sq, k, rng)
     assignments = np.full(rows.shape[0], -1, dtype=np.int64)
     history: list[float] = []
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        sq = _pairwise_sq_dists(rows, centroids)
+        sq = _pairwise_sq_dists(rows, row_sq, centroids)
         new_assign = sq.argmin(axis=1)
         point_sq = sq[np.arange(rows.shape[0]), new_assign]
-        for c in range(k):
-            if not (new_assign == c).any():
-                far = int(point_sq.argmax())
-                centroids[c] = rows[far]
-                sq[:, c] = _pairwise_sq_dists(rows, centroids[c : c + 1]).ravel()
-                new_assign = sq.argmin(axis=1)
-                point_sq = sq[np.arange(rows.shape[0]), new_assign]
+        if np.bincount(new_assign, minlength=k).min() == 0:
+            for c in range(k):
+                if not (new_assign == c).any():
+                    far = int(point_sq.argmax())
+                    centroids[c] = rows[far]
+                    sq[:, c] = _pairwise_sq_dists(rows, row_sq, centroids[c : c + 1]).ravel()
+                    new_assign = sq.argmin(axis=1)
+                    point_sq = sq[np.arange(rows.shape[0]), new_assign]
         history.append(float(point_sq.sum()))
         if (new_assign == assignments).all():
             assignments = new_assign
             break
         assignments = new_assign
-        for c in range(k):
-            centroids[c] = rows[assignments == c].mean(axis=0)
+        if rows.shape[1] == 1:  # .mean sums a single column pairwise
+            centroids[:, 0] = [rows[assignments == c, 0].mean() for c in range(k)]
+            continue
+        # row after row from 0.0, as .mean sums axis 0 of a wider matrix
+        sizes = np.bincount(assignments, minlength=k)
+        for j, coord in enumerate(rows.T):
+            centroids[:, j] = np.bincount(assignments, weights=coord, minlength=k) / sizes
     return KMeansResult(assignments, centroids, history[-1], history, n_iter)
 
 

@@ -57,7 +57,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import checkpoint, nn
-from .data import WindowSet, check_window_batch, check_window_starts
+from .data import WindowSet, check_split, check_window_starts
 from .errors import ConfigError, ShapeError
 from .labeling import MAX_STATES, MIN_STATES
 from .train import DEFAULT_BATCH, TrainHistory, forward_batches, stack_states, train_loop
@@ -218,19 +218,18 @@ class MspModel:
         ReLU of the activation it overwrites. An activation is positive
         exactly where its pre-activation was, and one covered row serves
         every window that reads it, so the sum is masked once rather than
-        each window's share."""
+        each window's share. One np.bincount per channel, over the rows
+        listed window by window, adds each row's shares in batch order."""
         c = self.config
         ue, lb = c.ue_channels, c.lookback
         head = slice(i * ue, (i + 1) * ue)
         w, head_n, tail_n = _edge_strips(lb, c.kernel_width)
         covered = acts[0][2][0, head]  # (ue, R)
-        kept = covered > 0  # before the accumulator is made, for a lower peak
-        acc = np.zeros(covered.shape)
         lo, hi = head_n, lb - tail_n
-        for p, d in zip(pos, df):
-            acc[:, p + lo : p + hi] += d[:, lo:hi]
-        np.copyto(covered, acc, where=kept)  # the rest is the ReLU's 0 already
-        del acc
+        rows = (pos[:, None] + np.arange(lo, hi)).ravel()
+        for channel, d in zip(covered, df.transpose(1, 0, 2)):
+            acc = np.bincount(rows, weights=d[:, lo:hi].ravel(), minlength=channel.size)
+            np.copyto(channel, acc, where=channel > 0)  # the rest is the ReLU's 0 already
         strips = acts[1][2][:, head]
         kept = strips > 0
         strips[...] = 0.0
@@ -440,7 +439,7 @@ def train_msp(
     _check_states(train_samples, counts, "train")
     _check_states(val_samples, counts, "validation")
     for samples in (train_samples, val_samples):
-        check_window_batch(samples.x, c.lookback, c.n_variables)
+        check_split(samples, c.lookback, c.n_variables)
     series = train_samples.series
     s_train = stack_states(train_samples)
     s_val = stack_states(val_samples)

@@ -13,7 +13,7 @@ symmetric zero padding so the temporal length is preserved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -253,56 +253,40 @@ def log_softmax_rows(logits: Array) -> Array:
 
 @dataclass
 class AdamState:
-    """Adam moments and step counter for a list of parameter blocks."""
+    """Adam moments and step counter of one parameter block."""
 
+    m: Array
+    v: Array
     lr: float = 0.001
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: list[Array] = field(default_factory=list)
-    v: list[Array] = field(default_factory=list)
 
 
-def init_adam(params: Sequence[Array], lr: float = 0.001) -> AdamState:
-    return AdamState(
-        lr=lr,
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
-    )
+def init_adam(param: Array, lr: float = 0.001) -> AdamState:
+    return AdamState(np.zeros_like(param), np.zeros_like(param), lr=lr)
 
 
 ADAM_CHUNK = 2**15  # elements per Adam scratch row: two 256 KiB scratch rows in all
 
 
-def adam_step(
-    state: AdamState,
-    params: Sequence[Array],
-    grads: Sequence[Array],
-    names: Sequence[str] | None = None,
-) -> tuple[Sequence[Array], AdamState]:
-    """One bias-corrected Adam update, in place on params and state.
+def adam_step(state: AdamState, param: Array, grad: Array, name: str) -> None:
+    """One bias-corrected Adam update, in place on the block and its state.
 
-    Parameter blocks must be C-contiguous: gradients are checked, then
-    blocks and moments updated, through 1-D views ADAM_CHUNK elements at
-    a time, so the scratch memory is fixed whatever the block sizes. A
-    non-finite gradient raises NumericError before any block of this
-    call moves. train.train_loop calls it on one block at a time, with
-    one state per block, as the backward pass hands each gradient over;
-    every update is the same as in one call over all blocks.
-    """
-    if len(params) != len(grads):
-        raise ShapeError(f"{len(params)} parameter blocks but {len(grads)} gradient blocks")
-    for i, (p, g) in enumerate(zip(params, grads)):
-        label = names[i] if names is not None else f"block {i}"
-        if p.shape != g.shape:
-            raise ShapeError(f"gradient shape {g.shape} does not match parameter shape {p.shape}")
-        if not p.flags.c_contiguous:
-            raise ShapeError(f"parameter {label} is not C-contiguous")
-        g1 = g.reshape(-1)
-        for lo in range(0, g1.size, ADAM_CHUNK):  # a mask the size of one scratch row
-            if not np.isfinite(g1[lo : lo + ADAM_CHUNK]).all():
-                raise NumericError(f"non-finite gradient in {label}")
+    The block must be C-contiguous: the gradient is checked, then the
+    block and moments updated, through 1-D views ADAM_CHUNK elements at
+    a time, so the scratch memory is fixed whatever the block size. A
+    non-finite gradient raises NumericError naming the block before the
+    block moves. train.train_loop keeps one state per block."""
+    if param.shape != grad.shape:
+        raise ShapeError(f"gradient shape {grad.shape} does not match parameter shape {param.shape}")
+    if not param.flags.c_contiguous:
+        raise ShapeError(f"parameter {name} is not C-contiguous")
+    p, g, m, v = (a.reshape(-1) for a in (param, grad, state.m, state.v))
+    for lo in range(0, g.size, ADAM_CHUNK):  # a mask the size of one scratch row
+        if not np.isfinite(g[lo : lo + ADAM_CHUNK]).all():
+            raise NumericError(f"non-finite gradient in {name}")
     state.t += 1
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
@@ -311,26 +295,23 @@ def adam_step(
     #   p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
     # but written into m, v, p and two scratch rows.
     scratch = np.empty((2, ADAM_CHUNK))
-    for blocks in zip(params, grads, state.m, state.v):
-        p, g, m, v = (a.reshape(-1) for a in blocks)
-        for lo in range(0, p.size, ADAM_CHUNK):
-            pc, gc, mc, vc = (a[lo : lo + ADAM_CHUNK] for a in (p, g, m, v))
-            tmp, denom = scratch[:, : pc.size]
-            np.multiply(gc, 1.0 - state.beta1, out=tmp)
-            mc *= state.beta1
-            mc += tmp
-            np.multiply(gc, 1.0 - state.beta2, out=tmp)
-            tmp *= gc
-            vc *= state.beta2
-            vc += tmp
-            np.divide(mc, bc1, out=tmp)
-            tmp *= state.lr
-            np.divide(vc, bc2, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += state.eps
-            tmp /= denom
-            pc -= tmp
-    return params, state
+    for lo in range(0, p.size, ADAM_CHUNK):
+        pc, gc, mc, vc = (a[lo : lo + ADAM_CHUNK] for a in (p, g, m, v))
+        tmp, denom = scratch[:, : pc.size]
+        np.multiply(gc, 1.0 - state.beta1, out=tmp)
+        mc *= state.beta1
+        mc += tmp
+        np.multiply(gc, 1.0 - state.beta2, out=tmp)
+        tmp *= gc
+        vc *= state.beta2
+        vc += tmp
+        np.divide(mc, bc1, out=tmp)
+        tmp *= state.lr
+        np.divide(vc, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        tmp /= denom
+        pc -= tmp
 
 
 @dataclass

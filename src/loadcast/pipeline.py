@@ -145,12 +145,31 @@ def split_with_states(
     i1, i2 = train.length, train.length + val.length
     stats = zscore_fit(train)
     frames = [zscore_apply(part, stats) for part in (train, val, test)]
-    if profile is None:
-        all_labels = np.broadcast_to(np.int64(0), frame.values.shape)
-    else:
-        all_labels = profile.labels
+    zeros = np.broadcast_to(np.int64(0), frame.values.shape)
+    all_labels = zeros if profile is None else profile.labels
     labels = [all_labels[:i1], all_labels[i1:i2], all_labels[i2:]]
     return frames, labels, stats
+
+
+def windows_for(
+    frame: SeriesFrame, profile: StateProfile | None, lookback: int, horizons: Sequence[int],
+    source: str = "",
+) -> tuple[NormStats, dict[int, tuple[WindowSet, WindowSet, WindowSet]]]:
+    """The in-memory data stage: split_with_states, then every horizon's
+    train, validation and test windows, cut up front as views of the
+    splits (see WindowSet), so a horizon too long for the series fails
+    before any training. A failure names its stage, then source (the
+    file the frame came from) when one is given."""
+    named = f"{source}: " if source else ""
+    with _stage("split"), prefix_errors(named):
+        frames, labels, stats = split_with_states(frame, profile)
+    windows = {}
+    for horizon in horizons:
+        with _stage(f"windows H={horizon}"), prefix_errors(named):
+            windows[horizon] = tuple(
+                sliding_windows(f, lab, lookback, horizon) for f, lab in zip(frames, labels)
+            )
+    return stats, windows
 
 
 def prepare_windows(
@@ -158,27 +177,14 @@ def prepare_windows(
 ) -> tuple[
     SeriesFrame, StateProfile | None, NormStats, dict[int, tuple[WindowSet, WindowSet, WindowSet]]
 ]:
-    """The one data-prep path: load and align the inputs, split them
-    60/20/20, z-score with train statistics, and cut the train,
-    validation and test windows of every horizon up front. Windows are
-    views of the splits (see WindowSet), so that copies nothing, and a
-    horizon too long for the series fails before any training.
+    """The file stage, then windows_for: load and align the inputs, and
+    cut every horizon's windows of them.
 
     Only the teacher reads state labels: with read_states False the
     state CSV is not opened, the profile is None and every label is 0.
     """
-    if read_states:
-        frame, profile = load_aligned(config)
-    else:
-        frame, profile = load_data(config), None
-    with _stage("split"), prefix_errors(f"{config.data_csv}: "):
-        frames, labels, stats = split_with_states(frame, profile)
-    windows = {}
-    for horizon in horizons:
-        with _stage(f"windows H={horizon}"), prefix_errors(f"{config.data_csv}: "):
-            windows[horizon] = tuple(
-                sliding_windows(f, lab, config.lookback, horizon) for f, lab in zip(frames, labels)
-            )
+    frame, profile = load_aligned(config) if read_states else (load_data(config), None)
+    stats, windows = windows_for(frame, profile, config.lookback, horizons, config.data_csv)
     return frame, profile, stats, windows
 
 

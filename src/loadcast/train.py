@@ -15,7 +15,7 @@ from typing import Callable, Iterator, Protocol
 import numpy as np
 
 from . import nn
-from .data import WindowSet, check_window_batch
+from .data import WindowSet, check_split
 from .errors import ConfigError, NumericError, ShapeError
 
 DEFAULT_LR = 0.001
@@ -65,9 +65,9 @@ def train_loop(
     hands every parameter block's gradient to update(i, grad) once, i
     indexing model.params(), as soon as the backward pass no longer needs
     that block's current value. update runs nn.adam_step on block i
-    alone, with its own Adam state; every block steps once per batch, so
-    each update equals one step over all blocks, bit for bit. A gradient
-    is read only during its update call. Training memory is thus the
+    with its own Adam state; every block steps once per batch, so the
+    steps equal those taken after the whole backward pass, bit for bit.
+    A gradient is read only during its update call. Training memory is the
     parameters, Adam's two moments, the best snapshot and one gradient
     block, never a whole gradient set. A non-finite gradient raises
     NumericError before its own block moves; blocks handed over earlier
@@ -90,13 +90,13 @@ def train_loop(
     check_lr(lr)
     params = model.params()
     names = model.param_names()
-    states = [nn.init_adam([p], lr=lr) for p in params]
+    states = [nn.init_adam(p, lr=lr) for p in params]
     steps = 0
 
     def update(i: int, grad: np.ndarray) -> None:
         if states[i].t == steps:
             raise ShapeError(f"gradient of {names[i]} handed over twice in one batch")
-        nn.adam_step(states[i], [params[i]], [grad], [names[i]])
+        nn.adam_step(states[i], params[i], grad, names[i])
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 101)))
     history = TrainHistory()
@@ -147,11 +147,11 @@ def forward_batches(
     rows of the batch's windows and the model's output for them, so
     y[rows] picks the batch's targets. Each batch is the split's series
     and its window starts, model.forward_batch(windows.series, starts);
-    that form cannot show a window's length, so the split's windows are
-    checked against the model's lookback and variable count first.
+    that form cannot show a window's length, so the split's lookback is
+    checked against the model's first (check_split).
     """
     c = model.config
-    check_window_batch(windows.x, c.lookback, c.n_variables)
+    check_split(windows, c.lookback, c.n_variables)
     n = len(windows)
     for start in range(0, n, batch_size):
         rows = slice(start, min(start + batch_size, n))

@@ -14,9 +14,8 @@ import numpy as np
 
 from loadcast import forecaster as fc
 from loadcast import guidance, labeling, msp, synth
-from loadcast.data import sliding_windows
 from loadcast.metrics import mae
-from loadcast.pipeline import split_with_states
+from loadcast.pipeline import windows_for
 from loadcast.train import stack_targets
 
 LOOKBACK = 96
@@ -53,12 +52,10 @@ def run_benchmark(length: int = 20000, seeds: range = range(N_SEEDS)) -> list[Ho
     config = synth.benchmark_household(seed=0, length=length)
     frame, _ = synth.generate(config)
     profile = labeling.identify_states(frame, w=LABEL_WINDOW, seed=0)
-    frames, labels, _ = split_with_states(frame, profile)
+    _, windows = windows_for(frame, profile, LOOKBACK, HORIZONS)
     results = []
     for horizon in HORIZONS:
-        train_w, val_w, test_w = (
-            sliding_windows(part, lab, LOOKBACK, horizon) for part, lab in zip(frames, labels)
-        )
+        train_w, val_w, test_w = windows[horizon]
         teacher = msp.MspModel(
             msp.MspConfig(
                 lookback=LOOKBACK,

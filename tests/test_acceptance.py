@@ -12,17 +12,8 @@ import pytest
 from loadcast import cli, guidance, labeling, metrics, nn, synth
 from loadcast import forecaster as fc
 from loadcast import msp as msp_mod
-from loadcast.data import (
-    SeriesFrame,
-    TEST_FRACTION,
-    TRAIN_FRACTION,
-    VAL_FRACTION,
-    sliding_windows,
-    split_60_20_20,
-    zscore_apply,
-    zscore_fit,
-)
-from loadcast.pipeline import DEFAULT_HORIZONS, RunConfig
+from loadcast.data import TEST_FRACTION, TRAIN_FRACTION, VAL_FRACTION, SeriesFrame
+from loadcast.pipeline import DEFAULT_HORIZONS, RunConfig, windows_for
 from loadcast.train import DEFAULT_BATCH, DEFAULT_LR, DEFAULT_PATIENCE
 
 from tests.acceptance_benchmark import ALPHA, HORIZONS, run_benchmark
@@ -186,14 +177,8 @@ def deterministic_wave_splits(l=400, lookback=12, horizon=6):
     t = np.arange(l)
     series = np.where((t // 6) % 2 == 0, 0.0, 5.0)
     frame = SeriesFrame(3600 * t, series[:, None], ["x"])
-    labels = (series > 2.5).astype(np.int64)[:, None]
-    train, val, test = split_60_20_20(frame)
-    stats = zscore_fit(train)
-    i1, i2 = train.length, train.length + val.length
-    return [
-        sliding_windows(zscore_apply(part, stats), lab, lookback, horizon)
-        for part, lab in ((train, labels[:i1]), (val, labels[i1:i2]), (test, labels[i2:]))
-    ]
+    profile = labeling.StateProfile((series > 2.5).astype(np.int64)[:, None], [2])
+    return windows_for(frame, profile, lookback, [horizon])[1][horizon]
 
 
 def test_criterion_4_msp_learnability():
@@ -219,13 +204,7 @@ def test_criterion_4_msp_learnability():
     config = synth.default_household(seed=4, length=3000)
     frame, _ = synth.generate(config)
     profile = labeling.identify_states(frame, w=4, seed=4)
-    train, val, _ = split_60_20_20(frame)
-    stats = zscore_fit(train)
-    i1, i2 = train.length, train.length + val.length
-    train_w2, val_w2 = (
-        sliding_windows(zscore_apply(part, stats), lab, 24, 6)
-        for part, lab in ((train, profile.labels[:i1]), (val, profile.labels[i1:i2]))
-    )
+    train_w2, val_w2, _ = windows_for(frame, profile, 24, [6])[1][6]
     model2 = msp_mod.MspModel(
         msp_mod.MspConfig(
             lookback=24,
@@ -382,11 +361,8 @@ def test_criterion_8_protocol_fidelity(capsys):
     frame = SeriesFrame(
         3600 * np.arange(60), rng.normal(loc=50.0, scale=9.0, size=(60, 2)), ["a", "b"]
     )
-    train, val, test = split_60_20_20(frame)
-    stats = zscore_fit(train)
-    test_w = sliding_windows(
-        zscore_apply(test, stats), np.zeros((test.length, 2), dtype=np.int64), 4, 2
-    )
+    stats, windows = windows_for(frame, None, 4, [2])
+    test_w = windows[2][2]
     zero_model = fc.make_forecaster(fc.ForecasterConfig("linear", 4, 2, 2, seed=0))
     zero_model.weights[:] = 0.0
     zero_model.bias[:] = 0.0

@@ -290,6 +290,47 @@ def test_windows_are_read_only(window_case):
             view[...] = 0
 
 
+def test_windows_for_cuts_every_horizon_of_the_z_scored_splits():
+    """windows_for is split 60/20/20, z-score with the train split's
+    statistics, and sliding_windows per split and horizon, bit for bit;
+    its windows know their lookback."""
+    from loadcast.labeling import StateProfile
+    from loadcast.pipeline import windows_for
+
+    rng = np.random.default_rng(4)
+    frame = minute_frame(rng.normal(loc=3.0, scale=2.0, size=(90, 2)))
+    labels = rng.integers(0, 3, size=(90, 2))
+    stats, windows = windows_for(frame, StateProfile(labels, [3, 3]), 7, [2, 5])
+    parts = data.split_60_20_20(frame)
+    want_stats = data.zscore_fit(parts[0])
+    assert stats.mean.tobytes() == want_stats.mean.tobytes()
+    assert stats.std.tobytes() == want_stats.std.tobytes()
+    bounds = np.cumsum([0] + [part.length for part in parts])
+    assert sorted(windows) == [2, 5]
+    for horizon, splits in windows.items():
+        for part, lo, hi, got in zip(parts, bounds[:-1], bounds[1:], splits, strict=True):
+            want = data.sliding_windows(
+                data.zscore_apply(part, want_stats), labels[lo:hi], 7, horizon
+            )
+            assert got.lookback == 7 and got.first_origin == want.first_origin
+            for a, b in ((got.series, want.series), (got.y, want.y), (got.s, want.s)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    _, unlabeled = windows_for(frame, None, 7, [2])
+    assert all((split.s == 0).all() for split in unlabeled[2])
+
+
+def test_windows_for_names_the_stage_then_the_source():
+    from loadcast.pipeline import windows_for
+
+    frame = minute_frame(np.arange(30.0))
+    with pytest.raises(DataError, match=r"^\[stage windows H=4\] data\.csv: series length 6 is below"):
+        windows_for(frame, None, 3, [1, 4], source="data.csv")
+    with pytest.raises(DataError, match=r"^\[stage windows H=4\] series length 6 is below"):
+        windows_for(frame, None, 3, [1, 4])
+    with pytest.raises(DataError, match=r"^\[stage split\] x\.csv: need at least 5 rows"):
+        windows_for(minute_frame(np.arange(4.0)), None, 1, [1], source="x.csv")
+
+
 def test_train_guided_does_not_copy_the_windows():
     lookback, n_variables, n_train = 256, 8, 1300
     stacked = n_train * lookback * n_variables * 8

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from loadcast import nn
-from loadcast.data import SeriesFrame, sliding_windows, split_60_20_20, zscore_apply, zscore_fit
+from loadcast.data import SeriesFrame, sliding_windows
 from loadcast.errors import ConfigError, ShapeError
 from loadcast.forecaster import (
     FORECASTER_KINDS,
@@ -21,6 +21,7 @@ from loadcast.forecaster import (
 )
 from loadcast.guidance import GuidanceConfig, train_guided
 from loadcast.msp import MspConfig, MspModel
+from loadcast.pipeline import split_with_states, windows_for
 from tests.batches import as_series, gradients, windows_at
 from tests.test_msp import STARTS, wave_splits
 
@@ -111,27 +112,18 @@ def test_forecaster_passes_over_a_split_check_its_lookback(kind, monkeypatch):
         train_plain(model, right_w, val_w, max_epochs=1)  # the validation split too
 
 
-def sine_parts(l=480):
-    """Noiseless periodic series cut 60/20/20 and z-scored: a per-variable
-    linear map of the window predicts it exactly (copy from one period
-    back). Returns (frame, labels) per split."""
+def sine_frame(l=480):
+    """Noiseless periodic series: a per-variable linear map of the
+    window predicts it exactly (copy from one period back)."""
     t = np.arange(l)
     values = np.column_stack(
         [np.sin(2 * np.pi * t / 12), np.cos(2 * np.pi * t / 12) + 0.5]
     )
-    frame = SeriesFrame(3600 * t, values, ["a", "b"])
-    labels = np.zeros_like(values, dtype=np.int64)
-    train, val, test = split_60_20_20(frame)
-    stats = zscore_fit(train)
-    i1, i2 = train.length, train.length + val.length
-    return [
-        (zscore_apply(part, stats), lab)
-        for part, lab in ((train, labels[:i1]), (val, labels[i1:i2]), (test, labels[i2:]))
-    ]
+    return SeriesFrame(3600 * t, values, ["a", "b"])
 
 
 def sine_splits(l=480, lookback=12, horizon=3):
-    return [sliding_windows(part, lab, lookback, horizon) for part, lab in sine_parts(l)]
+    return windows_for(sine_frame(l), None, lookback, [horizon])[1][horizon]
 
 
 def test_train_plain_recovers_noiseless_linear_task():
@@ -285,8 +277,9 @@ def test_mae_training_affine_equivariance_directional():
     def rescale(part):
         return SeriesFrame(part.timestamps, part.values * scale + shift, part.variable_names)
 
+    frames, labels, _ = split_with_states(sine_frame(l=260), None)
     rescaled_train, rescaled_val, rescaled_test = (
-        sliding_windows(rescale(part), lab, 12, 3) for part, lab in sine_parts(l=260)
+        sliding_windows(rescale(part), lab, 12, 3) for part, lab in zip(frames, labels)
     )
     rescaled_model = make_forecaster(ForecasterConfig("linear", 12, 3, 2, seed=11))
     train_plain(

@@ -111,6 +111,84 @@ def test_kmeans_deterministic_under_seed():
     np.testing.assert_array_equal(a.centroids, b.centroids)
 
 
+def _sq_dists(a, b):
+    d = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
+    return np.maximum(d, 0.0)
+
+
+def kmeans_per_cluster(rows, k, seed, max_iter=100):
+    """k-means as it was written with one pass per cluster: row norms on
+    every distance call, an emptiness check per cluster on every pass,
+    and each centroid a masked .mean. Returns (assignments, centroids,
+    inertia history, iterations, whether a cluster was reseeded)."""
+    rng = np.random.default_rng(seed)
+    n = rows.shape[0]
+    centroids = np.empty((k, rows.shape[1]))
+    centroids[0] = rows[int(rng.integers(n))]
+    sq = _sq_dists(rows, centroids[:1]).ravel()
+    for j in range(1, k):
+        total = sq.sum()
+        nxt = int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=sq / total))
+        centroids[j] = rows[nxt]
+        sq = np.minimum(sq, _sq_dists(rows, centroids[j : j + 1]).ravel())
+    assignments = np.full(n, -1, dtype=np.int64)
+    history, reseeded = [], False
+    for n_iter in range(1, max_iter + 1):
+        sq = _sq_dists(rows, centroids)
+        new_assign = sq.argmin(axis=1)
+        point_sq = sq[np.arange(n), new_assign]
+        for c in range(k):
+            if not (new_assign == c).any():
+                reseeded = True
+                centroids[c] = rows[int(point_sq.argmax())]
+                sq[:, c] = _sq_dists(rows, centroids[c : c + 1]).ravel()
+                new_assign = sq.argmin(axis=1)
+                point_sq = sq[np.arange(n), new_assign]
+        history.append(float(point_sq.sum()))
+        if (new_assign == assignments).all():
+            assignments = new_assign
+            break
+        assignments = new_assign
+        for c in range(k):
+            centroids[c] = rows[assignments == c].mean(axis=0)
+    return assignments, centroids, history, n_iter, reseeded
+
+
+def assert_kmeans_matches_per_cluster(rows, k, seed):
+    result = labeling.kmeans(rows, k, seed=seed)
+    assignments, centroids, history, n_iter, reseeded = kmeans_per_cluster(rows, k, seed)
+    np.testing.assert_array_equal(result.assignments, assignments)
+    assert result.centroids.tobytes() == centroids.tobytes()
+    assert [h.hex() for h in result.inertia_history] == [h.hex() for h in history]
+    assert result.n_iter == n_iter
+    return reseeded
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 9])
+def test_kmeans_equals_the_per_cluster_loop_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    for trial in range(4):
+        rows = rng.normal(size=(int(rng.integers(50, 400)), dim)) * 10.0 ** rng.integers(-3, 4)
+        for k in range(2, 6):
+            assert_kmeans_matches_per_cluster(rows, k, seed=trial)
+    series, _ = planted_square_wave([0.0, 2.0, 5.0], dwell=6, reps=10, sigma=0.3, seed=dim)
+    windows = labeling.embed_windows(series, dim)
+    for k in range(2, 6):
+        assert_kmeans_matches_per_cluster(windows, k, seed=dim)
+
+
+def test_kmeans_reseeds_an_emptied_cluster_as_the_per_cluster_loop_did():
+    # rows 1e8 from the origin and 1e-4 apart: the distances' cancellation
+    # puts points nearer another centroid, and a pass leaves a cluster empty
+    rng = np.random.default_rng(1)
+    rows = 1e8 + np.vstack([
+        rng.normal(scale=1e-4, size=(5, 2)),
+        rng.normal(scale=1e-3, size=(5, 2)) + 0.01,
+        rng.normal(size=(5, 2)) + 5.0,
+    ])
+    assert assert_kmeans_matches_per_cluster(rows, 3, seed=0)
+
+
 def test_silhouette_tight_far_pairs():
     rows = np.array([[0.0], [0.1], [10.0], [10.1]])
     score = labeling.silhouette(rows, np.array([0, 0, 1, 1]))

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from loadcast import nn
-from loadcast.data import SeriesFrame, sliding_windows, split_60_20_20, zscore_apply, zscore_fit
+from loadcast.data import SeriesFrame, sliding_windows
 from loadcast.errors import ConfigError, ShapeError
+from loadcast.labeling import StateProfile
 from loadcast.msp import (
     MspConfig,
     MspModel,
@@ -23,6 +24,7 @@ from loadcast.msp import (
     state_accuracy,
     train_msp,
 )
+from loadcast.pipeline import windows_for
 from tests.batches import as_series, gradients, windows_at
 
 TINY = dict(trunk_channels=4, ue_channels=3, kernel_width=3)
@@ -313,18 +315,8 @@ def wave_splits(l=260, lookback=8, horizon=4):
     t = np.arange(l)
     series = np.where((t // 4) % 2 == 0, 0.0, 5.0)
     frame = SeriesFrame(3600 * t, series[:, None], ["x"])
-    labels = (series > 2.5).astype(np.int64)[:, None]
-    train, val, test = split_60_20_20(frame)
-    stats = zscore_fit(train)
-    i1, i2 = train.length, train.length + val.length
-    parts = []
-    for part, lab in (
-        (train, labels[:i1]),
-        (val, labels[i1:i2]),
-        (test, labels[i2:]),
-    ):
-        parts.append(sliding_windows(zscore_apply(part, stats), lab, lookback, horizon))
-    return parts
+    profile = StateProfile((series > 2.5).astype(np.int64)[:, None], [2])
+    return windows_for(frame, profile, lookback, [horizon])[1][horizon]
 
 
 def test_train_msp_learns_deterministic_task():
@@ -454,8 +446,8 @@ def test_teacher_step_holds_one_gradient_block_not_the_whole_set():
         trunk_channels=4, ue_channels=8, kernel_width=3, seed=0,
     )
     model = MspModel(config)
-    params = model.params()
-    adam = [nn.init_adam([p]) for p in params]  # the moments are not step memory
+    params, names = model.params(), model.param_names()
+    adam = [nn.init_adam(p) for p in params]  # the moments are not step memory
     rng = np.random.default_rng(0)
     b = 16
     series = rng.normal(size=(200, 8))
@@ -464,7 +456,7 @@ def test_teacher_step_holds_one_gradient_block_not_the_whole_set():
     moved = []
 
     def update(i, grad):
-        nn.adam_step(adam[i], [params[i]], [grad])
+        nn.adam_step(adam[i], params[i], grad, names[i])
         moved.append(i)
 
     tracemalloc.start()
@@ -482,6 +474,52 @@ def test_teacher_step_holds_one_gradient_block_not_the_whole_set():
     bound = held + 2 * head_input + max(sizes) + z.nbytes + 2 * 8 * nn.ADAM_CHUNK
     assert peak < bound, (peak, bound)
     assert held + sum(sizes) > 2 * bound  # the whole set would not fit
+
+
+def scatter_per_window(model, i, acts, pos, df):
+    """MspModel._scatter_head as it was written, one window at a time."""
+    from loadcast.msp import _edge_strips
+
+    c = model.config
+    ue, lb = c.ue_channels, c.lookback
+    head = slice(i * ue, (i + 1) * ue)
+    w, head_n, tail_n = _edge_strips(lb, c.kernel_width)
+    covered = acts[0][2][0, head]
+    kept = covered > 0
+    acc = np.zeros(covered.shape)
+    lo, hi = head_n, lb - tail_n
+    for p, d in zip(pos, df):
+        acc[:, p + lo : p + hi] += d[:, lo:hi]
+    np.copyto(covered, acc, where=kept)
+    strips = acts[1][2][:, head]
+    kept = strips > 0
+    strips[...] = 0.0
+    strips[: pos.size, :, :head_n] = df[:, :, :head_n]
+    strips[pos.size :, :, w - tail_n :] = df[:, :, lb - tail_n :]
+    np.copyto(strips, 0.0, where=~kept)
+
+
+@pytest.mark.parametrize("lookback, kernel_width", [(12, 3), (9, 5), (10, 4), (4, 3)])
+def test_scatter_head_equals_the_per_window_loop_bit_for_bit(lookback, kernel_width):
+    """The overlap-add of a head's input gradient, one np.bincount per
+    channel, gives the per-window loop's sums bit for bit: every covered
+    row adds its windows' shares in batch order from 0.0."""
+    c = MspConfig(lookback=lookback, horizon=3, n_variables=2, class_counts=[2, 3],
+                  trunk_channels=4, ue_channels=3, kernel_width=kernel_width)
+    model = MspModel(c)
+    rng = np.random.default_rng(lookback)
+    series = rng.normal(size=(70, 2))
+    starts = np.array([7, 0, 30, 3, 41, 3, 20, 8])  # overlapping, repeated, out of order
+    _, (acts, pos, _) = model.forward_batch(series, starts, want_cache=True)
+    for i in range(c.n_variables):
+        ours = [[a.copy() for a in part] for part in acts]
+        ref = [[a.copy() for a in part] for part in acts]
+        df = rng.normal(size=(starts.size, c.ue_channels, lookback)) * 10.0 ** rng.integers(-6, 6)
+        model._scatter_head(i, ours, pos, df)
+        scatter_per_window(model, i, ref, pos, df)
+        for got, want in zip(ours, ref):
+            assert got[2].tobytes() == want[2].tobytes()
+        assert any(not np.array_equal(o[2], a[2]) for o, a in zip(ours, acts))  # it wrote
 
 
 def test_an_evaluation_pass_frees_the_training_step_buffers():

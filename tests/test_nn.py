@@ -239,26 +239,26 @@ def test_softmax_shift_invariance_and_row_sums(row, shift):
 
 def test_adam_zero_gradient_is_identity():
     w = np.array([1.5, -2.0])
-    state = nn.init_adam([w])
-    nn.adam_step(state, [w], [np.zeros(2)])
+    state = nn.init_adam(w)
+    nn.adam_step(state, w, np.zeros(2), "w")
     np.testing.assert_array_equal(w, [1.5, -2.0])
     assert state.t == 1
 
 
 def test_adam_zero_lr_updates_moments_only():
     w = np.array([1.0])
-    state = nn.init_adam([w], lr=0.0)
-    nn.adam_step(state, [w], [np.array([0.5])])
+    state = nn.init_adam(w, lr=0.0)
+    nn.adam_step(state, w, np.array([0.5]), "w")
     np.testing.assert_array_equal(w, [1.0])
-    assert state.m[0][0] != 0.0 and state.v[0][0] != 0.0
+    assert state.m[0] != 0.0 and state.v[0] != 0.0
 
 
 def test_adam_single_step_hand_computation():
     # one bias-corrected step recomputed from the update equations
     w = np.array([1.0])
     g = np.array([0.5])
-    state = nn.init_adam([w], lr=0.001)
-    nn.adam_step(state, [w], [g])
+    state = nn.init_adam(w, lr=0.001)
+    nn.adam_step(state, w, g, "w")
     m_hat = (0.1 * 0.5) / (1 - 0.9)
     v_hat = (0.001 * 0.25) / (1 - 0.999)
     expected = 1.0 - 0.001 * m_hat / (np.sqrt(v_hat) + 1e-8)
@@ -267,22 +267,21 @@ def test_adam_single_step_hand_computation():
 
 def test_adam_rejects_non_finite_gradient():
     w = np.array([1.0])
-    state = nn.init_adam([w])
+    state = nn.init_adam(w)
     with pytest.raises(NumericError, match="trunk"):
-        nn.adam_step(state, [w], [np.array([np.inf])], names=["trunk"])
+        nn.adam_step(state, w, np.array([np.inf]), "trunk")
 
 
-def _adam_step_reference(state, params, grads):
+def _adam_step_reference(state, p, g):
     """The Adam update written with fresh arrays, as before it ran in place."""
     state.t += 1
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
+    m_hat = state.m / bc1
+    v_hat = state.v / bc2
+    p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
 def test_adam_in_place_is_bit_identical_to_fresh_arrays():
@@ -290,16 +289,19 @@ def test_adam_in_place_is_bit_identical_to_fresh_arrays():
     shapes = [(7, 5), (5,), (3, 2, 4)]
     ours = [rng.normal(size=s) for s in shapes]
     ref = [p.copy() for p in ours]
-    state = nn.init_adam(ours, lr=0.01)
-    ref_state = nn.init_adam(ref, lr=0.01)
-    moments = [id(a) for a in state.m + state.v]
+    states = [nn.init_adam(p, lr=0.01) for p in ours]
+    ref_states = [nn.init_adam(p, lr=0.01) for p in ref]
+    moments = [id(a) for state in states for a in (state.m, state.v)]
     for _ in range(5):
         grads = [rng.normal(size=s) * 10.0 ** rng.integers(-8, 3) for s in shapes]
-        nn.adam_step(state, ours, grads)
-        _adam_step_reference(ref_state, ref, grads)
-        for a, b in zip(ours + state.m + state.v, ref + ref_state.m + ref_state.v):
-            np.testing.assert_array_equal(a, b)
-    assert [id(a) for a in state.m + state.v] == moments  # updated in place
+        for i, g in enumerate(grads):
+            nn.adam_step(states[i], ours[i], g, f"block {i}")
+            _adam_step_reference(ref_states[i], ref[i], g)
+        for i in range(len(shapes)):
+            for a, b in ((ours[i], ref[i]), (states[i].m, ref_states[i].m),
+                         (states[i].v, ref_states[i].v)):
+                np.testing.assert_array_equal(a, b)
+    assert [id(a) for state in states for a in (state.m, state.v)] == moments  # updated in place
 
 
 def test_adam_scratch_is_fixed_whatever_the_block_size():
@@ -308,10 +310,10 @@ def test_adam_scratch_is_fixed_whatever_the_block_size():
     rng = np.random.default_rng(9)
     w = rng.normal(size=10**6)
     g = rng.normal(size=10**6)
-    state = nn.init_adam([w])
+    state = nn.init_adam(w)
     tracemalloc.start()
     try:
-        nn.adam_step(state, [w], [g])
+        nn.adam_step(state, w, g, "w")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -322,6 +324,6 @@ def test_adam_scratch_is_fixed_whatever_the_block_size():
 
 def test_adam_rejects_non_contiguous_parameters():
     w = np.zeros((4, 3)).T
-    state = nn.init_adam([w])
+    state = nn.init_adam(w)
     with pytest.raises(ShapeError, match="bias is not C-contiguous"):
-        nn.adam_step(state, [w], [np.zeros((3, 4))], names=["bias"])
+        nn.adam_step(state, w, np.zeros((3, 4)), "bias")

@@ -132,8 +132,8 @@ MODELS = {
 @pytest.mark.parametrize("kind", list(MODELS))
 def test_per_block_updates_equal_one_update_over_all_blocks(kind, monkeypatch):
     """train_loop steps each block when the backward pass hands it over.
-    Replaying its batches with every gradient collected first and one
-    nn.adam_step over all blocks gives the same parameters and Adam
+    Replaying its batches with every gradient collected first and then
+    one nn.adam_step per block gives the same parameters and Adam
     moments, bit for bit: no backward pass reads a parameter after it
     has handed over that parameter's gradient."""
     train_w, _, _ = sine_splits(l=120, lookback=6, horizon=2)
@@ -154,9 +154,9 @@ def test_per_block_updates_equal_one_update_over_all_blocks(kind, monkeypatch):
     batches, adam = [], {}
     adam_step = nn.adam_step
 
-    def recording_adam_step(state, params, grads, names=None):
-        adam[names[0]] = state
-        return adam_step(state, params, grads, names)
+    def recording_adam_step(state, param, grad, name):
+        adam[name] = state
+        adam_step(state, param, grad, name)
 
     def batch_fn(idx, update):
         batches.append(idx)
@@ -171,15 +171,18 @@ def test_per_block_updates_equal_one_update_over_all_blocks(kind, monkeypatch):
                patience=3, max_epochs=3)
     monkeypatch.undo()
     assert len(batches) == 3 * -(-n // 16)
-    state = nn.init_adam(ref.params(), lr=0.01)
+    names = ref.param_names()
+    ref_adam = [nn.init_adam(p, lr=0.01) for p in ref.params()]
     for idx in batches:
         out, cache = ref.forward_batch(series, idx, want_cache=True)
-        nn.adam_step(state, ref.params(), gradients(ref, cache, loss(out, idx)[1]))
-    for i, (name, p, q) in enumerate(zip(model.param_names(), model.params(), ref.params())):
+        grads = gradients(ref, cache, loss(out, idx)[1])
+        for state, p, g, name in zip(ref_adam, ref.params(), grads, names):
+            nn.adam_step(state, p, g, name)
+    for name, p, q, state in zip(names, model.params(), ref.params(), ref_adam, strict=True):
         assert p.tobytes() == q.tobytes(), name
         assert adam[name].t == state.t, name
-        assert adam[name].m[0].tobytes() == state.m[i].tobytes(), name
-        assert adam[name].v[0].tobytes() == state.v[i].tobytes(), name
+        assert adam[name].m.tobytes() == state.m.tobytes(), name
+        assert adam[name].v.tobytes() == state.v.tobytes(), name
 
 
 class RowSums:
@@ -202,10 +205,11 @@ class Split:
 
     def __init__(self, n):
         self.series = np.arange((n + 2) * 2, dtype=np.float64).reshape(n + 2, 2)
-        self.x = np.zeros((n, 3, 2))
+        self.lookback = 3
+        self.n = n
 
     def __len__(self):
-        return len(self.x)
+        return self.n
 
 
 @pytest.mark.parametrize("n, batch_size", [(10, 4), (8, 4), (3, 5), (1, 1), (0, 3)])
