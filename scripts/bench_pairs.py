@@ -20,9 +20,11 @@ the output digests of its set-ups and timed runs, which perfbench
 leaves in ``.perfbench/<workload>-seed<n>.trace0.json`` of the export.
 
 The output holds, per workload and metric, each side's samples, median
-and quartiles, the change's wins over the pairs (ties count for
-neither), whether a gain holds (wins in at least 9 of 10 pairs and a
-median gap wider than the parent's interquartile range) and whether the
+and quartiles over the pairs in which both sides succeeded, the
+change's wins over all pairs run (ties and pairs with a failed
+invocation count for neither), whether a gain holds (wins in at least
+9 of 10 pairs run, a median gap wider than the parent's interquartile
+range, and no more failed invocations than the parent) and whether the
 change stays within the metric's bound; per workload and side, the
 minor faults and the timed runs per invocation (the faults include the
 set-ups', so they compare sides only at like run counts); per workload,
@@ -118,8 +120,11 @@ def digests(done: dict[str, list[dict]], key: str) -> dict:
     return {**sides, "equal": all(sides.values()) and len(union) == 1}
 
 
-def compare(spec: dict, parent: list[float], change: list[float]) -> dict:
-    """Both sides of one metric over the pairs that gave both."""
+def compare(spec: dict, parent: list[float], change: list[float], pairs: int, failed: dict) -> dict:
+    """Both sides of one metric over the pairs that gave both. The change's
+    wins count over all pairs run, so a pair with a failed invocation is
+    no win; and no gain holds while the change failed more invocations
+    than the parent (failed maps each side to its failed invocations)."""
     lower = spec["better"] == "lower"
     better = [(c < p) if lower else (c > p) for p, c in zip(parent, change)]
     ties = sum(c == p for p, c in zip(parent, change))
@@ -132,11 +137,13 @@ def compare(spec: dict, parent: list[float], change: list[float]) -> dict:
         "bound": spec["bound"],
         "parent": p,
         "change": c,
-        "pairs": len(parent),
+        "pairs": pairs,
+        "compared_pairs": len(parent),
         "change_wins": sum(better),
         "ties": ties,
         "median_change_pct": 100.0 * (c["median"] - p["median"]) / p["median"] if p["median"] else None,
-        "gain_holds": sum(better) >= 0.9 * len(parent) and gap > p["q3"] - p["q1"],
+        "gain_holds": sum(better) >= 0.9 * pairs and gap > p["q3"] - p["q1"]
+        and failed["change"] <= failed["parent"],
         "within_bound": worse_by <= spec["bound"],
     }
 
@@ -196,9 +203,9 @@ def main(argv: list[str] | None = None) -> int:
                 by_pair.setdefault(r["pair"], {})[r["side"]] = r["metrics"]
         both = [sides_ for _, sides_ in sorted(by_pair.items()) if len(sides_) == 2]
         done = {s: [r for r in records if r["side"] == s and r["correct"]] for s in ("parent", "change")}
+        failed = {s: sum(not r["correct"] for r in records if r["side"] == s) for s in done}
         out["workloads"][workload] = {
-            "failed_invocations": {s: sum(not r["correct"] for r in records if r["side"] == s)
-                                   for s in ("parent", "change")},
+            "failed_invocations": failed,
             "minor_faults": {
                 s: {"per_invocation": summary([r["minor_faults"] for r in rs]),
                     "timed_runs": summary([r["attempted"] for r in rs])}
@@ -207,7 +214,8 @@ def main(argv: list[str] | None = None) -> int:
             "setup_digests": digests(done, "setup_digests"),
             "run_digests": digests(done, "run_digests"),
             "metrics": {
-                name: compare(m, [b["parent"][name] for b in both], [b["change"][name] for b in both])
+                name: compare(m, [b["parent"][name] for b in both], [b["change"][name] for b in both],
+                              args.pairs, failed)
                 for name, m in metrics.items() if both
             },
             "runs": [{k: v for k, v in r.items() if k != "metrics"} for r in records],

@@ -175,7 +175,7 @@ def load_model(path: str | Path, kind: str, build: Callable[[dict], object]):
             raise ConfigError(f"checkpoint kind {found!r} is not {kind!r}")
         try:
             model = build(config)
-        except (ConfigError, TypeError, ValueError) as exc:
+        except (ConfigError, TypeError, ValueError, MemoryError) as exc:
             raise DataError(f"invalid {kind} config: {exc}") from None
         declared = model.param_names()
         undeclared = [name for name in arrays if name not in declared]

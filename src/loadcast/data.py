@@ -274,10 +274,13 @@ def align_and_downsample(frame: SeriesFrame, period_seconds: int = 3600) -> Seri
     bucket = (frame.timestamps - t0) // period_seconds
     keep = bucket < n_buckets
     idx = bucket[keep]
-    counts = np.bincount(idx, minlength=n_buckets)
-    if (counts == 0).any():
-        empty = int(np.nonzero(counts == 0)[0][0])
+    # the sorted bucket ids start at 0: the first id that a step of more than
+    # 1 skips is the first empty bucket, found before n_buckets counts exist
+    gaps = np.flatnonzero(np.diff(idx, append=n_buckets) > 1)
+    if gaps.size:
+        empty = int(idx[gaps[0]]) + 1
         raise DataError(f"bucket {empty} (starting {t0 + empty * period_seconds}) has no readings")
+    counts = np.bincount(idx, minlength=n_buckets)
     sums = np.zeros((n_buckets, frame.n_variables))
     np.add.at(sums, idx, frame.values[keep])
     means = sums / counts[:, None]

@@ -20,9 +20,10 @@ first row, forward_batch(series, starts), as for every model.
 The D extractor convs run as one fused conv from trunk_channels to
 D*ue_channels channels, on channels-last activations (one row of
 channels per time step), so each pass is one matrix product instead of
-D. The parameter blocks stay per head: names, shapes and checkpoints
-are those of D separate convs, whose weights are concatenated at call
-time and whose gradient is split back per head.
+D. The model stores that one fused conv. Its parameter blocks stay per
+head: head i's conv weights and bias are views of its ue_channels output
+channels, so names, shapes and checkpoints are those of D separate
+convs, and an update or a load of a head's block writes the fused conv.
 
 Windows one step apart share L - 1 of their L rows, so the trunk and
 the fused conv run once over the series rows that a batch's windows
@@ -102,55 +103,46 @@ class MspConfig:
 class MspModel:
     """Shared trunk, per-variable extractors, per-step fusion layer.
 
-    The extractor convs are stored per head (extractor{i}.conv.*) and run
-    as one fused channels-last conv; see the module docstring.
+    The extractor convs are stored and run as one fused channels-last
+    conv, self.extractor; each head's checkpoint blocks
+    (extractor{i}.conv.*) are views of it. See the module docstring.
     """
 
     def __init__(self, config: MspConfig):
         self.config = config
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, 11)))
         c = config
+        ue = c.ue_channels
         self.trunk = nn.init_conv1d(rng, c.n_variables, c.trunk_channels, c.kernel_width)
-        self.extractor_convs = []
+        shape = (c.n_variables * ue, c.trunk_channels, c.kernel_width)
+        self.extractor = nn.LayerParams("conv1d", np.empty(shape), np.zeros(shape[0]))
         self.extractor_linears = []
-        for n in c.class_counts:
-            self.extractor_convs.append(
-                nn.init_conv1d(rng, c.trunk_channels, c.ue_channels, c.kernel_width)
-            )
-            self.extractor_linears.append(
-                nn.init_linear(rng, c.ue_channels * c.lookback, c.horizon * n)
-            )
+        for i, n in enumerate(c.class_counts):  # each head's conv, then its linear layer
+            conv = nn.init_conv1d(rng, c.trunk_channels, ue, c.kernel_width)
+            self.extractor.weights[i * ue : (i + 1) * ue] = conv.weights
+            self.extractor_linears.append(nn.init_linear(rng, ue * c.lookback, c.horizon * n))
         self.fusion = nn.init_linear(rng, c.total_classes, c.total_classes)
         self._buffers = None  # see _head_buffers
 
+    def _layers(self) -> list[tuple[str, nn.LayerParams]]:
+        """(checkpoint name, layer) pairs in params() order: the trunk, each
+        head's conv and linear layer, the fusion layer. Head i's conv is a
+        view of its ue output channels of the fused extractor conv, a
+        C-contiguous axis-0 slice, so an Adam step or a load of it writes
+        the conv the model runs; a copy would not."""
+        ue = self.config.ue_channels
+        layers = [("trunk", self.trunk)]
+        for i, lin in enumerate(self.extractor_linears):
+            head = slice(i * ue, (i + 1) * ue)
+            conv = nn.LayerParams("conv1d", self.extractor.weights[head], self.extractor.bias[head])
+            layers += [(f"extractor{i}.conv", conv), (f"extractor{i}.linear", lin)]
+        return layers + [("fusion", self.fusion)]
+
     def params(self) -> list[np.ndarray]:
-        out = [self.trunk.weights, self.trunk.bias]
-        for conv, lin in zip(self.extractor_convs, self.extractor_linears):
-            out += [conv.weights, conv.bias, lin.weights, lin.bias]
-        out += [self.fusion.weights, self.fusion.bias]
-        return out
+        return [p for _, layer in self._layers() for p in (layer.weights, layer.bias)]
 
     def param_names(self) -> list[str]:
-        names = ["trunk.weights", "trunk.bias"]
-        for i in range(self.config.n_variables):
-            names += [
-                f"extractor{i}.conv.weights",
-                f"extractor{i}.conv.bias",
-                f"extractor{i}.linear.weights",
-                f"extractor{i}.linear.bias",
-            ]
-        names += ["fusion.weights", "fusion.bias"]
-        return names
-
-    def _fused_conv(self) -> nn.LayerParams:
-        """The extractor convs as one trunk_channels -> D*ue_channels conv;
-        head i owns output channels [i*ue_channels, (i+1)*ue_channels)."""
-        convs = self.extractor_convs
-        return nn.LayerParams(
-            "conv1d",
-            np.concatenate([conv.weights for conv in convs]),
-            np.concatenate([conv.bias for conv in convs]),
-        )
+        return [f"{name}.{part}" for name, _ in self._layers() for part in ("weights", "bias")]
 
     def forward_batch(self, series: np.ndarray, starts, want_cache: bool = False):
         """Logits (B, H, sumN) for a batch of windows cut from the (n, D)
@@ -166,14 +158,13 @@ class MspModel:
         w, _, _ = _edge_strips(c.lookback, c.kernel_width)
         ends = np.concatenate([starts, starts + c.lookback - w])  # head strips, then tail strips
         parts = [series[rows][None], series[ends[:, None] + np.arange(w)]]
-        fused = self._fused_conv()
         acts = []  # (input, trunk output, fused output) over the covered rows, then the strips
         for part in parts:  # (1, R, D), then (2B, w, D)
             xc = part.transpose(0, 2, 1)  # (batch, D, T) view of the channels-last rows
             a1 = nn.conv1d_forward(self.trunk, xc)
             np.maximum(a1, 0.0, out=a1)  # ReLU in place
             # (batch, D*ue, T) view of the channels-last (batch*T, D*ue) activations
-            r = nn.conv1d_forward(fused, a1)
+            r = nn.conv1d_forward(self.extractor, a1)
             np.maximum(r, 0.0, out=r)
             acts.append((xc, a1, r))
         b = starts.size
@@ -295,10 +286,9 @@ class MspModel:
             update(4 + 4 * i, dw)
             update(5 + 4 * i, db)
             self._scatter_head(i, acts, pos, df.reshape(b, ue, c.lookback))
-        fused = self._fused_conv()
         conv_grads = []
         for xc, a1, r in acts:
-            (dwc, dbc), da1 = nn.conv1d_backward(fused, a1, r)
+            (dwc, dbc), da1 = nn.conv1d_backward(self.extractor, a1, r)
             da1 *= a1 > 0
             (dwt, dbt), _ = nn.conv1d_backward(self.trunk, xc, da1, input_grad=False)
             conv_grads.append((dwt, dbt, dwc, dbc))

@@ -190,6 +190,17 @@ def run_eval(workspace, model_path):
     return code, err.getvalue()
 
 
+def test_config_no_address_space_can_build_exits_3_naming_file(workspace, tmp_path):
+    # lin1 alone needs 10 * 10**17 float64s, 8e18 bytes: the build's
+    # allocation fails at once, before any page is touched
+    doc = model_v2(make_forecaster(ForecasterConfig("mlp", 5, 2, 2, hidden=6)), hidden=10**17)
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code, err = run_eval(workspace, bad)
+    assert code == cli.EXIT_DATA
+    assert f"{bad}: invalid forecaster config: " in err and "Traceback" not in err, err
+
+
 def as_v1(doc):
     doc["version"] = 1
     for block in doc["params"]:

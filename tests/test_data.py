@@ -131,6 +131,23 @@ def test_downsample_rejects_empty_frame():
         data.align_and_downsample(frame, 3600)
 
 
+@pytest.mark.parametrize(
+    "minutes, first_empty",
+    [
+        ([0, 1, 120, 121, 180], 1),  # between readings
+        ([0, 1, 60, 61, 62, 200], 2),  # before the dropped partial bucket only
+        ([0, 60, 150_000_000_000_000_000], 2),  # counting every bucket needs 17.8 PiB
+        ([0, 30, 59, 150_000_000_000_000_000], 1),  # that gap, its last bucket dropped
+    ],
+)
+def test_downsample_names_the_first_empty_bucket(minutes, first_empty):
+    ts = 60 * np.asarray(minutes, dtype=np.int64)
+    frame = data.SeriesFrame(ts, np.ones((ts.size, 1)), ["x"])
+    message = f"bucket {first_empty} \\(starting {3600 * first_empty}\\) has no readings"
+    with pytest.raises(DataError, match=message):
+        data.align_and_downsample(frame, 3600)
+
+
 def test_split_floor_arithmetic():
     train, val, test = data.split_60_20_20(minute_frame(np.arange(10.0)))
     assert (train.length, val.length, test.length) == (6, 2, 2)

@@ -119,6 +119,8 @@ AFTER_READ = {
     "label, empty bucket": (["label", "--w", 4, "--out", "{tmp}/s.csv"],
                             lambda rows: rows[:11] + rows[12:]),
     "pipeline, empty bucket": (PIPELINE, lambda rows: rows[:11] + rows[12:]),
+    "label, a gap of 2.5e15 buckets": (["label", "--w", 4, "--out", "{tmp}/s.csv"],
+                                       lambda rows: rows[:3] + ["9" + "0" * 18 + ",1.0,1.0"]),
     "pipeline, states of other columns": (PIPELINE,
                                           lambda rows: [rows[0].replace("oven", "hob"), *rows[1:]]),
     "pipeline, misaligned states": (PIPELINE, shifted),

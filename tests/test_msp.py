@@ -588,7 +588,9 @@ def _per_head_forward_backward(model, x, dz):
     t1 = _ref_conv(model.trunk.weights, model.trunk.bias, c0)
     a1 = np.maximum(t1, 0.0)
     heads, logits = [], []
-    for conv, lin, n in zip(model.extractor_convs, model.extractor_linears, c.class_counts):
+    split = (np.split(a, c.n_variables) for a in (model.extractor.weights, model.extractor.bias))
+    convs = [nn.LayerParams("conv1d", w, bias) for w, bias in zip(*split)]
+    for conv, lin, n in zip(convs, model.extractor_linears, c.class_counts):
         u = _ref_conv(conv.weights, conv.bias, a1)
         f = np.maximum(u, 0.0).reshape(b, -1)
         logits.append((f @ lin.weights + lin.bias).reshape(b, c.horizon, n))
@@ -601,9 +603,7 @@ def _per_head_forward_backward(model, x, dz):
     da1 = np.zeros_like(a1)
     head_grads = []
     start = 0
-    for conv, lin, n, (u, f) in zip(
-        model.extractor_convs, model.extractor_linears, c.class_counts, heads
-    ):
+    for conv, lin, n, (u, f) in zip(convs, model.extractor_linears, c.class_counts, heads):
         dg = dzu[:, :, start : start + n].reshape(b, -1)
         start += n
         du = (dg @ lin.weights.T).reshape(u.shape) * (u > 0)
@@ -662,7 +662,7 @@ def _per_window_logits(model, x):
     c = model.config
     b, ue = x.shape[0], c.ue_channels
     a1 = np.maximum(nn.conv1d_forward(model.trunk, x.transpose(0, 2, 1)), 0.0)
-    r = np.maximum(nn.conv1d_forward(model._fused_conv(), a1), 0.0)
+    r = np.maximum(nn.conv1d_forward(model.extractor, a1), 0.0)
     heads = zip(model.extractor_linears, c.class_counts)
     zu = np.concatenate(
         [
@@ -832,3 +832,31 @@ def test_checkpoint_saved_before_fusion_predicts_the_same(tmp_path):
     for name, arr in stored.items():
         assert again[name].shape == arr.shape
         np.testing.assert_array_equal(again[name].view(np.uint64), arr.view(np.uint64))
+
+
+def test_head_conv_blocks_are_views_of_the_one_fused_conv(tmp_path):
+    """Each head's conv blocks view the stored fused conv, so an Adam step
+    or a checkpoint load of a head's block moves the conv the model runs."""
+    from loadcast.msp import load_msp, save_msp
+
+    t = np.arange(200)
+    states = np.stack([(t // 4) % 2, (t // 6) % 2], axis=1)
+    frame = SeriesFrame(3600 * t, 5.0 * states, ["a", "b"])
+    train_w, val_w, _ = windows_for(frame, StateProfile(states, [2, 2]), 8, [4])[1][4]
+    model = tiny_model(lookback=8, horizon=4, counts=(2, 2))
+    names, params = model.param_names(), model.params()
+    assert len(names) == len(params) == 4 * 2 + 4 and len(set(names)) == len(names)
+    fused = model.extractor
+    convs = [(name, p) for name, p in zip(names, params) if ".conv." in name]
+    assert len(convs) == 4
+    for name, p in convs:
+        assert np.shares_memory(p, fused.weights if name.endswith("weights") else fused.bias), name
+
+    a1 = np.random.default_rng(0).normal(size=(2, TINY["trunk_channels"], 8))
+    initial = nn.conv1d_forward(fused, a1).copy()
+    train_msp(model, train_w, val_w, max_epochs=1, batch_size=len(train_w))  # one step
+    trained = nn.conv1d_forward(fused, a1).copy()
+    assert not np.array_equal(trained, initial)
+    save_msp(model, tmp_path / "m.json")
+    loaded = load_msp(tmp_path / "m.json")  # built with the initial weights, then loaded
+    np.testing.assert_array_equal(nn.conv1d_forward(loaded.extractor, a1), trained)
