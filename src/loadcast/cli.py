@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import Field, fields
+from dataclasses import Field, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -22,7 +22,8 @@ import numpy as np
 from . import forecaster as fc
 from . import labeling, metrics, msp, synth
 from .data import SeriesFrame, save_csv
-from .errors import ConfigError, DataError, NumericError, ShapeError, prefix_errors, reading
+from .errors import ConfigError, DataError, NumericError, ShapeError, layered, prefix_errors
+from .errors import reading
 from .pipeline import (
     RunConfig,
     evaluate_forecaster,
@@ -68,33 +69,23 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 
 def merge_run_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults <- config file <- explicit flags (flags win)."""
-    file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    kwargs = {}
+    """Defaults <- config file <- explicit flags (flags win), layered by errors.layered."""
+    path = getattr(args, "config", None)
+    text = _load_config_file(path) if path else {}
+    flags, file_values = {}, {}
     for f in fields(RunConfig):
         if getattr(args, f.name, None) is not None:
-            kwargs[f.name] = getattr(args, f.name)
-        elif f.name in file_values:
-            value = file_values[f.name]
+            flags[f.name] = getattr(args, f.name)
+        elif f.name in text:
             try:
-                kwargs[f.name] = _parser(f)(value)
+                file_values[f.name] = _parser(f)(text[f.name])
             except (ValueError, argparse.ArgumentTypeError):
-                message = f"config key {f.name!r}: cannot parse {value!r}"
-                raise ConfigError(f"{args.config}: {message}") from None
-    unknown = set(file_values) - {f.name for f in fields(RunConfig)}
+                message = f"config key {f.name!r}: cannot parse {text[f.name]!r}"
+                raise ConfigError(f"{path}: {message}") from None
+    unknown = set(text) - {f.name for f in fields(RunConfig)}
     if unknown:
-        raise ConfigError(f"{args.config}: unknown config keys: {sorted(unknown)}")
-    try:
-        return RunConfig(**kwargs)
-    except ConfigError as exc:
-        from_file = {k for k in kwargs if k in file_values and getattr(args, k, None) is None}
-        if not from_file:
-            raise
-        try:  # without the file's values, is the rest of the configuration valid?
-            RunConfig(**{k: v for k, v in kwargs.items() if k not in from_file})
-        except ConfigError:
-            raise exc from None
-        raise ConfigError(f"{args.config}: {exc}") from None
+        raise ConfigError(f"{path}: unknown config keys: {sorted(unknown)}")
+    return layered(RunConfig, file_values, flags, path)
 
 
 # the flags that are not --<field with - for _>, and the help of some flags
@@ -126,18 +117,14 @@ def _check_out(path: str) -> None:
 def cmd_synth(args: argparse.Namespace) -> int:
     _check_out(args.out)
     _check_out(args.states_out)
-    overrides = {}
-    for key in ("length", "noise_sigma", "spike_rate", "seed"):
-        if getattr(args, key) is not None:
-            overrides[key] = getattr(args, key)
+    keys = ("length", "noise_sigma", "spike_rate", "seed")
+    overrides = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
     if args.no_household_total:
         overrides["include_household_total"] = False
     if args.appliances:
         config = synth.config_from_json(args.appliances, **overrides)
     else:
-        config = synth.default_household()
-        for key, value in overrides.items():
-            setattr(config, key, value)
+        config = replace(synth.default_household(), **overrides)
     frame, truth = synth.generate(config)
     save_csv(frame, args.out)
     n_apps = len(config.appliances)

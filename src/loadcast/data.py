@@ -51,7 +51,8 @@ class SeriesFrame:
             raise ShapeError(
                 f"{len(self.variable_names)} names but {self.values.shape[1]} value columns"
             )
-        if len(self.timestamps) > 1 and not (np.diff(self.timestamps) > 0).all():
+        # compared, not subtracted: a difference of two int64 timestamps can wrap
+        if not (self.timestamps[1:] > self.timestamps[:-1]).all():
             raise DataError("timestamps must be strictly increasing")
 
     @property
@@ -188,10 +189,10 @@ def load_csv(path: str | Path) -> SeriesFrame:
         order = np.argsort(ts_arr, kind="stable")
         ts_arr = ts_arr[order]
         val_arr = val_arr[order]
-        dupes = np.nonzero(np.diff(ts_arr) == 0)[0]
+        dupes = np.flatnonzero(ts_arr[1:] == ts_arr[:-1])
         if dupes.size:
             raise DataError(f"duplicate timestamp {ts_arr[dupes[0]]}")
-    return SeriesFrame(ts_arr, val_arr, list(names))
+        return SeriesFrame(ts_arr, val_arr, list(names))
 
 
 def _read_rows(path: Path) -> tuple[list[int], list[list[float]], list[str]]:
@@ -257,6 +258,9 @@ def align_and_downsample(frame: SeriesFrame, period_seconds: int = 3600) -> Seri
     if frame.length == 0:
         raise DataError("cannot downsample an empty frame")
     t0 = int(frame.timestamps[0])
+    span = int(frame.timestamps[-1]) - t0
+    if span >= 2**63:  # timestamps - t0 would wrap int64
+        raise DataError(f"timestamps span {span}s, more than the {2**63 - 1}s an int64 holds")
     if frame.length == 1:
         native = period_seconds
     else:

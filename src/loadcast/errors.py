@@ -2,14 +2,16 @@
 
 The CLI maps these onto process exit codes, so everything user-facing
 raises one of them rather than a bare ValueError. `prefix_errors` is the
-one place where a message gains a file path or stage tag, and `reading`
+one place where a message gains a file path or stage tag, `reading`
 the one place where a missing, unreadable or unparsable input file
-becomes such an error naming the file.
+becomes such an error naming the file, and `layered` the one rule for
+whether an invalid setting names its file.
 """
 
 import csv
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Callable
 
 
 class LoadcastError(Exception):
@@ -39,6 +41,18 @@ def prefix_errors(prefix: str, errors: type[LoadcastError] = LoadcastError):
         yield
     except errors as exc:
         raise type(exc)(f"{prefix}{exc}") from exc
+
+
+def layered(build: Callable, file_values: dict, flags: dict, source: str | Path):
+    """build(**{**file_values, **flags}). If that fails, the file's values that
+    no flag overrides are built alone, and their own error gains the prefix
+    "<source>: ": an error names the file exactly when those are invalid."""
+    try:
+        return build(**{**file_values, **flags})
+    except ConfigError:
+        with prefix_errors(f"{source}: ", ConfigError):
+            build(**{k: v for k, v in file_values.items() if k not in flags})
+        raise
 
 
 @contextmanager

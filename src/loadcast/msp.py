@@ -348,8 +348,8 @@ def msp_loss(z: np.ndarray, targets: np.ndarray, counts: Sequence[int]):
     (softmax - onehot) / (B*H*D). The loss goes through log-softmax, so
     it is finite for any finite logits. Each group's shifted logits,
     exponentials and their sum are computed once and serve both:
-    softmax is e / s as in nn.softmax_rows and log-softmax zs - log(s)
-    as in nn.log_softmax_rows, bit for bit. A target outside [0, n)
+    softmax is e / s as in nn.softmax_rows and log-softmax zs - log(s),
+    bit for bit what separate max-shifted passes give. A target outside [0, n)
     raises ShapeError naming its sample in the batch, step and variable.
     """
     nn._require_finite(z, "softmax logits")

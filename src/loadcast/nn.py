@@ -244,13 +244,6 @@ def softmax_rows(logits: Array) -> Array:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def log_softmax_rows(logits: Array) -> Array:
-    """Row-wise log-softmax; finite wherever the logits are."""
-    _require_finite(logits, "softmax logits")
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
 @dataclass
 class AdamState:
     """Adam moments and step counter of one parameter block."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -76,8 +76,8 @@ class RunConfig:
     kernel_width: int = msp.MspConfig.kernel_width
 
     def __post_init__(self) -> None:
-        sizes = ("batch", "max_epochs", "patience", "hidden", "trunk_channels", "ue_channels",
-                 "kernel_width", "w", "period_seconds")
+        sizes = ("lookback", "batch", "max_epochs", "patience", "hidden", "trunk_channels",
+                 "ue_channels", "kernel_width", "w", "period_seconds")
         for name in sizes:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -209,12 +209,21 @@ def teacher_config(config: RunConfig, horizon: int, counts: Sequence[int]) -> ms
     )
 
 
+def _build(kind: str, make: Callable, config):
+    """make(config); a model too large to allocate (numpy raises ValueError
+    for an array past its size limit) is a ConfigError naming its kind."""
+    try:
+        return make(config)
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"the {kind} these settings ask for does not fit in memory: {exc}") from None
+
+
 def train_teacher(
     config: RunConfig, horizon: int, counts: Sequence[int], train_w: WindowSet, val_w: WindowSet
 ) -> tuple[msp.MspModel, TrainHistory]:
     """Stage 1 at one horizon: a state predictor (see teacher_config),
     trained on the windows' state labels."""
-    teacher = msp.MspModel(teacher_config(config, horizon, counts))
+    teacher = _build("msp teacher", msp.MspModel, teacher_config(config, horizon, counts))
     return teacher, msp.train_msp(teacher, train_w, val_w, **_fit_args(config))
 
 
@@ -228,7 +237,9 @@ def train_forecaster(
 ) -> tuple[object, TrainHistory]:
     """Stage 2 at one horizon: a forecaster trained under plain MAE, or
     guided by the frozen teacher when one is given."""
-    model = fc.make_forecaster(
+    model = _build(
+        f"{config.forecaster_kind} forecaster",
+        fc.make_forecaster,
         fc.ForecasterConfig(
             kind=config.forecaster_kind,
             lookback=config.lookback,
@@ -236,7 +247,7 @@ def train_forecaster(
             n_variables=n_variables,
             hidden=config.hidden,
             seed=config.seed,
-        )
+        ),
     )
     fit = _fit_args(config)
     if teacher is None:

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .data import SeriesFrame
-from .errors import ConfigError, reading
+from .errors import ConfigError, layered, reading
 from .labeling import MAX_STATES, MIN_STATES, StateProfile
 
 HOUSEHOLD_COLUMN = "household"
@@ -280,13 +280,10 @@ def config_from_json(path: str | Path, **overrides) -> SynthConfig:
             if type(value) not in _SCALAR_TYPES[key]:
                 names = " or ".join(t.__name__ for t in _SCALAR_TYPES[key])
                 raise ConfigError(f"{key} must be of type {names}, got {value!r}")
-    config = SynthConfig(appliances=apps, **{**kwargs, **overrides})
-    try:
+
+    def build(**values) -> SynthConfig:
+        config = SynthConfig(appliances=apps, **values)
         validate_config(config)
-    except ConfigError as exc:
-        try:  # is the file at fault, or only the flags that override its values?
-            validate_config(SynthConfig(appliances=apps, **kwargs))
-        except ConfigError:
-            raise ConfigError(f"{path}: {exc}") from None
-        raise
-    return config
+        return config
+
+    return layered(build, kwargs, overrides, path)

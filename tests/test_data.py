@@ -131,6 +131,35 @@ def test_downsample_rejects_empty_frame():
         data.align_and_downsample(frame, 3600)
 
 
+WRAPPING = [-9 * 10**18, -9 * 10**18 + 3600, 9 * 10**18]  # the last step wraps int64
+
+
+def test_frame_accepts_increasing_timestamps_whose_steps_wrap_int64():
+    frame = data.SeriesFrame(np.array(WRAPPING, dtype=np.int64), np.ones((3, 1)), ["x"])
+    assert frame.length == 3
+    with pytest.raises(DataError, match="strictly increasing"):
+        data.SeriesFrame(np.array(WRAPPING[::-1], dtype=np.int64), np.ones((3, 1)), ["x"])
+
+
+@pytest.mark.parametrize(
+    "timestamps, period",
+    [(WRAPPING, 3600), ([-(2**63), 0], 2**62), ([-(2**63), 2**63 - 1], 2**63 - 1)],
+)
+def test_downsample_rejects_a_span_that_wraps_int64(timestamps, period):
+    ts = np.array(timestamps, dtype=np.int64)
+    frame = data.SeriesFrame(ts, np.ones((ts.size, 1)), ["x"])
+    span = timestamps[-1] - timestamps[0]
+    with pytest.raises(DataError, match=f"timestamps span {span}s, more than the {2**63 - 1}s"):
+        data.align_and_downsample(frame, period)
+
+
+def test_downsample_takes_the_longest_span_int64_holds():
+    ts = np.array([-(2**63), -1], dtype=np.int64)  # a span of 2**63 - 1 s
+    out = data.align_and_downsample(data.SeriesFrame(ts, [[1.0], [2.0]], ["x"]), 2**63 - 1)
+    np.testing.assert_array_equal(out.timestamps, ts)
+    np.testing.assert_array_equal(out.values, [[1.0], [2.0]])
+
+
 @pytest.mark.parametrize(
     "minutes, first_empty",
     [

@@ -144,6 +144,16 @@ def test_error_found_after_reading_names_the_file_once(inputs, tmp_path, case):
         assert err.count(str(path)) == 1 and f"{path}: {path}" not in err, err
 
 
+def test_a_timestamp_span_beyond_int64_exits_3_naming_the_file_and_the_span(inputs, tmp_path):
+    data = tmp_path / "data.csv"
+    rows = ["-9000000000000000000", "-8999999999999996400", "9000000000000000000"]
+    data.write_text("timestamp,fridge,oven\n" + "".join(f"{t},1.0,1.0\n" for t in rows), "utf-8")
+    code, err = label(inputs, data)
+    assert code == cli.EXIT_DATA, err
+    assert f"{data}: timestamps span 18000000000000000000s, more than the" in err, err
+    assert "strictly increasing" not in err and "Traceback" not in err
+
+
 def test_reports_of_other_horizons_exit_2_naming_both(artifacts, tmp_path):
     baseline, treated = artifacts / "rep/plain.csv", tmp_path / "one.csv"
     header, first_row = (artifacts / "rep/guided.csv").read_text("utf-8").splitlines()[:2]
@@ -305,6 +315,24 @@ def config_cut_span(i, line):
     return 1, line.index("=") + 1
 
 
+# int64's ends and the steps between them that wrap it (the last two lie outside it)
+EXTREME_TIMESTAMPS = [-(2**63), -(2**63) + 1, -9 * 10**18, 9 * 10**18, 2**63 - 2, 2**63 - 1,
+                      -(2**63) - 1, 2**63]
+
+
+@st.composite
+def extreme_timestamps(draw, text):
+    """The CSV text with one or two data rows' timestamps set to int64
+    extremes. No reading accepts it: a timestamp is out of range or
+    repeated, the span is past int64, or a gap of over 2**62 s holds
+    empty buckets."""
+    lines = text.rstrip("\n").split("\n")
+    for _ in range(draw(st.integers(1, 2))):
+        i = draw(st.integers(1, len(lines) - 1))
+        lines[i] = f"{draw(st.sampled_from(EXTREME_TIMESTAMPS))},{lines[i].split(',', 1)[1]}"
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_corrupted_data_csv_never_escapes_as_traceback(inputs, data):
@@ -312,7 +340,8 @@ def test_corrupted_data_csv_never_escapes_as_traceback(inputs, data):
     body = text.index("\n") + 1  # a printable flip inside the header just renames a column
     flips = [(b"\xff", 0), (b"x", body), (b";", body)]
     bad = inputs / "corrupt.csv"
-    bad.write_bytes(data.draw(corrupted_lines(text, flips, csv_cut_span)))
+    corruption = st.one_of(corrupted_lines(text, flips, csv_cut_span), extreme_timestamps(text))
+    bad.write_bytes(data.draw(corruption))
     code, err = label(inputs, bad)
     assert code in (cli.EXIT_CONFIG, cli.EXIT_DATA)
     assert str(bad) in err and f"{bad}: {bad}" not in err
@@ -370,7 +399,7 @@ def test_corrupted_input_never_escapes_as_traceback(artifacts, reader, data):
      "horizons=0", "horizons=", "alpha=-1", "alpha=nan", "alpha=inf", "weight_mode=foo",
      "weight_mode=prob", "forecaster_kind=foo", "hidden=0", "trunk_channels=0", "ue_channels=-2",
      "kernel_width=0", "seed=-1", "w=0", "min_s=1", "max_s=1", "max_s=6", "period_seconds=0",
-     "period_seconds=-5", "per_variable=true", "horizons=6,6"],
+     "period_seconds=-5", "per_variable=true", "horizons=6,6", "lookback=0"],
 )
 def test_invalid_config_value_exits_2_naming_file(tmp_path, line):
     bad = tmp_path / "bad.cfg"
@@ -387,7 +416,7 @@ def test_invalid_config_value_exits_2_naming_file(tmp_path, line):
      ["--alpha", "nan"], ["--hidden", 0], ["--trunk-channels", 0], ["--ue-channels", -2],
      ["--kernel-width", 0], ["--horizons", ""], ["--seed", -1], ["--w", 0], ["--min-s", 1],
      ["--max-s", 6], ["--min-s", 4, "--max-s", 3], ["--period-seconds", -5],
-     ["--forecaster-kind", "foo"], ["--horizons", "6,6"]],
+     ["--forecaster-kind", "foo"], ["--horizons", "6,6"], ["--lookback", 0]],
 )
 def test_invalid_flag_value_exits_2_without_naming_file(inputs, flag):
     code, err = run(["config", "--config", inputs / "run.cfg", *flag])
@@ -437,6 +466,29 @@ def test_flag_overriding_a_bad_file_value_is_accepted(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(CONFIG + "patience=0\n", encoding="utf-8")
     assert run(["config", "--config", cfg, "--patience", 3]) == (0, "")
+
+
+def test_a_bad_file_value_is_named_beside_a_bad_flag(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG + "batch=0\n", encoding="utf-8")
+    code, err = run(["config", "--config", cfg, "--lr", -1])
+    assert code == cli.EXIT_CONFIG
+    assert err == f"configuration error: {cfg}: batch must be >= 1, got 0\n", err
+
+
+@pytest.mark.parametrize(
+    "command, kind",
+    [(["train", "--forecaster-kind", "mlp", "--hidden", 10**14], "mlp forecaster"),
+     (["train-msp", "--ue-channels", 10**14], "msp teacher")],
+)
+def test_a_model_too_large_to_allocate_exits_2_naming_its_kind(inputs, tmp_path, command, kind):
+    out = tmp_path / "model.json"
+    args = ["--data", inputs / "data.csv", "--states", inputs / "states.csv", "--lookback", 8]
+    code, err = run([*command, *args, "--horizon", 2, "--max-epochs", 1, "--out", out])
+    assert code == cli.EXIT_CONFIG, err
+    assert err.startswith(f"configuration error: the {kind} these settings ask for does not "
+                          "fit in memory: "), err
+    assert not out.exists()
 
 
 def test_batch_zero_ends_in_exit_2_not_a_traceback(inputs, tmp_path):

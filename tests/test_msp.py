@@ -187,6 +187,12 @@ def _grouped_softmax(z, class_counts):
     return probs
 
 
+def log_softmax_rows(logits):
+    """Row-wise log-softmax, stabilized by max subtraction."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
 def two_call_loss_grad(z, targets, counts):
     """Reference: the batched loss with one softmax call for the gradient
     and a second log-softmax call per group for the loss."""
@@ -198,7 +204,7 @@ def two_call_loss_grad(z, targets, counts):
     hidx = np.arange(h)[None, :]
     for i, n in enumerate(counts):
         t = targets[:, :, i]
-        log_p = nn.log_softmax_rows(z[:, :, start : start + n])
+        log_p = log_softmax_rows(z[:, :, start : start + n])
         loss += -log_p[bidx, hidx, t].sum()
         grad[bidx, hidx, start + t] -= 1.0
         start += n

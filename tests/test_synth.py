@@ -244,6 +244,26 @@ def test_a_flag_overrides_an_invalid_file_value(tmp_path):
     assert synth.config_from_json(path, length=30).length == 30
 
 
+def test_a_bad_file_value_is_named_beside_a_bad_flag(tmp_path, capsys):
+    path = tmp_path / "app.json"
+    path.write_text(json.dumps({"appliances": [APPLIANCE], "noise_sigma": -1}), encoding="utf-8")
+    code = cli.main(["synth", "--appliances", str(path), "--length", "0",
+                     "--out", str(tmp_path / "data.csv"), "--states-out", str(tmp_path / "t.csv")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert err == f"configuration error: {path}: noise_sigma must be finite and >= 0, got -1\n"
+    assert not (tmp_path / "data.csv").exists()
+
+
+def test_a_flag_that_makes_the_file_values_valid_is_accepted(tmp_path):
+    path = tmp_path / "house.json"
+    spec = {"appliances": [dict(APPLIANCE, name=synth.HOUSEHOLD_COLUMN)], "length": 30}
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{path}: appliance name 'household' collides"):
+        synth.config_from_json(path)
+    assert not synth.config_from_json(path, include_household_total=False).include_household_total
+
+
 def test_benchmark_household_is_valid():
     config = synth.benchmark_household(seed=1, length=300)
     frame, truth = synth.generate(config)
