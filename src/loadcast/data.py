@@ -20,10 +20,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, ShapeError, reading
 
-TRAIN_FRACTION = 0.6
-VAL_FRACTION = 0.2
-TEST_FRACTION = 0.2
-
 
 @dataclass
 class SeriesFrame:

@@ -11,9 +11,9 @@ attention than cells the teacher finds noisy. The
 teacher is read-only throughout; validation and model selection use
 plain MAE so guidance shapes optimization only.
 
-event_weights and guided_loss take whole batches. teacher_weights and
-train_guided's validation run a model over a split with
-train.forward_batches.
+event_weights and guided_loss take whole batches. teacher_weights runs
+the teacher over a split with train.forward_batches, and train_guided
+trains through train.fit.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ from typing import Sequence
 import numpy as np
 
 from . import nn
-from .data import WindowSet, check_split
+from .data import WindowSet
 from .errors import ConfigError, ShapeError
 from .msp import split_groups
-from .train import DEFAULT_BATCH, TrainHistory, forward_batches, stack_targets, train_loop
+from .train import DEFAULT_BATCH, TrainHistory, fit, forward_batches, stack_targets
 
 def check_alpha(alpha: float) -> None:
     """A guidance strength must be a finite number >= 0."""
@@ -100,9 +100,10 @@ def train_guided(
     *,
     batch_size: int = DEFAULT_BATCH,
     precomputed_weights: np.ndarray | None = None,
-    **fit,
+    **settings,
 ) -> TrainHistory:
-    """Train a forecaster under the guided objective.
+    """Train a forecaster under the guided objective (train.fit),
+    validated and selected by plain MAE.
 
     msp_model None trains under plain MAE (no weights computed); the
     two paths batch, shuffle, and stop identically, so alpha=0 guided
@@ -110,14 +111,10 @@ def train_guided(
     precomputed_weights may carry teacher_weights() output for the
     train samples to share one weight pass across runs (the teacher is
     frozen, so recomputation is pure overhead). A teacher must share
-    the forecaster's lookback, horizon and variable count. Both splits'
-    windows are checked against the forecaster before the first step: a
-    batch of series rows and window starts cannot show their lookback.
-    batch_size also sizes the validation and teacher-weight batches; fit
-    carries lr, patience and max_epochs, whose defaults train_loop holds.
+    the forecaster's lookback, horizon and variable count. batch_size
+    also sizes the teacher-weight batches; settings carries lr, patience
+    and max_epochs, whose defaults train.fit holds.
     """
-    if not train_samples or not val_samples:
-        raise ConfigError("train and validation sets must both be nonempty")
     fc = model.config
     if msp_model is not None:
         mc = msp_model.config
@@ -127,43 +124,24 @@ def train_guided(
                 f"(L={mc.lookback}, H={mc.horizon}, D={mc.n_variables}) does not match "
                 f"forecaster (L={fc.lookback}, H={fc.horizon}, D={fc.n_variables})"
             )
-    for samples in (train_samples, val_samples):
-        check_split(samples, fc.lookback, fc.n_variables)
-    series = train_samples.series
     y_train = stack_targets(train_samples)
     y_val = stack_targets(val_samples)
-    weights = None
-    if precomputed_weights is not None:
-        if precomputed_weights.shape != y_train.shape:
+    weights = precomputed_weights
+    if weights is not None:
+        if weights.shape != y_train.shape:
             raise ShapeError(
-                f"precomputed weights shape {precomputed_weights.shape} does not match "
+                f"precomputed weights shape {weights.shape} does not match "
                 f"targets {y_train.shape}"
             )
-        weights = precomputed_weights
     elif msp_model is not None:
         weights = teacher_weights(msp_model, train_samples, batch_size=batch_size)
     alpha = config.alpha
-    size_per = y_train.shape[1] * y_train.shape[2]
 
-    def batch_fn(idx: np.ndarray, update) -> float:
-        yhat, cache = model.forward_batch(series, idx, want_cache=True)
+    def step(yhat: np.ndarray, idx: np.ndarray) -> tuple[float, np.ndarray]:
         wb = None if weights is None else weights[idx]
-        loss, dy = guided_loss(yhat, y_train[idx], wb, alpha)
-        model.backward_batch(cache, dy, update)
-        return loss
+        return guided_loss(yhat, y_train[idx], wb, alpha)
 
-    def val_fn() -> float:
-        total = 0.0
-        for rows, yhat in forward_batches(model, val_samples, batch_size):
-            total += float(np.abs(yhat - y_val[rows]).sum())
-        return total / (len(val_samples) * size_per)
+    def score(yhat: np.ndarray, rows: slice) -> tuple[float, int]:
+        return float(np.abs(yhat - y_val[rows]).sum()), yhat.size
 
-    return train_loop(
-        model,
-        n_train=len(train_samples),
-        batch_fn=batch_fn,
-        val_fn=val_fn,
-        batch_size=batch_size,
-        seed=model.config.seed,
-        **fit,
-    )
+    return fit(model, train_samples, val_samples, step, score, batch_size=batch_size, **settings)

@@ -12,8 +12,9 @@ forecaster's training loss.
 Logits are (batch, H, sum of class counts) arrays, one column group per
 variable; split_groups gives each variable's group as a view. The loss
 (msp_loss) and the argmax decoding (decode_states) take such a batch
-directly, and a single window is a batch of one. train_msp's validation
-and state_accuracy run the model over a split with train.forward_batches.
+directly, and a single window is a batch of one. train_msp trains
+through train.fit, and state_accuracy runs the model over a split with
+train.forward_batches.
 A batch is the series rows its windows are cut from and each window's
 first row, forward_batch(series, starts), as for every model.
 
@@ -58,10 +59,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import checkpoint, nn
-from .data import WindowSet, check_split, check_window_starts
+from .data import WindowSet, check_window_starts
 from .errors import ConfigError, ShapeError
 from .labeling import MAX_STATES, MIN_STATES
-from .train import DEFAULT_BATCH, TrainHistory, forward_batches, stack_states, train_loop
+from .train import DEFAULT_BATCH, TrainHistory, fit, forward_batches, stack_states
 
 
 @dataclass
@@ -411,51 +412,27 @@ def _check_states(samples: WindowSet, counts: Sequence[int], split: str) -> None
 
 
 def train_msp(
-    model: MspModel,
-    train_samples: WindowSet,
-    val_samples: WindowSet,
-    *,
-    batch_size: int = DEFAULT_BATCH,
-    **fit,
+    model: MspModel, train_samples: WindowSet, val_samples: WindowSet, **settings
 ) -> TrainHistory:
-    """Stage-1 training: minimize multitask cross-entropy with Adam and
-    early stopping; the model is left at its best-validation snapshot.
-    batch_size also sizes the validation batches; fit carries lr,
-    patience and max_epochs, whose defaults train_loop holds."""
-    if not train_samples or not val_samples:
-        raise ConfigError("train and validation sets must both be nonempty")
-    c = model.config
-    counts = c.class_counts
+    """Stage-1 training (train.fit): minimize multitask cross-entropy
+    with Adam and early stopping, validated by the same loss over the
+    whole validation split. Every state label is checked against the
+    model's class counts first. settings carries batch_size, lr,
+    patience and max_epochs, whose defaults train.fit holds."""
+    counts = model.config.class_counts
     _check_states(train_samples, counts, "train")
     _check_states(val_samples, counts, "validation")
-    for samples in (train_samples, val_samples):
-        check_split(samples, c.lookback, c.n_variables)
-    series = train_samples.series
     s_train = stack_states(train_samples)
     s_val = stack_states(val_samples)
 
-    def batch_fn(idx: np.ndarray, update) -> float:
-        z, cache = model.forward_batch(series, idx, want_cache=True)
-        loss, dz = msp_loss(z, s_train[idx], counts)
-        model.backward_batch(cache, dz, update)
-        return loss
+    def step(z: np.ndarray, idx: np.ndarray) -> tuple[float, np.ndarray]:
+        return msp_loss(z, s_train[idx], counts)
 
-    def val_fn() -> float:
-        total = 0.0
-        for rows, z in forward_batches(model, val_samples, batch_size):
-            loss, _ = msp_loss(z, s_val[rows], counts)
-            total += loss * z.shape[0]
-        return total / len(val_samples)
+    def score(z: np.ndarray, rows: slice) -> tuple[float, int]:
+        loss, _ = msp_loss(z, s_val[rows], counts)
+        return loss * z.shape[0], z.shape[0]
 
-    return train_loop(
-        model,
-        n_train=len(train_samples),
-        batch_fn=batch_fn,
-        val_fn=val_fn,
-        batch_size=batch_size,
-        seed=model.config.seed,
-        **fit,
-    )
+    return fit(model, train_samples, val_samples, step, score, **settings)
 
 
 def save_msp(model: MspModel, path: str | Path) -> None:

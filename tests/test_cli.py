@@ -2,11 +2,16 @@
 pipeline reduction at alpha=0."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import loadcast
 from loadcast import cli, metrics
 from loadcast.labeling import load_states_csv
 from loadcast.pipeline import RunConfig
@@ -374,13 +379,13 @@ def test_eval_rejects_flags_that_disagree_with_the_checkpoint(
 def test_missing_out_directory_fails_before_any_work(
     small_run, h2_forecaster, monkeypatch, capsys, command
 ):
-    from loadcast import guidance, labeling, msp
+    from loadcast import labeling, train
 
     def never(*args, **kwargs):
         raise AssertionError("work started before --out was checked")
 
-    for module, name in ((msp, "train_loop"), (guidance, "train_loop"),
-                         (labeling, "identify_states"), (cli, "evaluate_forecaster")):
+    for module, name in ((train, "train_loop"), (labeling, "identify_states"),
+                         (cli, "evaluate_forecaster")):
         monkeypatch.setattr(module, name, never)
     out = small_run / "nodir" / "x" / "out.file"
     args = ["--data", small_run / "data.csv", "--states", small_run / "states.csv",
@@ -472,6 +477,25 @@ def test_pipeline_stage_tagged_diagnostics(small_run, tmp_path, capsys):
     )
     assert code == cli.EXIT_DATA
     assert "[stage load-states]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_closed_stdout_ends_in_exit_0_with_nothing_on_stderr(unbuffered):
+    """The command's work is done when its report cannot be printed; with
+    buffered stdout the write fails at the flush, unbuffered at the print."""
+    src = str(Path(loadcast.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "loadcast.cli", "config"], stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (0, b"")
 
 
 def test_config_defaults_follow_protocol(capsys):

@@ -94,12 +94,12 @@ def test_series_form_rejects_a_bad_start(kind):
 def test_forecaster_passes_over_a_split_check_its_lookback(kind, monkeypatch):
     """A split of lookback 12 has valid starts for a lookback-8 model too,
     so every pass checks the split's windows before its first step."""
-    from loadcast import guidance
+    from loadcast import train
 
     def never(*args, **kwargs):
         raise AssertionError("training started before the splits were checked")
 
-    monkeypatch.setattr(guidance, "train_loop", never)
+    monkeypatch.setattr(train, "train_loop", never)
     train_w, val_w, _ = wave_splits(lookback=12)
     model = make_forecaster(ForecasterConfig(kind, 8, 4, 1, hidden=4))
     message = r"input shape \(\d+, 12, 1\) does not match \(batch, 8, 1\)"

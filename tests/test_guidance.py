@@ -179,3 +179,47 @@ def test_teacher_weights_shape_and_bounds():
     w = teacher_weights(teacher, train_w)
     assert w.shape == (len(train_w), 4, 1)
     assert (w > 0).all() and (w <= 1.0).all()
+
+
+def test_precomputed_weights_of_the_wrong_shape_fail_before_any_step(monkeypatch):
+    from loadcast import train
+
+    def never(*args, **kwargs):
+        raise AssertionError("training started before the weights were checked")
+
+    monkeypatch.setattr(train, "train_loop", never)
+    train_w, val_w, _ = wave_splits(l=200)
+    teacher = MspModel(MspConfig(lookback=8, horizon=4, n_variables=1, class_counts=[2]))
+    student = make_forecaster(ForecasterConfig("linear", 8, 4, 1))
+    n = len(train_w)
+    message = rf"precomputed weights shape \({n}, 3, 1\) does not match targets \({n}, 4, 1\)"
+    with pytest.raises(ShapeError, match=message):
+        train_guided(student, teacher, train_w, val_w, GuidanceConfig(),
+                     precomputed_weights=np.ones((n, 3, 1)))
+
+
+@pytest.mark.parametrize("precomputed", [False, True])
+def test_the_teacher_runs_one_pass_over_the_train_split_or_none(monkeypatch, precomputed):
+    """Without precomputed weights the frozen teacher runs once over the
+    train split, ceil(n / batch_size) batches without a cache, and never
+    again per epoch; with them it does not run at all."""
+    train_w, val_w, _ = wave_splits(l=200)
+    teacher = MspModel(MspConfig(lookback=8, horizon=4, n_variables=1, class_counts=[2]))
+    weights = teacher_weights(teacher, train_w) if precomputed else None
+    calls = []
+    forward_batch = teacher.forward_batch
+
+    def counted(series, starts, want_cache=False):
+        calls.append((series is train_w.series, len(starts), want_cache))
+        return forward_batch(series, starts, want_cache=want_cache)
+
+    monkeypatch.setattr(teacher, "forward_batch", counted)
+    student = make_forecaster(ForecasterConfig("linear", 8, 4, 1))
+    batch_size = 16
+    history = train_guided(student, teacher, train_w, val_w, GuidanceConfig(),
+                           precomputed_weights=weights, batch_size=batch_size, max_epochs=3)
+    assert history.stopped_epoch == 3
+    n = len(train_w)
+    assert n % batch_size  # ceil(n / batch_size) batches, the last one short
+    batches = [min(batch_size, n - start) for start in range(0, n, batch_size)]
+    assert calls == ([] if precomputed else [(True, b, False) for b in batches])

@@ -263,8 +263,7 @@ def test_trainers_pass_every_setting_to_train_loop(trainer_args, monkeypatch, tr
         received.append({name: bound.arguments[name] for name in SETTINGS})
         return train.TrainHistory()
 
-    monkeypatch.setattr(msp, "train_loop", record)
-    monkeypatch.setattr(guidance, "train_loop", record)
+    monkeypatch.setattr(train, "train_loop", record)
     fn, args = trainer_args[trainer]
     assert all(SETTINGS[name] != DEFAULTS[name] for name in SETTINGS)
     fn(*args, **SETTINGS)
