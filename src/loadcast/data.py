@@ -110,6 +110,10 @@ class WindowSet(Sequence[WindowSample]):
     def __init__(
         self, series: np.ndarray, lookback: int, y: np.ndarray, s: np.ndarray, first_origin: int
     ):
+        if series.shape[0] < lookback:
+            raise ShapeError(
+                f"a series of {series.shape[0]} rows holds no window of lookback {lookback}"
+            )
         self.series = series
         self.lookback = lookback
         self.x = _runs(series, lookback)

@@ -47,6 +47,21 @@ the per-window one in its last bits. The backward pass hands each
 parameter block's gradient to the training loop's Adam update as soon
 as no later product reads that block, so a step never holds the whole
 gradient set (see train.train_loop).
+
+The heads are independent, so each pass splits its per-head work into
+two fixed groups of about equal work (_head_groups) and runs them
+through nn.run_parts: the forward pass's head-input gathers and linear
+layers, and the backward pass's gathers, linear backward products,
+hand-overs of the linear blocks and scatters. When the process may run
+on two CPUs and BLAS runs one thread (nn.helper_thread_pays), the second
+group runs on one helper thread beside the caller; otherwise the caller
+runs both groups. The trunk conv, the fused conv, the fusion layer, the
+loss and the conv blocks' hand-over stay on the caller. A head writes
+only its own logit columns, activation channels and parameter blocks,
+and every product is the one the caller alone computes, so logits,
+gradients, Adam updates and checkpoints are the same bits on either
+path. The helper costs one more head in flight: its own pair of head
+buffers and its head's input.
 """
 
 from __future__ import annotations
@@ -123,7 +138,8 @@ class MspModel:
             self.extractor.weights[i * ue : (i + 1) * ue] = conv.weights
             self.extractor_linears.append(nn.init_linear(rng, ue * c.lookback, c.horizon * n))
         self.fusion = nn.init_linear(rng, c.total_classes, c.total_classes)
-        self._buffers = None  # see _head_buffers
+        self._buffers = [None, None]  # see _head_buffers
+        self._groups = _head_groups(c.class_counts)
 
     def _layers(self) -> list[tuple[str, nn.LayerParams]]:
         """(checkpoint name, layer) pairs in params() order: the trunk, each
@@ -152,7 +168,7 @@ class MspModel:
         training steps reuse, so they are not held beside it."""
         c = self.config
         if not want_cache:
-            self._buffers = None  # see _head_buffers
+            self._buffers = [None, None]  # see _head_buffers
         starts = np.asarray(starts)
         check_window_starts(series, starts, c.lookback, c.n_variables)
         rows, pos = _covered_rows(starts, c.lookback, series.shape[0])
@@ -169,15 +185,19 @@ class MspModel:
             np.maximum(r, 0.0, out=r)
             acts.append((xc, a1, r))
         b = starts.size
-        group_logits = []
-        for i, (lin, n) in enumerate(zip(self.extractor_linears, c.class_counts)):
-            # the scratch copy is freed as the call returns
-            f = self._head_input(i, acts, pos, np.empty(c.ue_channels * rows.size))
-            f = f.reshape(b, -1)  # (channel, time) order
-            group_logits.append(nn.linear_forward(lin, f).reshape(b, c.horizon, n))
-            del f  # before the next head's input is gathered
-        zu = np.concatenate(group_logits, axis=2)
-        zf = zu.reshape(b * c.horizon, c.total_classes)
+        zf = np.empty((b * c.horizon, c.total_classes))
+        group_logits = split_groups(zf.reshape(b, c.horizon, c.total_classes), c.class_counts)
+
+        def heads(group: list[int], lane: int) -> None:
+            for i in group:
+                # the scratch copy is freed as the call returns
+                f = self._head_input(i, acts, pos, np.empty(c.ue_channels * rows.size))
+                f = f.reshape(b, -1)  # (channel, time) order
+                out = nn.linear_forward(self.extractor_linears[i], f)
+                group_logits[i][...] = out.reshape(group_logits[i].shape)
+                del f, out  # before the next head's input is gathered
+
+        nn.run_parts(heads, self._groups)
         z = nn.linear_forward(self.fusion, zf).reshape(b, c.horizon, c.total_classes)
         if want_cache:
             return z, [acts, pos, zf]
@@ -229,19 +249,21 @@ class MspModel:
         strips[pos.size :, :, w - tail_n :] = df[:, :, lb - tail_n :]
         np.copyto(strips, 0.0, where=~kept)
 
-    def _head_buffers(self, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """Flat buffers that take a head's weight gradient and its input
-        gradient for b windows. They are kept across heads and training
-        steps, so their pages are not freed and faulted in again on every
-        step, and grown for a larger batch. A forward pass without a
-        cache drops them (see forward_batch)."""
+    def _head_buffers(self, b: int, lane: int) -> tuple[np.ndarray, np.ndarray]:
+        """Flat buffers that take a head's weight gradient and its covered
+        rows' copy for b windows (see _head_input), one pair per lane of
+        nn.run_parts. They are kept across heads and training steps, so
+        their pages are not freed and faulted in again on every step, and
+        grown for a larger batch. A forward pass without a cache drops
+        both pairs (see forward_batch)."""
         c = self.config
         head_in = c.ue_channels * c.lookback
-        if self._buffers is None or self._buffers[1].size < b * head_in:
-            self._buffers = None  # the old pair goes before the new one is made
+        pair = self._buffers[lane]
+        if pair is None or pair[1].size < b * head_in:
+            self._buffers[lane] = pair = None  # the old pair goes before the new one is made
             largest = head_in * c.horizon * max(c.class_counts)
-            self._buffers = (np.empty(largest), np.empty(b * head_in))
-        return self._buffers
+            self._buffers[lane] = pair = (np.empty(largest), np.empty(b * head_in))
+        return pair
 
     def backward_batch(self, cache, dz: np.ndarray, update) -> None:
         """Hands every parameter block's gradient to update(i, grad), i
@@ -249,9 +271,21 @@ class MspModel:
         product reads that block's current value: the fusion layer's
         weights and bias first, then each head's linear weights and bias
         right after that head's products, then the trunk's and each
-        head's conv blocks. A head's weight and input gradients are
-        written into buffers reused across heads and steps, so a handed
-        over gradient holds only during its update call.
+        head's conv blocks. A head's weight gradient is written into a
+        buffer reused across heads and steps, so a handed over gradient
+        holds only during its update call; its input gradient overwrites
+        its gathered input once the weight gradient is taken.
+
+        The heads run in two groups through nn.run_parts (see the module
+        docstring): with one BLAS thread and two CPUs, the second group's
+        gathers, products, hand-overs and scatters run on a helper thread,
+        so its linear blocks reach update from that thread, and the step
+        holds a second head buffer pair and head input. Every block is the
+        same bits and is handed over once either way. A non-finite
+        gradient still raises NumericError (exit 4) before its own block
+        moves, after the helper has stopped; which of the other heads'
+        linear blocks have moved by then now depends on timing, as the
+        step was already not atomic.
 
         Empties the cache. The fused conv's activations become their own
         upstream gradient: head i's input is gathered from its channels,
@@ -273,20 +307,23 @@ class MspModel:
         del zf
         update(fusion, dwf)
         update(fusion + 1, dbf)
-        dzu = dzf.reshape(b, c.horizon, c.total_classes)
-        dw_buf, df_buf = self._head_buffers(b)
-        groups = split_groups(dzu, c.class_counts)
-        for i, (lin, dzi) in enumerate(zip(self.extractor_linears, groups)):
-            dg = np.ascontiguousarray(dzi).reshape(b, -1)
-            # the input gradient overwrites the covered rows' copy in df_buf
-            f = self._head_input(i, acts, pos, df_buf).reshape(b, -1)
-            dw = dw_buf[: lin.weights.size].reshape(lin.weights.shape)
-            df = df_buf[: f.size].reshape(f.shape)
-            (_, db), _ = nn.linear_backward(lin, f, dg, out=(dw, df))
-            del f
-            update(4 + 4 * i, dw)
-            update(5 + 4 * i, db)
-            self._scatter_head(i, acts, pos, df.reshape(b, ue, c.lookback))
+        dzu = split_groups(dzf.reshape(b, c.horizon, c.total_classes), c.class_counts)
+
+        def heads(group: list[int], lane: int) -> None:
+            dw_buf, rows_buf = self._head_buffers(b, lane)
+            for i in group:
+                lin = self.extractor_linears[i]
+                dg = np.ascontiguousarray(dzu[i]).reshape(b, -1)
+                f = self._head_input(i, acts, pos, rows_buf).reshape(b, -1)
+                dw = dw_buf[: lin.weights.size].reshape(lin.weights.shape)
+                # the input gradient overwrites the input, read only for dw
+                (_, db), df = nn.linear_backward(lin, f, dg, out=(dw, f))
+                update(4 + 4 * i, dw)
+                update(5 + 4 * i, db)
+                self._scatter_head(i, acts, pos, df.reshape(b, ue, c.lookback))
+                del f, df
+
+        nn.run_parts(heads, self._groups)
         conv_grads = []
         for xc, a1, r in acts:
             (dwc, dbc), da1 = nn.conv1d_backward(self.extractor, a1, r)
@@ -301,6 +338,19 @@ class MspModel:
             head = slice(i * ue, (i + 1) * ue)
             update(2 + 4 * i, dwc[head])
             update(3 + 4 * i, dbc[head])
+
+
+def _head_groups(counts: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The heads in two groups of about equal work, the two parts of
+    nn.run_parts: head i's linear layer costs ue*L*H*counts[i] per
+    window, so each head, the most classes first, joins the group with
+    fewer classes so far (on a tie, fewer heads; then the first). Each
+    group lists its heads in order."""
+    groups: tuple[list[int], list[int]] = ([], [])
+    for i in sorted(range(len(counts)), key=lambda i: -counts[i]):
+        load = [(sum(counts[j] for j in g), len(g)) for g in groups]
+        groups[int(load[1] < load[0])].append(i)
+    return tuple(sorted(g) for g in groups)
 
 
 def _covered_rows(starts: np.ndarray, lookback: int, n: int):

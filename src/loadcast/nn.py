@@ -13,7 +13,12 @@ symmetric zero padding so the temporal length is preserved.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -305,6 +310,69 @@ def adam_step(state: AdamState, param: Array, grad: Array, name: str) -> None:
         denom += state.eps
         tmp /= denom
         pc -= tmp
+
+
+@functools.cache
+def _openblas_thread_query() -> Callable[[], int] | None:
+    """OpenBLAS's thread-count query in the library numpy loaded, if it
+    is OpenBLAS and exports one."""
+    libdir = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libdir.glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return fn
+    return None
+
+
+def blas_threads() -> int | None:
+    """Threads the loaded BLAS runs a matrix product on, or None when the
+    BLAS is not a known OpenBLAS."""
+    query = _openblas_thread_query()
+    return None if query is None else int(query())
+
+
+def helper_thread_pays() -> bool:
+    """Whether a second thread has a core of its own: the process may run
+    on at least two CPUs and BLAS runs one thread. With more BLAS threads
+    the matrix products already take the cores, and the split is slower;
+    with an unknown BLAS nothing is known."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return cpus >= 2 and blas_threads() == 1
+
+
+_helper: ThreadPoolExecutor | None = None  # started by the first run_parts that uses it
+
+
+def run_parts(task: Callable[[Sequence, int], None], parts: tuple[Sequence, Sequence]) -> None:
+    """task(part, lane) for both parts of independent work.
+
+    When helper_thread_pays() and the second part is nonempty, it runs on
+    one helper thread (lane 1), started at first use and kept for the
+    process, while the caller runs the first part (lane 0); otherwise the
+    caller runs both, in order, as lane 0. numpy releases the GIL inside
+    its array loops and matrix products, so the two overlap there. The
+    parts must write disjoint memory, and the result must not depend on
+    which thread runs what. The caller waits for the helper before it
+    returns or raises; an error of its own part wins, else the helper's
+    propagates as raised."""
+    global _helper
+    first, second = parts
+    if not second or not helper_thread_pays():
+        for part in parts:
+            task(part, 0)
+        return
+    if _helper is None:
+        _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="loadcast-helper")
+    future = _helper.submit(task, second, 1)
+    try:
+        task(first, 0)
+    finally:
+        wait([future])
+    future.result()
 
 
 @dataclass

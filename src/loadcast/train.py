@@ -64,10 +64,15 @@ def train_loop(
     steps equal those taken after the whole backward pass, bit for bit.
     A gradient is read only during its update call. Training memory is the
     parameters, Adam's two moments, the best snapshot and one gradient
-    block, never a whole gradient set. A non-finite gradient raises
-    NumericError before its own block moves; blocks handed over earlier
-    in that batch have already moved. A block handed over twice, or not
-    at all, in one batch raises ShapeError.
+    block, never a whole gradient set. The teacher's backward pass may
+    call update from its helper thread too (see msp.MspModel.backward_batch),
+    for other blocks than the caller's, and returns only once that
+    thread has stopped; each thread then holds one block. A non-finite
+    gradient raises NumericError before its own block moves; blocks
+    handed over earlier in that batch have already moved, and with the
+    helper running, which of the other thread's blocks have moved depends
+    on timing. A block handed over twice, or not at all, in one batch
+    raises ShapeError.
 
     val_fn scores the current model on the validation set (lower is
     better). Stops once validation fails to improve for `patience`

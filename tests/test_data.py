@@ -262,6 +262,14 @@ def test_sliding_windows_too_short_names_minimum():
         data.sliding_windows(frame, zero_labels(frame), 3, 2)
 
 
+def test_a_window_set_shorter_than_its_lookback_names_rows_and_lookback():
+    series = np.zeros((7, 2))
+    with pytest.raises(ShapeError, match="a series of 7 rows holds no window of lookback 8"):
+        data.WindowSet(series, 8, np.zeros((0, 3, 2)), np.zeros((0, 3, 2), int), 0)
+    one = data.WindowSet(series, 7, np.zeros((1, 3, 2)), np.zeros((1, 3, 2), int), 0)
+    assert len(one) == 1  # a series of exactly lookback rows holds one window
+
+
 def per_window_slices(values, labels, lookback, horizon):
     """The windows as separate slices, (x, y, s, origin) each: the reference."""
     out = []

@@ -389,9 +389,10 @@ def _owned_bytes(arrays) -> int:
     return sum(owners.values())
 
 
-def test_teacher_step_memory_is_bounded_by_the_fused_activation():
+def test_teacher_step_memory_is_bounded_by_the_fused_activation(monkeypatch):
     import tracemalloc
 
+    monkeypatch.setattr(nn, "helper_thread_pays", lambda: False)  # one head in flight
     config = MspConfig(
         lookback=64, horizon=1, n_variables=4, class_counts=[2, 3, 2, 4],
         trunk_channels=4, ue_channels=16, kernel_width=3, seed=0,
@@ -438,15 +439,15 @@ def test_teacher_step_memory_is_bounded_by_the_fused_activation():
     assert peak < r_bytes, peak / r_bytes
 
 
-def test_teacher_step_holds_one_gradient_block_not_the_whole_set():
-    """With a live Adam update, a step's traced peak stays below what it
-    holds after the loss, plus one head at a time (its input, its input
-    gradient and its weight gradient, the largest block), the fusion
-    layer's input gradient and Adam's scratch rows. Eight heads' weight
-    gradients together are far above that, so a backward pass or a loop
-    that gathers every block before stepping fails here."""
+def one_step_peak(monkeypatch, helper: bool):
+    """The traced peak of one teacher step with a live Adam update, on
+    the path the helper decision picks, and its parts: what the step holds
+    after the loss, a head input (which its input gradient overwrites),
+    the head buffer pair, the logits' bytes (the fusion layer's input
+    gradient), Adam's scratch rows, and every block."""
     import tracemalloc
 
+    monkeypatch.setattr(nn, "helper_thread_pays", lambda: helper)
     config = MspConfig(
         lookback=64, horizon=24, n_variables=8, class_counts=[5] * 8,
         trunk_channels=4, ue_channels=8, kernel_width=3, seed=0,
@@ -477,9 +478,30 @@ def test_teacher_step_holds_one_gradient_block_not_the_whole_set():
     assert sorted(moved) == list(range(len(params)))
     sizes = [p.nbytes for p in params]
     head_input = 8 * b * config.ue_channels * config.lookback
-    bound = held + 2 * head_input + max(sizes) + z.nbytes + 2 * 8 * nn.ADAM_CHUNK
+    pair = max(sizes) + head_input  # the largest weight gradient, the covered rows' copy
+    return peak, held, head_input, pair, z.nbytes, 2 * 8 * nn.ADAM_CHUNK, sum(sizes)
+
+
+def test_teacher_step_holds_one_gradient_block_not_the_whole_set(monkeypatch):
+    """With a live Adam update and the heads on one thread, a step's
+    traced peak stays below what it holds after the loss, plus one head
+    at a time (its input and its buffer pair), the fusion layer's input
+    gradient and Adam's scratch rows. Eight heads' weight gradients
+    together are far above that, so a backward pass or a loop that
+    gathers every block before stepping fails here."""
+    peak, held, head_input, pair, dzf, adam, blocks = one_step_peak(monkeypatch, False)
+    bound = held + head_input + pair + dzf + adam
     assert peak < bound, (peak, bound)
-    assert held + sum(sizes) > 2 * bound  # the whole set would not fit
+    assert held + blocks > 2 * bound  # the whole set would not fit
+
+
+def test_a_two_thread_teacher_step_holds_one_more_head(monkeypatch):
+    """With the helper, the step holds at most one head more than on one
+    thread: the helper's own buffer pair, its head input and its Adam
+    step's scratch rows."""
+    peak, held, head_input, pair, dzf, adam, _ = one_step_peak(monkeypatch, True)
+    bound = held + 2 * (head_input + pair + adam) + dzf
+    assert peak < bound, (peak, bound)
 
 
 def scatter_per_window(model, i, acts, pos, df):
@@ -528,38 +550,41 @@ def test_scatter_head_equals_the_per_window_loop_bit_for_bit(lookback, kernel_wi
         assert any(not np.array_equal(o[2], a[2]) for o, a in zip(ours, acts))  # it wrote
 
 
-def test_an_evaluation_pass_frees_the_training_step_buffers():
+def test_an_evaluation_pass_frees_the_training_step_buffers(monkeypatch):
     """A training step leaves the head buffers that the next step reuses
-    (a head's weight gradient and a batch's head-input gradient); a
-    forward pass without a cache frees them, so validation and the
-    best-epoch snapshot run without them."""
+    (a head's weight gradient and a copy of a batch's covered rows), one
+    pair per thread that ran heads; a forward pass without a cache frees
+    every pair, so validation and the best-epoch snapshot run without
+    them."""
     import gc
     import tracemalloc
 
     c = MspConfig(lookback=32, horizon=8, n_variables=2, class_counts=[2, 4], **TINY)
-    model = MspModel(c)
     rng = np.random.default_rng(0)
     series = rng.normal(size=(100, 2))
     starts = np.arange(0, 68, 2)
     targets = rng.integers(0, 2, size=(starts.size, 8, 2))
     head_in = c.ue_channels * c.lookback
-    buffers = 8 * (head_in * c.horizon * max(c.class_counts) + starts.size * head_in)
-    tracemalloc.start()
-    try:
-        z, cache = model.forward_batch(series, starts, want_cache=True)
-        _, dz = msp_loss(z, targets, c.class_counts)
-        del z
-        model.backward_batch(cache, dz, lambda i, grad: None)
-        del cache, dz
-        gc.collect()
-        kept = tracemalloc.get_traced_memory()[0]
-        model.forward_batch(series, starts)
-        gc.collect()
-        freed = kept - tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    # less at most the few hundred bytes of Python objects the pass leaves
-    assert freed > buffers - 2048, (freed, buffers)
+    pair = 8 * (head_in * c.horizon * max(c.class_counts) + starts.size * head_in)
+    for helper, pairs in ((False, 1), (True, 2)):  # the two heads run in two groups
+        monkeypatch.setattr(nn, "helper_thread_pays", lambda: helper)
+        model = MspModel(c)
+        tracemalloc.start()
+        try:
+            z, cache = model.forward_batch(series, starts, want_cache=True)
+            _, dz = msp_loss(z, targets, c.class_counts)
+            del z
+            model.backward_batch(cache, dz, lambda i, grad: None)
+            del cache, dz
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+            model.forward_batch(series, starts)
+            gc.collect()
+            freed = kept - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # less at most the few hundred bytes of Python objects the pass leaves
+        assert freed > pairs * pair - 2048, (helper, freed, pairs * pair)
 
 
 # -- oracle: the extractor heads one conv at a time ---------------------------
