@@ -38,6 +38,7 @@ import base64
 import json
 import math
 import os
+from dataclasses import asdict
 from pathlib import Path
 from typing import BinaryIO, Callable
 
@@ -164,6 +165,11 @@ def load_container(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]:
                 for name, shape, block in zip(names, shapes, doc["params"])
             ]
     return doc["kind"], doc["config"], dict(zip(names, arrays))
+
+
+def save_model(path: str | Path, kind: str, model) -> None:
+    """Write a model's dataclass config and declared parameter blocks."""
+    save_container(path, kind, asdict(model.config), model.param_names(), model.params())
 
 
 def load_model(path: str | Path, kind: str, build: Callable[[dict], object]):

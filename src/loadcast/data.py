@@ -13,7 +13,7 @@ import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -100,9 +100,9 @@ class WindowSet(Sequence[WindowSample]):
     and labels, one sliding_window_view per field, so no window is copied
     and a stray write raises; lookback is what check_split compares
     with a model's. Window k is x[k], y[k], s[k] with origin
-    first_origin + k. A WindowSample is made only on item access or
-    iteration. A pass over the split hands the model series and slices
-    y and s (train.forward_batches), not the set.
+    first_origin + k. A WindowSample is made only on item access, which
+    Sequence's iteration goes through. A pass over the split hands the
+    model series and slices y and s (train.forward_batches), not the set.
     """
 
     __slots__ = ("series", "lookback", "x", "y", "s", "first_origin")
@@ -132,10 +132,6 @@ class WindowSet(Sequence[WindowSample]):
         if not 0 <= k < n:
             raise IndexError(f"window index {key} out of range for {n} windows")
         return WindowSample(self.x[k], self.y[k], self.s[k], self.first_origin + k)
-
-    def __iter__(self) -> Iterator[WindowSample]:
-        for k, (x, y, s) in enumerate(zip(self.x, self.y, self.s)):
-            yield WindowSample(x, y, s, self.first_origin + k)
 
 
 def check_split(windows: WindowSet, lookback: int, n_variables: int) -> None:
@@ -239,13 +235,17 @@ def _read_rows(path: Path) -> tuple[list[int], list[list[float]], list[str]]:
     return timestamps, rows, names
 
 
+def write_table(path: str | Path, names: Sequence[str], timestamps, rows, cell: Callable) -> None:
+    """The header timestamp,<names>, then each timestamp and cell(v) of every value of its row."""
+    with Path(path).open("w", newline="", encoding="utf-8") as f:
+        f.write("timestamp," + ",".join(names) + "\n")
+        for ts, row in zip(timestamps, rows):
+            f.write(str(int(ts)) + "," + ",".join(cell(v) for v in row) + "\n")
+
+
 def save_csv(frame: SeriesFrame, path: str | Path) -> None:
     """Write a frame in the CSV contract; float cells use shortest round-trip repr."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as f:
-        f.write("timestamp," + ",".join(frame.variable_names) + "\n")
-        for ts, row in zip(frame.timestamps, frame.values):
-            f.write(str(int(ts)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+    write_table(path, frame.variable_names, frame.timestamps, frame.values, lambda v: repr(float(v)))
 
 
 def align_and_downsample(frame: SeriesFrame, period_seconds: int = 3600) -> SeriesFrame:

@@ -10,7 +10,7 @@ checkpoint trained either way is interchangeable at inference.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,8 +49,8 @@ class LinearForecaster:
         self.config = config
         c = config
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(c.seed, 23)))
-        limit = np.sqrt(6.0 / (c.lookback + c.horizon))
-        self.weights = rng.uniform(-limit, limit, size=(c.n_variables, c.lookback, c.horizon))
+        shape = (c.n_variables, c.lookback, c.horizon)
+        self.weights = nn.glorot_uniform(rng, shape, c.lookback, c.horizon)
         self.bias = np.zeros((c.n_variables, c.horizon))
 
     def params(self) -> list[np.ndarray]:
@@ -94,24 +94,23 @@ class MlpForecaster:
         x = window_batch(series, starts, c.lookback, c.n_variables)
         b = x.shape[0]
         xf = x.reshape(b, -1)
-        pre = nn.linear_forward(self.lin1, xf)
-        act = nn.relu(pre)
+        act = nn.linear_forward(self.lin1, xf)
+        np.maximum(act, 0.0, out=act)  # ReLU in place
         y = nn.linear_forward(self.lin2, act).reshape(b, c.horizon, c.n_variables)
-        return (y, [xf, pre, act]) if want_cache else y
+        return (y, [xf, act]) if want_cache else y
 
     def backward_batch(self, cache, dy: np.ndarray, update) -> None:
         """Hands every gradient to update(i, grad) in params() order (see
         train.train_loop) once the cache and every backward temporary are
         released, so Adam's scratch never sits beside them; lin2's input
         gradient is taken before any block moves. Empties the cache."""
-        xf, pre, act = cache
+        xf, act = cache
         cache.clear()
         (dw2, db2), dact = nn.linear_backward(self.lin2, act, dy.reshape(dy.shape[0], -1))
+        dact *= act > 0  # ReLU: an activation is positive exactly where its input was
         del act
-        dpre = nn.relu_backward(pre, dact)
-        del pre, dact
-        (dw1, db1), _ = nn.linear_backward(self.lin1, xf, dpre, input_grad=False)
-        del xf, dpre
+        (dw1, db1), _ = nn.linear_backward(self.lin1, xf, dact, input_grad=False)
+        del xf, dact
         for i, grad in enumerate((dw1, db1, dw2, db2)):
             update(i, grad)
 
@@ -134,7 +133,8 @@ def predict_samples(model, samples: WindowSet) -> np.ndarray:
 
 def train_plain(model, train_samples: WindowSet, val_samples: WindowSet, **fit) -> TrainHistory:
     """Minimize plain MAE; best-validation snapshot is restored. fit carries
-    batch_size, lr, patience and max_epochs; train_loop holds their defaults."""
+    batch_size, lr, patience and max_epochs; train.train_loop holds the
+    defaults of lr, patience and max_epochs, and train.fit that of batch_size."""
     return guidance.train_guided(
         model, None, train_samples, val_samples, guidance.GuidanceConfig(alpha=0.0), **fit
     )
@@ -150,15 +150,15 @@ def train_with_guidance(
 ) -> TrainHistory:
     """Event-guided training: same model, same inference path, the loss
     reweighted by the frozen state predictor's class probabilities. fit carries
-    batch_size, lr, patience and max_epochs; train_loop holds their defaults."""
+    batch_size, lr, patience and max_epochs; train.train_loop holds the
+    defaults of lr, patience and max_epochs, and train.fit that of batch_size."""
     return guidance.train_guided(
         model, msp_model, train_samples, val_samples, config or guidance.GuidanceConfig(), **fit
     )
 
 
 def save_forecaster(model, path: str | Path) -> None:
-    config = asdict(model.config)
-    checkpoint.save_container(path, "forecaster", config, model.param_names(), model.params())
+    checkpoint.save_model(path, "forecaster", model)
 
 
 def load_forecaster(path: str | Path):

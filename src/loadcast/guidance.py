@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import nn
+from . import metrics, nn
 from .data import WindowSet
 from .errors import ConfigError, ShapeError
 from .msp import split_groups
@@ -61,10 +61,7 @@ def guided_loss(
     """Combined loss MAE + alpha * mean(weights * |err|), with its
     subgradient w.r.t. yhat (0 at exact ties); weights None is plain MAE.
     Any shape works, so one call scores a whole (B, H, D) batch."""
-    yhat = np.asarray(yhat, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if yhat.shape != y.shape:
-        raise ShapeError(f"prediction shape {yhat.shape} does not match target {y.shape}")
+    yhat, y = metrics.checked_pair(yhat, y)
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != yhat.shape:
@@ -113,7 +110,8 @@ def train_guided(
     frozen, so recomputation is pure overhead). A teacher must share
     the forecaster's lookback, horizon and variable count. batch_size
     also sizes the teacher-weight batches; settings carries lr, patience
-    and max_epochs, whose defaults train.fit holds.
+    and max_epochs. train.train_loop holds the defaults of lr, patience
+    and max_epochs, and train.fit that of batch_size.
     """
     fc = model.config
     if msp_model is not None:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import SeriesFrame
+from .data import SeriesFrame, write_table
 from .errors import ConfigError, DataError, ShapeError, prefix_errors, reading
 
 DEFAULT_WINDOW = 24
@@ -378,10 +378,7 @@ def save_states_csv(profile: StateProfile, frame: SeriesFrame, path: str | Path)
         raise ShapeError(
             f"labels {profile.labels.shape} do not match frame values {frame.values.shape}"
         )
-    with path.open("w", newline="", encoding="utf-8") as f:
-        f.write("timestamp," + ",".join(frame.variable_names) + "\n")
-        for ts, row in zip(frame.timestamps, profile.labels):
-            f.write(str(int(ts)) + "," + ",".join(str(int(v)) for v in row) + "\n")
+    write_table(path, frame.variable_names, frame.timestamps, profile.labels, lambda v: str(int(v)))
     meta = [
         {"name": name, "states": int(n)}
         for name, n in zip(frame.variable_names, profile.counts)

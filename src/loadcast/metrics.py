@@ -17,12 +17,18 @@ import numpy as np
 from .errors import DataError, ShapeError, reading
 
 
-def mae(yhat: np.ndarray, y: np.ndarray) -> float:
-    """Mean absolute error over all (step, variable) entries."""
+def checked_pair(yhat, y) -> tuple[np.ndarray, np.ndarray]:
+    """Predictions and targets as float64 arrays of one shape."""
     yhat = np.asarray(yhat, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if yhat.shape != y.shape:
         raise ShapeError(f"prediction shape {yhat.shape} does not match target {y.shape}")
+    return yhat, y
+
+
+def mae(yhat: np.ndarray, y: np.ndarray) -> float:
+    """Mean absolute error over all (step, variable) entries."""
+    yhat, y = checked_pair(yhat, y)
     return float(np.abs(yhat - y).mean())
 
 
@@ -32,10 +38,7 @@ def mape_sym(yhat: np.ndarray, y: np.ndarray) -> float:
     Entries where |yhat| + |y| = 0 contribute zero to both sums; if
     every entry is such, the ratio is undefined and raises.
     """
-    yhat = np.asarray(yhat, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if yhat.shape != y.shape:
-        raise ShapeError(f"prediction shape {yhat.shape} does not match target {y.shape}")
+    yhat, y = checked_pair(yhat, y)
     denom = float((np.abs(yhat) + np.abs(y)).sum())
     if denom == 0.0:
         raise DataError("symmetric MAPE undefined: every |yhat| + |y| is zero")

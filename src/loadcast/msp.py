@@ -66,7 +66,7 @@ buffers and its head's input.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -434,8 +434,6 @@ def msp_loss(z: np.ndarray, targets: np.ndarray, counts: Sequence[int]):
 
 def state_accuracy(model: MspModel, samples: WindowSet) -> float:
     """Fraction of (step, variable) cells whose decoded state matches."""
-    if not samples:
-        raise ConfigError("no samples to score")
     counts = model.config.class_counts
     targets = stack_states(samples)
     batches = forward_batches(model, samples, DEFAULT_BATCH)
@@ -468,7 +466,8 @@ def train_msp(
     with Adam and early stopping, validated by the same loss over the
     whole validation split. Every state label is checked against the
     model's class counts first. settings carries batch_size, lr,
-    patience and max_epochs, whose defaults train.fit holds."""
+    patience and max_epochs; train.train_loop holds the defaults of lr,
+    patience and max_epochs, and train.fit that of batch_size."""
     counts = model.config.class_counts
     _check_states(train_samples, counts, "train")
     _check_states(val_samples, counts, "validation")
@@ -486,8 +485,7 @@ def train_msp(
 
 
 def save_msp(model: MspModel, path: str | Path) -> None:
-    config = asdict(model.config)
-    checkpoint.save_container(path, "msp", config, model.param_names(), model.params())
+    checkpoint.save_model(path, "msp", model)
 
 
 def load_msp(path: str | Path) -> MspModel:

@@ -1,10 +1,11 @@
 """Minimal dense numeric kernel: layers with hand-derived gradients.
 
-Everything runs in float64 on plain numpy arrays. Three layer kinds
-(linear, 1-D convolution, ReLU) are enough for every model in this
-package, so gradients are written out by hand instead of taping a
-general autodiff graph. A central finite-difference checker validates
-them at test time.
+Everything runs in float64 on plain numpy arrays. Linear and 1-D
+convolution layers and a ReLU, which a model applies in place
+(np.maximum(act, 0.0, out=act)) and undoes by masking with act > 0, are
+enough for every model in this package, so gradients are written out by
+hand instead of taping a general autodiff graph. A central
+finite-difference checker validates them at test time.
 
 Convolution here is true convolution (kernel flipped), matching
 ``np.convolve(x, kernel, mode="same")`` for a single channel, with
@@ -230,15 +231,6 @@ def conv1d_backward(
         dx[:, lo:hi] += tap[:, lo - shift : hi - shift]
         del tap
     return (dw, db), dx.transpose(0, 2, 1)
-
-
-def relu(x: Array) -> Array:
-    return np.maximum(x, 0.0)
-
-
-def relu_backward(x: Array, grad_out: Array) -> Array:
-    # subgradient 0 at x == 0
-    return grad_out * (x > 0)
 
 
 def softmax_rows(logits: Array) -> Array:

@@ -243,9 +243,32 @@ def benchmark_household(seed: int = 0, length: int = 20000) -> SynthConfig:
     )
 
 
-# The JSON types of an appliance file's scalar fields (true is not an int here).
-_SCALAR_TYPES = {"length": (int,), "noise_sigma": (int, float), "spike_rate": (int, float),
+# The JSON type of every value of an appliance file: a tuple of the types
+# it may have (true is not an int here), [schema] for a list of such
+# values, {key: schema} for an object that holds no other key.
+_NUMBER = (int, float)
+_SCALAR_TYPES = {"length": (int,), "noise_sigma": _NUMBER, "spike_rate": _NUMBER,
                  "include_household_total": (bool,), "seed": (int,)}
+_TRIGGER = {"source": (str,), "source_state": (int,), "lag": (int,), "probability": _NUMBER}
+_APPLIANCE = {"name": (str,), "state_levels": [_NUMBER], "dwell_means": [_NUMBER], "trigger": _TRIGGER}
+_SCHEMA = {"appliances": [_APPLIANCE], **_SCALAR_TYPES}
+
+
+def _check(value, schema, where: str = "") -> None:
+    """Raise ConfigError naming the key path where unless value fits schema."""
+    types = (type(schema),) if isinstance(schema, (dict, list)) else schema
+    if type(value) not in types:
+        names = " or ".join(t.__name__ for t in types)
+        raise ConfigError(f"{where or 'the file'} must be of type {names}, got {value!r}")
+    if type(value) is list:
+        for i, item in enumerate(value):
+            _check(item, schema[0], f"{where}[{i}]")
+    elif type(value) is dict:
+        for key, item in value.items():
+            path = f"{where}.{key}" if where else key
+            if key not in schema:
+                raise ConfigError(f"unknown key {path}")
+            _check(item, schema[key], path)
 
 
 def config_from_json(path: str | Path, **overrides) -> SynthConfig:
@@ -255,31 +278,22 @@ def config_from_json(path: str | Path, **overrides) -> SynthConfig:
     "trigger"?: {"source", "source_state", "lag", "probability"}}, ...],
     "length"?, "noise_sigma"?, "spike_rate"?,
     "include_household_total"?, "seed"?}. Keyword overrides win. A file
-    that cannot be read, parsed or validated raises ConfigError naming it.
+    that cannot be read, parsed or validated, or that leaves _SCHEMA,
+    raises ConfigError naming it.
     """
     with reading(path, error=ConfigError):
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        _check(raw, _SCHEMA)
         apps = [
             ApplianceSpec(
                 name=a["name"],
                 state_levels=[float(v) for v in a["state_levels"]],
                 dwell_means=[float(v) for v in a["dwell_means"]],
-                trigger=Trigger(
-                    source=a["trigger"]["source"],
-                    source_state=int(a["trigger"]["source_state"]),
-                    lag=int(a["trigger"]["lag"]),
-                    probability=float(a["trigger"]["probability"]),
-                )
-                if a.get("trigger")
-                else None,
+                trigger=Trigger(**a["trigger"]) if "trigger" in a else None,
             )
             for a in raw["appliances"]
         ]
         kwargs = {key: raw[key] for key in _SCALAR_TYPES if key in raw}
-        for key, value in kwargs.items():
-            if type(value) not in _SCALAR_TYPES[key]:
-                names = " or ".join(t.__name__ for t in _SCALAR_TYPES[key])
-                raise ConfigError(f"{key} must be of type {names}, got {value!r}")
 
     def build(**values) -> SynthConfig:
         config = SynthConfig(appliances=apps, **values)

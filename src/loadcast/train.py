@@ -143,17 +143,15 @@ def fit(
     model, train_windows: WindowSet, val_windows: WindowSet, step, score, *,
     batch_size: int = DEFAULT_BATCH, **settings,
 ) -> TrainHistory:
-    """train_loop over train_windows, validated on val_windows; both must be
-    nonempty and take the model's lookback (check_split). A step runs the
-    model forward with a cache on the train windows idx, step(out, idx)
+    """train_loop over train_windows, validated on val_windows; both must
+    take the model's lookback (check_split). A step runs the model
+    forward with a cache on the train windows idx, step(out, idx)
     -> (loss, gradient w.r.t. out), and the model's backward pass, which
     hands each block's gradient to train_loop's update. The validation
     loss adds score(out, rows) -> (total, count) over the batches of
     forward_batches in order from 0.0 and divides once by the summed
     counts. The model's config.seed seeds the shuffling; settings carries
     lr, patience and max_epochs."""
-    if not train_windows or not val_windows:
-        raise ConfigError("train and validation sets must both be nonempty")
     c = model.config
     for windows in (train_windows, val_windows):
         check_split(windows, c.lookback, c.n_variables)

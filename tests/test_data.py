@@ -87,6 +87,15 @@ def test_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(back.timestamps, frame.timestamps)
 
 
+def test_save_csv_writes_the_exact_text(tmp_path):
+    """Float cells are the shortest repr that reads back to the same bits."""
+    values = np.array([[0.1, -0.0], [1e-300, 2.5]])
+    frame = data.SeriesFrame(np.array([1672531200, 1672534800]), values, ["a", "b"])
+    path = tmp_path / "f.csv"
+    data.save_csv(frame, path)
+    assert path.read_bytes() == b"timestamp,a,b\n1672531200,0.1,-0.0\n1672534800,1e-300,2.5\n"
+
+
 def test_downsample_constant_hour():
     frame = minute_frame(np.ones(60))
     out = data.align_and_downsample(frame, 3600)

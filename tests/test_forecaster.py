@@ -23,7 +23,7 @@ from loadcast.guidance import GuidanceConfig, train_guided
 from loadcast.msp import MspConfig, MspModel
 from loadcast.pipeline import split_with_states, windows_for
 from tests.batches import as_series, gradients, windows_at
-from tests.test_msp import STARTS, wave_splits
+from tests.test_msp import STARTS, _owned_bytes, wave_splits
 
 
 def test_linear_zero_weights_zero_forecast():
@@ -173,13 +173,25 @@ def test_first_layer_skips_input_gradient_bit_identically(kind):
     model = make_forecaster(ForecasterConfig(kind, 6, 3, 2, hidden=5, seed=3))
     yhat, cache = model.forward_batch(*as_series(rng.normal(size=(4, 6, 2))), want_cache=True)
     dy = rng.normal(size=yhat.shape)
-    xf, pre, act = cache  # before backward_batch empties it
+    xf, act = cache  # before backward_batch empties it
     grads = gradients(model, cache, dy)
     (dw2, db2), dact = nn.linear_backward(model.lin2, act, dy.reshape(4, -1))
-    (dw1, db1), _ = nn.linear_backward(model.lin1, xf, nn.relu_backward(pre, dact))
+    (dw1, db1), _ = nn.linear_backward(model.lin1, xf, dact * (act > 0))
     expected = [dw1, db1, dw2, db2]
     for g, e in zip(grads, expected, strict=True):
         np.testing.assert_array_equal(g, e)
+
+
+def test_mlp_caches_its_input_and_one_hidden_activation():
+    """ReLU runs in place, so a training pass caches the flattened input
+    and the (B, hidden) activation the backward pass masks, not also the
+    pre-activation."""
+    model = make_forecaster(ForecasterConfig("mlp", 6, 3, 2, hidden=5, seed=3))
+    x = np.random.default_rng(12).normal(size=(4, 6, 2))
+    _, cache = model.forward_batch(*as_series(x), want_cache=True)
+    xf, act = cache[0], cache[-1]
+    assert xf.shape == (4, 12) and act.shape == (4, 5)
+    assert _owned_bytes(cache) == xf.nbytes + act.nbytes
 
 
 def test_plug_in_property_same_shapes_and_forward():

@@ -497,6 +497,20 @@ def test_states_csv_round_trip(tmp_path):
     assert names == frame.variable_names
 
 
+def test_states_csv_writes_the_exact_text_and_sidecar(tmp_path):
+    values = np.array([[0.1, -0.0], [1e-300, 2.5]])
+    frame = SeriesFrame(np.array([1672531200, 1672534800]), values, ["a", "b"])
+    profile = labeling.StateProfile(np.array([[0, 2], [1, 0]]), [2, 3])
+    path = tmp_path / "s.csv"
+    labeling.save_states_csv(profile, frame, path)
+    assert path.read_bytes() == b"timestamp,a,b\n1672531200,0,2\n1672534800,1,0\n"
+    sidecar = (tmp_path / "s.csv.meta.json").read_bytes()
+    assert sidecar == (
+        b'[\n  {\n    "name": "a",\n    "states": 2\n  },\n'
+        b'  {\n    "name": "b",\n    "states": 3\n  }\n]\n'
+    )
+
+
 @pytest.mark.parametrize(
     "meta", ["{bad", '[{"states": 2}]', '[{"name": "x"}]', '{"name": "x", "states": 2}']
 )

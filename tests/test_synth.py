@@ -197,6 +197,45 @@ def test_config_from_json_accepts_an_integer_where_a_number_is_due(tmp_path):
     assert (config.length, config.noise_sigma, config.spike_rate) == (30, 1, 0)
 
 
+TRIGGERED = {"name": "dryer", "state_levels": [0.0, 2.5], "dwell_means": [500, 12],
+             "trigger": {"source": "washer", "source_state": 1, "lag": 2, "probability": 0.9}}
+
+
+def with_trigger(**values):
+    return {"appliances": [APPLIANCE, dict(TRIGGERED, trigger={**TRIGGERED["trigger"], **values})]}
+
+
+@pytest.mark.parametrize(
+    "spec, key",
+    [(with_trigger(lag=2.7), "appliances[1].trigger.lag"),
+     (with_trigger(source_state=1.9), "appliances[1].trigger.source_state"),
+     (with_trigger(source_state=True), "appliances[1].trigger.source_state"),
+     (with_trigger(probability="0.5"), "appliances[1].trigger.probability"),
+     ({"appliances": [dict(APPLIANCE, state_levels=["0", True])]}, "appliances[0].state_levels"),
+     ({"appliances": [dict(APPLIANCE, state_levels=[0, True])]}, "appliances[0].state_levels"),
+     ({"appliances": [dict(APPLIANCE, state_levels="01")]}, "appliances[0].state_levels"),
+     ({"appliances": [APPLIANCE, dict(TRIGGERED, trigger=False)]}, "appliances[1].trigger"),
+     ({"appliances": [APPLIANCE], "lenght": 30}, "lenght"),
+     ({"appliances": [dict(APPLIANCE, color="red")]}, "appliances[0].color"),
+     (with_trigger(delay=1), "appliances[1].trigger.delay")],
+)
+def test_an_appliance_value_of_another_json_type_or_an_unknown_key_exits_2(
+    tmp_path, capsys, spec, key
+):
+    """Every value of an appliance file has its exact JSON type (true is
+    not a number, nothing is coerced) and every key is one the schema
+    has; otherwise the exit is 2 and the message names the file and the key."""
+    path = tmp_path / "house.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    out = tmp_path / "data.csv"
+    code = cli.main(["synth", "--appliances", str(path), "--out", str(out),
+                     "--states-out", str(tmp_path / "truth.csv")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG, err
+    assert err.startswith(f"configuration error: {path}: ") and key in err, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "spec, flags, named",
     [({"length": 0}, {}, True),
