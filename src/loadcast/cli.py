@@ -126,7 +126,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         config = synth.config_from_json(args.appliances, **overrides)
     else:
         config = replace(synth.default_household(), **overrides)
-    frame, truth = synth.generate(config)
+    named = f"{args.appliances}: " if args.appliances and "length" not in overrides else ""
+    with prefix_errors(named, ConfigError):  # a length too large to allocate names its file
+        frame, truth = synth.generate(config)
     save_csv(frame, args.out)
     n_apps = len(config.appliances)
     truth_frame = SeriesFrame(

@@ -1,9 +1,9 @@
-"""Load-series ingestion, resampling, splitting, normalization, windowing.
+"""CSV tables (read_table and write_table: every CSV loadcast reads or
+writes), load-series ingestion, resampling, splitting, normalization, windowing.
 
-CSV contract: UTF-8, comma-separated, header ``timestamp,<name1>,...,<nameD>``,
-timestamps as integer epoch seconds, values as decimal floats. Rows with any
-empty cell are rejected outright; silent imputation would corrupt downstream
-state labeling.
+A load series is a table keyed by ``timestamp`` (integer epoch seconds)
+with float values. Rows with any empty cell are rejected outright; silent
+imputation would corrupt downstream state labeling.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -174,78 +174,87 @@ def window_batch(series: np.ndarray, starts, lookback: int, n_variables: int) ->
 
 
 def load_csv(path: str | Path) -> SeriesFrame:
-    """Parse a load-series CSV into a SeriesFrame, sorting rows by timestamp."""
-    path = Path(path)
-    with reading(path):
-        timestamps, rows, names = _read_rows(path)
-        if not rows:
-            raise DataError("no data rows")
-        ts_arr = np.asarray(timestamps, dtype=np.int64)
-        val_arr = np.asarray(rows, dtype=np.float64)
-        order = np.argsort(ts_arr, kind="stable")
-        ts_arr = ts_arr[order]
-        val_arr = val_arr[order]
-        dupes = np.flatnonzero(ts_arr[1:] == ts_arr[:-1])
-        if dupes.size:
-            raise DataError(f"duplicate timestamp {ts_arr[dupes[0]]}")
-        return SeriesFrame(ts_arr, val_arr, list(names))
+    """Read a load-series table (see read_table) into a SeriesFrame, sorting
+    rows by timestamp; a timestamp may appear only once."""
+    timestamps, values, names = read_table(path, "timestamp", float)
+    order = np.argsort(timestamps, kind="stable")
+    timestamps, values = timestamps[order], values[order]
+    dupes = np.flatnonzero(timestamps[1:] == timestamps[:-1])
+    if dupes.size:
+        raise DataError(f"{path}: duplicate timestamp {timestamps[dupes[0]]}")
+    return SeriesFrame(timestamps, values, names)
 
 
-def _read_rows(path: Path) -> tuple[list[int], list[list[float]], list[str]]:
-    """Timestamps, value rows and variable names of a CSV, checked cell by cell."""
-    with path.open(newline="", encoding="utf-8") as f:
+def read_table(path: str | Path, key: str, parse: Callable) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """The key column, body and column names of a `key,<names>` CSV table:
+    a header that starts with key and names a column or more, then a row or
+    more of one cell per header cell, the key an int64 and each other cell
+    nonempty and read by parse (int or float) into an int64 or a finite
+    float. The first fault in file order raises DataError naming its line
+    and column (and, as every failure, the file). A first pass parses each
+    row whole and checks all values at once; only a table that fails it is
+    read again, cell by cell (_check_row), to name its first fault."""
+    with reading(path), Path(path).open(newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("empty file") from None
-        if not header or header[0] != "timestamp":
-            raise DataError(f"header must start with 'timestamp', got {header[:1]}")
-        names = header[1:]
-        if not names:
+        header = next(reader, None)
+        if header is None:
+            raise DataError("empty file")
+        if header[:1] != [key]:
+            raise DataError(f"header must start with {key!r}, got {header[:1]}")
+        if len(header) == 1:
             raise DataError("no variable columns in header")
-        timestamps: list[int] = []
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"line {lineno}: expected {len(header)} cells, got {len(row)}")
-            try:
-                ts = int(row[0])
-            except ValueError:
-                raise DataError(
-                    f"line {lineno}: column 'timestamp': not an integer: {row[0]!r}"
-                ) from None
-            if not -(2**63) <= ts < 2**63:
-                raise DataError(f"line {lineno}: column 'timestamp': out of range: {row[0]!r}")
-            vals = []
-            for name, cell in zip(names, row[1:]):
-                if cell == "":
-                    raise DataError(f"line {lineno}: column {name!r}: empty cell")
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"line {lineno}: column {name!r}: not a number: {cell!r}"
-                    ) from None
-                if not math.isfinite(v):
-                    raise DataError(f"line {lineno}: column {name!r}: non-finite value {cell!r}")
-                vals.append(v)
-            timestamps.append(ts)
-            rows.append(vals)
-    return timestamps, rows, names
+        keys, values = [], []
+        try:
+            for row in reader:
+                if len(row) != len(header):
+                    raise ValueError
+                keys.append(int(row[0]))
+                values += map(parse, row[1:])
+            if not keys:
+                raise DataError("no data rows")
+            dtype = np.float64 if parse is float else np.int64  # an int64 array raises OverflowError past it
+            keys, body = np.asarray(keys, np.int64), np.asarray(values, dtype).reshape(len(keys), -1)
+            if not np.isfinite(body).all():
+                raise ValueError
+        except (ValueError, OverflowError, csv.Error):
+            f.seek(0)
+            next(reader)
+            for lineno, row in enumerate(reader, start=2):
+                _check_row(lineno, row, header, parse)
+            raise  # the rescan found no fault: report this failure as it is
+    return keys, body, header[1:]
 
 
-def write_table(path: str | Path, names: Sequence[str], timestamps, rows, cell: Callable) -> None:
-    """The header timestamp,<names>, then each timestamp and cell(v) of every value of its row."""
+def _check_row(lineno: int, row: list[str], header: list[str], parse: Callable) -> None:
+    """Raise DataError naming the first faulty cell of a table row, if any."""
+    if len(row) != len(header):
+        raise DataError(f"line {lineno}: expected {len(header)} cells, got {len(row)}")
+    for i, (column, cell) in enumerate(zip(header, row)):
+        kind = parse if i else int
+        where = f"line {lineno}: column {column!r}"
+        if i and cell == "":
+            raise DataError(f"{where}: empty cell")
+        try:
+            value = kind(cell)
+        except ValueError:
+            raise DataError(f"{where}: not {'a number' if kind is float else 'an integer'}: {cell!r}") from None
+        if kind is int and not -(2**63) <= value < 2**63:
+            raise DataError(f"{where}: out of range: {cell!r}")
+        if kind is float and not math.isfinite(value):
+            raise DataError(f"{where}: non-finite value {cell!r}")
+
+
+def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """Write a CSV table: the header, then each row of already formatted cells."""
     with Path(path).open("w", newline="", encoding="utf-8") as f:
-        f.write("timestamp," + ",".join(names) + "\n")
-        for ts, row in zip(timestamps, rows):
-            f.write(str(int(ts)) + "," + ",".join(cell(v) for v in row) + "\n")
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(row) + "\n" for row in rows)
 
 
 def save_csv(frame: SeriesFrame, path: str | Path) -> None:
-    """Write a frame in the CSV contract; float cells use shortest round-trip repr."""
-    write_table(path, frame.variable_names, frame.timestamps, frame.values, lambda v: repr(float(v)))
+    """Write a frame as a load-series table; float cells use shortest round-trip repr."""
+    rows = zip(frame.timestamps.tolist(), frame.values.tolist())
+    write_table(path, ["timestamp", *frame.variable_names], ([str(t), *map(repr, r)] for t, r in rows))
 
 
 def align_and_downsample(frame: SeriesFrame, period_seconds: int = 3600) -> SeriesFrame:

@@ -4,8 +4,9 @@ The CLI maps these onto process exit codes, so everything user-facing
 raises one of them rather than a bare ValueError. `prefix_errors` is the
 one place where a message gains a file path or stage tag, `reading`
 the one place where a missing, unreadable or unparsable input file
-becomes such an error naming the file, and `layered` the one rule for
-whether an invalid setting names its file.
+becomes such an error naming the file, `layered` the one rule for
+whether an invalid setting names its file, and `allocate` the one for
+an array too large to allocate.
 """
 
 import csv
@@ -53,6 +54,15 @@ def layered(build: Callable, file_values: dict, flags: dict, source: str | Path)
         with prefix_errors(f"{source}: ", ConfigError):
             build(**{k: v for k, v in file_values.items() if k not in flags})
         raise
+
+
+def allocate(what: str, make: Callable, *args):
+    """make(*args); an array too large to allocate (numpy raises ValueError
+    for one past its size limit) is a ConfigError naming what."""
+    try:
+        return make(*args)
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"the {what} these settings ask for does not fit in memory: {exc}") from None
 
 
 @contextmanager

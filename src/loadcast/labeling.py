@@ -5,7 +5,8 @@ Each variable of a load series is embedded as one window per time step
 (forward windows, with trailing windows reused at the tail), clustered
 for every candidate state count, and the count with the best silhouette
 wins. Cluster ids are then canonicalized by ascending centroid mean so
-label 0 is always the lowest-power state.
+label 0 is always the lowest-power state. Labels are stored as a state
+table (data.read_table and data.write_table) beside a JSON sidecar.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import SeriesFrame, write_table
+from .data import SeriesFrame, read_table, write_table
 from .errors import ConfigError, DataError, ShapeError, prefix_errors, reading
 
 DEFAULT_WINDOW = 24
@@ -42,7 +43,7 @@ class StateProfile:
 
     labels: (l, D) int matrix, variable i taking values in [0, counts[i]).
     counts: length-D state counts, each in [MIN_STATES, MAX_STATES] when
-    produced by identify_states with the default bounds.
+    produced by identify_states (see check_state_range).
     """
 
     labels: np.ndarray
@@ -309,6 +310,15 @@ def _selection_indices(n: int, cap: int, rng: np.random.Generator, assignments: 
     return idx
 
 
+def check_state_range(min_s: int, max_s: int) -> None:
+    """Labeling's state-count search range must lie in [MIN_STATES, MAX_STATES]:
+    the counts it picks are what a state table's sidecar may hold."""
+    if min_s < MIN_STATES:
+        raise ConfigError(f"min_s must be >= {MIN_STATES}, got {min_s}")
+    if not min_s <= max_s <= MAX_STATES:
+        raise ConfigError(f"max_s must lie in [min_s={min_s}, {MAX_STATES}], got {max_s}")
+
+
 def identify_states(
     frame: SeriesFrame,
     w: int = DEFAULT_WINDOW,
@@ -331,10 +341,7 @@ def identify_states(
     a variable with fewer distinct windows than min_s (say, a constant
     column) raises DataError naming it.
     """
-    if min_s < MIN_STATES:
-        raise ConfigError(f"min_s must be >= {MIN_STATES}, got {min_s}")
-    if max_s < min_s:
-        raise ConfigError(f"max_s={max_s} below min_s={min_s}")
+    check_state_range(min_s, max_s)
     l, d = frame.values.shape
     labels = np.zeros((l, d), dtype=np.int64)
     counts = np.zeros(d, dtype=np.int64)
@@ -371,34 +378,25 @@ def identify_states(
 
 
 def save_states_csv(profile: StateProfile, frame: SeriesFrame, path: str | Path) -> None:
-    """Persist labels as CSV (same header/timestamps as the frame) plus a
-    JSON sidecar <path>.meta.json listing the state count per variable."""
+    """Write labels as a state table (the frame's header and timestamps) plus
+    a JSON sidecar <path>.meta.json listing the state count per variable."""
     path = Path(path)
     if profile.labels.shape != frame.values.shape:
         raise ShapeError(
             f"labels {profile.labels.shape} do not match frame values {frame.values.shape}"
         )
-    write_table(path, frame.variable_names, frame.timestamps, profile.labels, lambda v: str(int(v)))
-    meta = [
-        {"name": name, "states": int(n)}
-        for name, n in zip(frame.variable_names, profile.counts)
-    ]
+    rows = zip(frame.timestamps.tolist(), profile.labels.tolist())
+    write_table(path, ["timestamp", *frame.variable_names], ([str(t), *map(str, r)] for t, r in rows))
+    meta = [{"name": name, "states": int(n)} for name, n in zip(frame.variable_names, profile.counts)]
     sidecar = path.with_suffix(path.suffix + ".meta.json")
     sidecar.write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 
 
 def load_states_csv(path: str | Path) -> tuple[StateProfile, np.ndarray, list[str]]:
-    """Read a state CSV and its sidecar; returns (profile, timestamps, names)."""
+    """Read a state table of integer labels and its sidecar; returns
+    (profile, timestamps, names)."""
     path = Path(path)
-    with reading(path), path.open(newline="", encoding="utf-8") as f:
-        header = f.readline().rstrip("\n").split(",")
-        if header[:1] != ["timestamp"]:
-            raise DataError("header must start with 'timestamp'")
-        names = header[1:]
-        rows = [line for line in f if line.strip()]
-        if not rows:  # before np.loadtxt, which would warn about it
-            raise DataError("no data rows")
-        body = np.loadtxt(rows, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+    timestamps, labels, names = read_table(path, "timestamp", int)
     sidecar = path.with_suffix(path.suffix + ".meta.json")
     with reading(sidecar):
         meta = json.loads(sidecar.read_text(encoding="utf-8"))
@@ -414,7 +412,7 @@ def load_states_csv(path: str | Path) -> tuple[StateProfile, np.ndarray, list[st
                 )
     with prefix_errors(f"{path}: "):
         try:
-            profile = StateProfile(body[:, 1:], counts)
-        except ShapeError as exc:  # label columns or values that disagree with the sidecar
+            profile = StateProfile(labels, counts)
+        except ShapeError as exc:  # label values that disagree with the sidecar
             raise DataError(str(exc)) from None
-    return profile, body[:, 0], names
+    return profile, timestamps, names

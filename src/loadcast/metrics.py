@@ -3,18 +3,20 @@
 Both metrics are computed on z-score normalized data in the standard
 pipeline; raw-scale values can be carried alongside for user datasets.
 The symmetric MAPE is a single global ratio sum|err| / sum(|yhat|+|y|),
-bounded in [0, 1] by the triangle inequality.
+bounded in [0, 1] by the triangle inequality. A report CSV is a table
+keyed by horizon, read by data.read_table; reports and comparisons are
+written by data.write_table.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ShapeError, reading
+from .data import read_table, write_table
+from .errors import DataError, ShapeError
 
 
 def checked_pair(yhat, y) -> tuple[np.ndarray, np.ndarray]:
@@ -94,29 +96,23 @@ def percent_improvement(baseline: EvalReport, treated: EvalReport) -> Improvemen
     return ImprovementReport(list(baseline.horizons), per_horizon, average)
 
 
+# the columns after horizon of the two tables save_report_csv writes: without and with raw scale
+REPORT_COLUMNS = (["mae", "mape_sym"], ["mae", "mape_sym", "mae_raw", "mape_sym_raw"])
+
+
 def save_report_csv(report: EvalReport, path: str | Path) -> None:
-    """One row per horizon; raw-scale columns included when present."""
-    path = Path(path)
-    has_raw = bool(report.mae_raw)
-    with path.open("w", newline="", encoding="utf-8") as f:
-        cols = ["horizon", "mae", "mape_sym"] + (["mae_raw", "mape_sym_raw"] if has_raw else [])
-        f.write(",".join(cols) + "\n")
-        for i, h in enumerate(report.horizons):
-            row = [str(h), repr(report.mae[i]), repr(report.mape_sym[i])]
-            if has_raw:
-                row += [repr(report.mae_raw[i]), repr(report.mape_sym_raw[i])]
-            f.write(",".join(row) + "\n")
+    """A report table: one row per horizon; raw-scale columns included when present."""
+    columns = REPORT_COLUMNS[bool(report.mae_raw)]
+    rows = zip(report.horizons, *(getattr(report, name) for name in columns))
+    write_table(path, ["horizon", *columns], ([str(h), *map(repr, values)] for h, *values in rows))
 
 
 def load_report_csv(path: str | Path) -> EvalReport:
-    path = Path(path)
-    with reading(path), path.open(newline="", encoding="utf-8") as f:
-        rows = list(csv.DictReader(f))
-        if not rows:
-            raise DataError("no report rows")
-        raw = ["mae_raw", "mape_sym_raw"] if "mae_raw" in rows[0] else []
-        columns = {name: [float(row[name]) for row in rows] for name in ["mae", "mape_sym", *raw]}
-        return EvalReport([int(row["horizon"]) for row in rows], **columns)
+    """Read a report table whose columns are one of REPORT_COLUMNS."""
+    horizons, body, columns = read_table(path, "horizon", float)
+    if columns not in REPORT_COLUMNS:
+        raise DataError(f"{path}: columns {columns} are not one of {list(REPORT_COLUMNS)}")
+    return EvalReport(horizons.tolist(), *body.T.tolist())
 
 
 def save_comparison_csv(
@@ -131,10 +127,6 @@ def save_comparison_csv(
     ]
     rows.append(["avg", baseline.avg_mae, treated.avg_mae, avg["mae"],
                  baseline.avg_mape_sym, treated.avg_mape_sym, avg["mape_sym"]])
-    with Path(path).open("w", newline="", encoding="utf-8") as f:
-        f.write(
-            "horizon,baseline_mae,guided_mae,mae_improvement_pct,"
-            "baseline_mape_sym,guided_mape_sym,mape_sym_improvement_pct\n"
-        )
-        for label, *values in rows:
-            f.write(",".join([str(label), *map(repr, values)]) + "\n")
+    header = ["horizon", "baseline_mae", "guided_mae", "mae_improvement_pct",
+              "baseline_mape_sym", "guided_mape_sym", "mape_sym_improvement_pct"]
+    write_table(path, header, ([str(label), *map(repr, values)] for label, *values in rows))

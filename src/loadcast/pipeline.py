@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,8 +32,9 @@ from .data import (
     zscore_apply,
     zscore_fit,
 )
-from .errors import ConfigError, DataError, prefix_errors
-from .labeling import DEFAULT_WINDOW, MAX_STATES, MIN_STATES, StateProfile, load_states_csv
+from .errors import ConfigError, DataError, allocate, prefix_errors
+from .labeling import DEFAULT_WINDOW, MAX_STATES, MIN_STATES, StateProfile
+from .labeling import check_state_range, load_states_csv
 from .train import (
     DEFAULT_BATCH,
     DEFAULT_LR,
@@ -88,12 +89,7 @@ class RunConfig:
                 f"forecaster_kind must be one of {fc.FORECASTER_KINDS}, "
                 f"got {self.forecaster_kind!r}"
             )
-        if self.min_s < MIN_STATES:
-            raise ConfigError(f"min_s must be >= {MIN_STATES}, got {self.min_s}")
-        if not self.min_s <= self.max_s <= MAX_STATES:
-            raise ConfigError(
-                f"max_s must lie in [min_s={self.min_s}, {MAX_STATES}], got {self.max_s}"
-            )
+        check_state_range(self.min_s, self.max_s)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.horizons:
@@ -209,21 +205,12 @@ def teacher_config(config: RunConfig, horizon: int, counts: Sequence[int]) -> ms
     )
 
 
-def _build(kind: str, make: Callable, config):
-    """make(config); a model too large to allocate (numpy raises ValueError
-    for an array past its size limit) is a ConfigError naming its kind."""
-    try:
-        return make(config)
-    except (MemoryError, ValueError) as exc:
-        raise ConfigError(f"the {kind} these settings ask for does not fit in memory: {exc}") from None
-
-
 def train_teacher(
     config: RunConfig, horizon: int, counts: Sequence[int], train_w: WindowSet, val_w: WindowSet
 ) -> tuple[msp.MspModel, TrainHistory]:
     """Stage 1 at one horizon: a state predictor (see teacher_config),
     trained on the windows' state labels."""
-    teacher = _build("msp teacher", msp.MspModel, teacher_config(config, horizon, counts))
+    teacher = allocate("msp teacher", msp.MspModel, teacher_config(config, horizon, counts))
     return teacher, msp.train_msp(teacher, train_w, val_w, **_fit_args(config))
 
 
@@ -237,7 +224,7 @@ def train_forecaster(
 ) -> tuple[object, TrainHistory]:
     """Stage 2 at one horizon: a forecaster trained under plain MAE, or
     guided by the frozen teacher when one is given."""
-    model = _build(
+    model = allocate(
         f"{config.forecaster_kind} forecaster",
         fc.make_forecaster,
         fc.ForecasterConfig(

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .data import SeriesFrame
-from .errors import ConfigError, layered, reading
+from .errors import ConfigError, allocate, layered, reading
 from .labeling import MAX_STATES, MIN_STATES, StateProfile
 
 HOUSEHOLD_COLUMN = "household"
@@ -133,7 +133,8 @@ def generate(config: SynthConfig) -> tuple[SeriesFrame, StateProfile]:
     The frame holds one column per appliance (plus a trailing
     household-total column when configured, equal to the exact row sum
     of the appliance columns). The StateProfile covers the appliance
-    columns only: a household total has no small true state set.
+    columns only: a household total has no small true state set. A length
+    whose state matrix cannot be allocated is a ConfigError, found up front.
     """
     validate_config(config)
     apps = config.appliances
@@ -150,7 +151,7 @@ def generate(config: SynthConfig) -> tuple[SeriesFrame, StateProfile]:
     def sample_dwell(app: ApplianceSpec, state: int) -> int:
         return int(rng_states.geometric(1.0 / app.dwell_means[state]))
 
-    states = np.zeros((l, n_apps), dtype=np.int64)
+    states = allocate(f"series of length {l}", np.zeros, (l, n_apps), np.int64)
     current = [0] * n_apps
     left = [sample_dwell(app, 0) for app in apps]
     forced: list[set[int]] = [set() for _ in range(n_apps)]

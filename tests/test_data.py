@@ -71,6 +71,23 @@ def test_load_csv_rejects_non_finite_cell(tmp_path, cell):
         data.load_csv(path)
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [("60,3.0,nan\n120,oops,1.0\n", "line 3: column 'b': non-finite value 'nan'"),
+     ("60,1e999,1.0\n120,1.0\n", "line 3: column 'a': non-finite value '1e999'"),
+     ("9223372036854775808,1.0,1.0\n120,1.0,inf\n", "line 3: column 'timestamp': out of range: '9223372036854775808'"),
+     ("60,1.0,1.0\n120,1.0,1.0,1.0\n180,nan,1.0\n", "line 4: expected 3 cells, got 4"),
+     ("60,1e308,1e308\n120,,1.0\n", "line 4: column 'a': empty cell")],
+)
+def test_load_csv_reports_the_first_fault_in_file_order(tmp_path, body, message):
+    """Values are checked for all rows at once, after parsing; a fault found
+    then is still reported after any earlier one."""
+    path = write_csv(tmp_path, "timestamp,a,b\n0,1.0,2.0\n" + body)
+    with pytest.raises(DataError) as err:
+        data.load_csv(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
 def test_load_csv_rejects_empty_cell(tmp_path):
     path = write_csv(tmp_path, "timestamp,a,b\n0,1.0,\n")
     with pytest.raises(DataError, match="empty cell"):

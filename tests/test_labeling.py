@@ -10,6 +10,7 @@ import pytest
 from loadcast import labeling
 from loadcast.data import SeriesFrame
 from loadcast.errors import ConfigError, DataError, ShapeError
+from loadcast.pipeline import RunConfig
 
 
 def one_var_frame(series):
@@ -524,16 +525,54 @@ def test_malformed_sidecar_is_data_error_naming_it(tmp_path, meta):
         labeling.load_states_csv(path)
 
 
-@pytest.mark.parametrize(
-    "body", [b"0,0\n3600,x\n", b"0,0\n3600,\xff\n", b"0,0\n3600,1,0\n", b"0,0\n3600,2\n"]
-)
+# each state CSV body under the header timestamp,x, and the message it fails with
+STATE_CSV_FAULTS = {
+    b"0,0\n3600,x\n": "line 3: column 'x': not an integer: 'x'",
+    b"0,0\n3600,1,0\n": "line 3: expected 2 cells, got 3",
+    b"0,0\n3600\n": "line 3: expected 2 cells, got 1",
+    b"0,0\n\n3600,1\n": "line 3: expected 2 cells, got 0",
+    b"0,0\n3600,\n": "line 3: column 'x': empty cell",
+    b"0,0\n3600,1.0\n": "line 3: column 'x': not an integer: '1.0'",
+    b"0,0\n3600,9223372036854775808\n": "line 3: column 'x': out of range",
+    b"0,0\n1e3,1\n": "line 3: column 'timestamp': not an integer: '1e3'",
+    # bytes are decoded ahead of the rows, so bad UTF-8 names no line
+    b"0,0\n3600,\xff\n": "cannot parse: UnicodeDecodeError",
+    # a label its sidecar's state count does not allow is found after the table is read
+    b"0,0\n3600,2\n": "label 2 out of range for variable 0 with 2 states",
+}
+
+
+@pytest.mark.parametrize("body", list(STATE_CSV_FAULTS))
 def test_malformed_state_csv_is_data_error_naming_it(tmp_path, body):
     frame = one_var_frame([0.0, 1.0])
     path = tmp_path / "states.csv"
     labeling.save_states_csv(labeling.StateProfile(np.array([[0], [1]]), [2]), frame, path)
     path.write_bytes(b"timestamp,x\n" + body)
-    with pytest.raises(DataError, match="states.csv: "):
+    with pytest.raises(DataError) as err:
         labeling.load_states_csv(path)
+    assert str(err.value).startswith(f"{path}: {STATE_CSV_FAULTS[body]}"), err.value
+
+
+def test_state_csv_cells_are_read_as_data_csv_cells(tmp_path):
+    frame = one_var_frame([0.0, 1.0])
+    path = tmp_path / "states.csv"
+    labeling.save_states_csv(labeling.StateProfile(np.array([[0], [1]]), [2]), frame, path)
+    path.write_bytes(b'timestamp,x\n"0", 1\n3600,"1"\n')
+    profile, ts, _ = labeling.load_states_csv(path)
+    np.testing.assert_array_equal(profile.labels, [[1], [1]])
+    np.testing.assert_array_equal(ts, [0, 3600])
+
+
+@pytest.mark.parametrize("min_s, max_s", [(1, 3), (3, 2), (2, 6), (6, 7)])
+def test_identify_states_searches_only_counts_a_state_csv_holds(min_s, max_s):
+    """Counts above MAX_STATES were once labeled, written, and then refused
+    by load_states_csv; RunConfig and identify_states share one range rule."""
+    frame = one_var_frame(np.arange(40.0) % 8)
+    with pytest.raises(ConfigError) as err:
+        labeling.identify_states(frame, w=2, min_s=min_s, max_s=max_s)
+    with pytest.raises(ConfigError) as config_err:
+        RunConfig(min_s=min_s, max_s=max_s)
+    assert str(err.value) == str(config_err.value)
 
 
 @pytest.mark.parametrize("directory", ["states.csv", "states.csv.meta.json"])

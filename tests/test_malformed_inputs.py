@@ -163,6 +163,17 @@ def test_reports_of_other_horizons_exit_2_naming_both(artifacts, tmp_path):
     assert code == cli.EXIT_CONFIG and f"{baseline} vs {treated}: horizon sets differ" in err
 
 
+def test_a_report_holding_nan_exits_3_naming_the_file_and_line(artifacts, tmp_path):
+    baseline, treated = artifacts / "rep/plain.csv", tmp_path / "nan.csv"
+    header, first_row, *rest = (artifacts / "rep/guided.csv").read_text("utf-8").splitlines()
+    treated.write_text("\n".join([header, "1,nan," + first_row.split(",", 2)[2], *rest]) + "\n")
+    code, err = run(["compare", "--baseline", baseline, "--treated", treated,
+                     "--out", tmp_path / "c.csv"])
+    assert code == cli.EXIT_DATA, err
+    assert f"{treated}: line 2: column 'mae': non-finite value 'nan'" in err, err
+    assert not (tmp_path / "c.csv").exists()
+
+
 @pytest.mark.parametrize(
     "command",
     [["synth", "--states-out", "{tmp}/t.csv", "--length", 48],

@@ -116,6 +116,37 @@ def test_report_csv_round_trip(tmp_path):
     assert back == report
 
 
+@pytest.mark.parametrize(
+    "report, text",
+    [(metrics.EvalReport([1, 6], [0.5, 0.1 + 0.2], [0.9, 1e-300], [5.0, 6.0], [-0.0, 0.9]),
+      "horizon,mae,mape_sym,mae_raw,mape_sym_raw\n"
+      "1,0.5,0.9,5.0,-0.0\n6,0.30000000000000004,1e-300,6.0,0.9\n"),
+     (metrics.EvalReport([24], [0.25], [2.5e-05]), "horizon,mae,mape_sym\n24,0.25,2.5e-05\n")],
+)
+def test_report_csv_writes_the_exact_text(tmp_path, report, text):
+    path = tmp_path / "report.csv"
+    metrics.save_report_csv(report, path)
+    assert path.read_bytes() == text.encode("utf-8")
+    assert metrics.load_report_csv(path) == report
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("horizon,mae,mape_sym\n1,0.5\n", "line 2: expected 3 cells, got 2"),
+     ("horizon,mae,mape_sym\n1,0.5,0.9\n6,nan,0.9\n", "line 3: column 'mae': non-finite value 'nan'"),
+     ("horizon,mae,mape_sym\n1.5,0.5,0.9\n", "line 2: column 'horizon': not an integer: '1.5'"),
+     ("horizon,mae,mape\n1,0.5,0.9\n", "columns ['mae', 'mape'] are not one of"),
+     ("horizon,mae,mape_sym,mae_raw\n1,0.5,0.9,5.0\n", "columns ['mae', 'mape_sym', 'mae_raw'] are"),
+     ("horizon,mae,mape_sym\n", "no data rows")],
+)
+def test_malformed_report_csv_is_data_error_naming_it(tmp_path, text, message):
+    path = tmp_path / "report.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        metrics.load_report_csv(path)
+    assert str(err.value).startswith(f"{path}: {message}"), err.value
+
+
 def test_comparison_csv_row_count(tmp_path):
     baseline = make_report([1, 6, 12], [0.5, 0.6, 0.7], [0.9, 1.0, 1.1])
     treated = make_report([1, 6, 12], [0.4, 0.55, 0.71], [0.8, 0.95, 1.12])
@@ -125,3 +156,19 @@ def test_comparison_csv_row_count(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 1 + 3 + 1  # header + horizons + avg row
     assert lines[-1].startswith("avg,")
+
+
+def test_comparison_csv_writes_the_exact_text(tmp_path):
+    baseline = make_report([1, 6], [0.5, 0.25], [1.0, 0.1 + 0.2])
+    treated = make_report([1, 6], [0.25, 0.25], [0.5, 0.3])
+    path = tmp_path / "cmp.csv"
+    metrics.save_comparison_csv(
+        baseline, treated, metrics.percent_improvement(baseline, treated), path
+    )
+    assert path.read_bytes() == (
+        b"horizon,baseline_mae,guided_mae,mae_improvement_pct,"
+        b"baseline_mape_sym,guided_mape_sym,mape_sym_improvement_pct\n"
+        b"1,0.5,0.25,50.0,1.0,0.5,50.0\n"
+        b"6,0.25,0.25,0.0,0.30000000000000004,0.3,1.8503717077085938e-14\n"
+        b"avg,0.375,0.25,25.0,0.65,0.4,25.00000000000001\n"
+    )

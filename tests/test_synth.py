@@ -277,6 +277,27 @@ def test_synth_rejects_non_finite_values_with_exit_2(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_a_length_too_large_to_allocate_exits_2_naming_it(tmp_path, capsys, source):
+    """Both lengths fail at the first allocation, before the simulation: four
+    appliances' 10**18 steps pass numpy's size limit (ValueError), and one
+    appliance's need 8e18 bytes, past any address space (MemoryError)."""
+    length = 10**18
+    args = ["--length", str(length)]
+    if source == "file":
+        path = tmp_path / "house.json"
+        path.write_text(json.dumps({"appliances": [APPLIANCE], "length": length}), "utf-8")
+        args = ["--appliances", str(path)]
+    out = tmp_path / "data.csv"
+    code = cli.main(["synth", *args, "--out", str(out), "--states-out", str(tmp_path / "t.csv")])
+    err = capsys.readouterr().err
+    named = f"{path}: " if source == "file" else ""
+    assert code == cli.EXIT_CONFIG, err
+    assert err.startswith(f"configuration error: {named}the series of length {length} these "
+                          "settings ask for does not fit in memory: "), err
+    assert not out.exists()
+
+
 def test_a_flag_overrides_an_invalid_file_value(tmp_path):
     path = tmp_path / "house.json"
     path.write_text(json.dumps({"appliances": [APPLIANCE], "length": 0}), encoding="utf-8")
